@@ -14,15 +14,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import bisect
-from scipy.special import gammaln, logsumexp
 
 from . import qmath
-from .model import GateSpec
+from .model import GateSpec, bell_pair
 
 CHANNEL_TP_TOL = 1e-8
 CHANNEL_CP_TOL = 1e-8
 CESARO_MAX_TERMS = 10**6
+BISECT_RTOL = 4 * np.finfo(float).eps
+BISECT_MAXITER = 100
 
 
 class AnalysisError(Exception):
@@ -104,9 +104,7 @@ def round_trip_channel(gate: GateSpec) -> ChannelMatrix:
     """
     d = gate.local_dim
     u = gate.matrix
-    bell = np.zeros(d * d, dtype=complex)
-    for t in range(d):
-        bell[t * d + t] = 1.0 / math.sqrt(d)
+    bell = bell_pair(d).vector
     phi = np.outer(bell, bell.conj())  # on (B, RB)
     eye_b = np.eye(d, dtype=complex) / d
 
@@ -165,9 +163,7 @@ def cesaro_fixed_state(channel: ChannelMatrix, tol: float = 1e-8) -> np.ndarray:
     """
     d = channel.d
     dims = (d, d)
-    bell = np.zeros(d * d, dtype=complex)
-    for t in range(d):
-        bell[t * d + t] = 1.0 / math.sqrt(d)
+    bell = bell_pair(d).vector
     start = np.outer(bell, bell.conj())
 
     lifted = superoperator_from_map(
@@ -253,6 +249,34 @@ def expected_ebits(theta: float) -> CostCurvePoint:
     return CostCurvePoint.at(theta)
 
 
+def bisect(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by bisection.
+
+    Halves the step from a and moves a to the midpoint whenever f there has
+    the sign of f(a) (or is 0); stops at a zero of f or once
+    |step| < xtol + BISECT_RTOL |midpoint|, returning the midpoint.  Raises
+    when f(a) and f(b) share a sign, or after BISECT_MAXITER steps.
+    """
+    a, b = float(a), float(b)
+    fa, fb = f(a), f(b)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    step = b - a
+    for _ in range(BISECT_MAXITER):
+        step *= 0.5
+        mid = a + step
+        fm = f(mid)
+        if fm * fa >= 0:
+            a = mid
+        if fm == 0 or abs(step) < xtol + BISECT_RTOL * abs(mid):
+            return mid
+    raise RuntimeError(f"bisection did not converge in {BISECT_MAXITER} steps, value is {a}")
+
+
 def break_even_theta(
     grid_points: int = 1000, lo: float = 1e-4, hi: float = math.pi / 2
 ) -> float | None:
@@ -266,9 +290,7 @@ def break_even_theta(
     if sign_change.size == 0:
         return None
     i = int(sign_change[0])
-    return float(
-        bisect(lambda t: CostCurvePoint.at(t).e_bar - 1.0, thetas[i], thetas[i + 1], xtol=1e-10)
-    )
+    return bisect(lambda t: CostCurvePoint.at(t).e_bar - 1.0, thetas[i], thetas[i + 1], xtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +326,78 @@ class TypicalSet:
         return int(sum(sequence)) in set(self.typical_counts)
 
 
-def _log_binom_pmf(n: int, ks: np.ndarray, p1: float) -> np.ndarray:
+# cephes lgam: log Gamma(x) = (x - 1/2) log x - x + log sqrt(2 pi) + A(1/x^2) / x
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178
+_LOG_FACTORIAL_SMALL = np.array([math.log(float(math.factorial(k))) for k in range(12)])
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n, as cephes lgam evaluates log Gamma(k + 1).
+
+    A table of log(k!) below x = k + 1 = 13, the Stirling form with the
+    cephes correction above, in cephes' order of operations.
+    np.log can differ from the C library log by an ulp, which moves a few
+    entries at x >= 9170 by an ulp-scale amount.
+    """
+    x = np.arange(1.0, n + 2.0)  # out[k] = lgam(x[k])
+    out = (x - 0.5) * np.log(x) - x + _LS2PI
+    out[:12] = _LOG_FACTORIAL_SMALL[: n + 1]
+    mid = slice(12, 999)  # 13 <= x < 1000: polynomial correction
+    xs = x[mid]
+    p = 1.0 / (xs * xs)
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    out[mid] += poly / xs
+    far = slice(999, 10**8)  # 1000 <= x <= 1e8: three-term series; none above
+    xs = x[far]
+    p = 1.0 / (xs * xs)
+    out[far] += (
+        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+        + 0.0833333333333333333333
+    ) / xs
+    return out
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D real array; -inf when a is empty.
+
+    The maximum is factored out and its m ties are summed apart:
+    log1p(sum(exp(a - a_max) over the rest) / m) + log(m) + a_max.
+    A non-finite result is recomputed directly as log(sum(exp(a))).
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        ties = a == a_max
+        m = np.float64(np.count_nonzero(ties))
+        e = np.exp(a - a_max)
+        e[ties] = 0.0
+        s = e.sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
+def _log_binom_pmf(n: int, k_max: int, p1: float) -> np.ndarray:
+    """log P(k) of Binomial(n, p1) for k = 0..k_max."""
     log_p1 = math.log(p1) if p1 > 0 else -math.inf
     log_p0 = math.log1p(-p1) if p1 < 1 else -math.inf
-    out = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+    lf = log_factorials(n)
+    ks = np.arange(k_max + 1)
+    out = lf[n] - lf[: k_max + 1] - lf[n - k_max :][::-1]
     return out + ks * log_p1 + (n - ks) * log_p0
 
 
@@ -332,22 +422,15 @@ def typical_set(n: int, delta: float, probs: Sequence[float]) -> TypicalSet:
     typical = (log2_prob >= -n * (entropy + delta) - eps) & (
         log2_prob <= -n * (entropy - delta) + eps
     )
-    t_counts = tuple(int(k) for k in ks[typical])
-    log_pmf = _log_binom_pmf(n, ks, lam1)
-    if typical.any():
-        log_weight = float(logsumexp(log_pmf[typical]))
-    else:
-        log_weight = -math.inf
-    if (~typical).any():
-        log_complement = float(logsumexp(log_pmf[~typical]))
-    else:
-        log_complement = -math.inf
+    log_pmf = _log_binom_pmf(n, n, lam1)
+    log_weight = logsumexp(log_pmf[typical])
+    log_complement = logsumexp(log_pmf[~typical])
     return TypicalSet(
         n=n,
         delta=delta,
         probs=(lam0, lam1),
         entropy=entropy,
-        typical_counts=t_counts,
+        typical_counts=tuple(ks[typical].tolist()),
         weight=float(math.exp(log_weight)) if log_weight > -math.inf else 0.0,
         complement=float(math.exp(log_complement)) if log_complement > -math.inf else 0.0,
         log_weight=log_weight,
@@ -405,8 +488,7 @@ def _log_excess_failure(n: int, delta: float, theta: float) -> float:
     k_max = min(k_max, n)
     if k_max < 0:
         return -math.inf
-    ks = np.arange(k_max + 1)
-    return float(logsumexp(_log_binom_pmf(n, ks, p)))
+    return logsumexp(_log_binom_pmf(n, k_max, p))
 
 
 def error_budget(n: int, delta: float, theta: float) -> TypicalityReport:

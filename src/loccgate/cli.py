@@ -203,12 +203,13 @@ def markov_cost(gate_name, theta, gate_file, output):
     if (gate_name is None) == (gate_file is None):
         raise click.UsageError("provide exactly one of --gate or --file")
     if gate_file is not None:
-        doc = json.loads(Path(gate_file).read_text())
-        mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-        dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
-        if dev > 1e-8:
-            raise click.UsageError(f"matrix is not unitary (deviation {dev:.3e})")
-        spec = model.GateSpec(mat)
+        try:
+            doc = json.loads(Path(gate_file).read_text())
+            mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+            spec = model.GateSpec(mat)
+            spec.local_dim  # raises unless the gate acts on two equal factors of dimension >= 2
+        except (KeyError, TypeError, ValueError) as exc:
+            raise click.UsageError(f"bad gate file {gate_file}: {exc}") from None
         label = gate_file
     else:
         spec = _builtin_gate(gate_name, theta)

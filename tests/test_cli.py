@@ -135,6 +135,32 @@ def test_markov_cost_rejects_non_unitary(runner, tmp_path):
     assert runner.invoke(main, ["markov-cost", "--file", str(path)]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "re_part",
+    [
+        np.eye(2),  # one qubit: not bipartite
+        np.eye(3),  # dimension 3 is not a square
+        np.eye(1),  # two trivial factors
+        np.eye(4) * (1 + 5e-10),  # unitarity deviation 1e-9, above the 1e-10 tolerance
+        np.full((4, 4), np.nan),
+    ],
+    ids=["2x2", "3x3", "1x1", "near-unitary", "nan"],
+)
+def test_markov_cost_rejects_unusable_matrix(runner, tmp_path, re_part):
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps({"re": re_part.tolist(), "im": np.zeros_like(re_part).tolist()}))
+    result = runner.invoke(main, ["markov-cost", "--file", str(path)])
+    assert result.exit_code == 2
+    assert "bad gate file" in result.output
+    assert not isinstance(result.exception, ValueError)
+
+
+def test_markov_cost_rejects_missing_field(runner, tmp_path):
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps({"re": np.eye(4).tolist()}))
+    assert runner.invoke(main, ["markov-cost", "--file", str(path)]).exit_code == 2
+
+
 # ---------------------------------------------------------------- typicality
 
 
