@@ -2,8 +2,8 @@
 
 Simulates the full multi-copy protocol (typical-subspace resource, per-copy
 heralded gates, Bell-pool corrections) and checks the observed infidelity
-against the budget eps_n + 2 eps'_n.  n = 3 is exact but takes a couple of
-minutes (an 18-qubit exhaustive tree); it is opt-in.
+against the budget eps_n + 2 eps'_n.  n = 3 is exact but takes about half a
+minute (an 18-qubit exhaustive tree); it is opt-in.
 """
 
 import argparse

@@ -391,18 +391,26 @@ def logsumexp(a: np.ndarray) -> float:
     return float(out)
 
 
-def _log_binom_pmf(n: int, k_max: int, p1: float) -> np.ndarray:
-    """log P(k) of Binomial(n, p1) for k = 0..k_max."""
+def _log_binom_pmf(lf: np.ndarray, k_max: int, p1: float) -> np.ndarray:
+    """log P(k) of Binomial(n, p1) for k = 0..k_max, from lf = log_factorials(n)."""
+    n = lf.size - 1
     log_p1 = math.log(p1) if p1 > 0 else -math.inf
     log_p0 = math.log1p(-p1) if p1 < 1 else -math.inf
-    lf = log_factorials(n)
     ks = np.arange(k_max + 1)
     out = lf[n] - lf[: k_max + 1] - lf[n - k_max :][::-1]
-    return out + ks * log_p1 + (n - ks) * log_p0
+    # 0 log 0 = 0: at p1 = 0 or 1 the certain count keeps log P = 0, not nan
+    out += ks * log_p1 if p1 > 0 else np.where(ks == 0, 0.0, -math.inf)
+    out += (n - ks) * log_p0 if p1 < 1 else np.where(ks == n, 0.0, -math.inf)
+    return out
 
 
-def typical_set(n: int, delta: float, probs: Sequence[float]) -> TypicalSet:
-    """Sequences whose product probability is within 2^{+-n delta} of 2^{-nH}."""
+def typical_set(
+    n: int, delta: float, probs: Sequence[float], *, lf: np.ndarray | None = None
+) -> TypicalSet:
+    """Sequences whose product probability is within 2^{+-n delta} of 2^{-nH}.
+
+    ``lf`` is ``log_factorials(n)``, for a caller that has built it already.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if delta <= 0:
@@ -422,7 +430,9 @@ def typical_set(n: int, delta: float, probs: Sequence[float]) -> TypicalSet:
     typical = (log2_prob >= -n * (entropy + delta) - eps) & (
         log2_prob <= -n * (entropy - delta) + eps
     )
-    log_pmf = _log_binom_pmf(n, n, lam1)
+    if lf is None:
+        lf = log_factorials(n)
+    log_pmf = _log_binom_pmf(lf, n, lam1)
     log_weight = logsumexp(log_pmf[typical])
     log_complement = logsumexp(log_pmf[~typical])
     return TypicalSet(
@@ -478,22 +488,25 @@ def projection_error(n: int, delta: float, theta: float) -> float:
 
 def excess_failure_prob(n: int, delta: float, theta: float) -> float:
     """Exact lower binomial tail: fewer than n (p - delta) heralded successes."""
-    return math.exp(_log_excess_failure(n, delta, theta))
+    return math.exp(_log_excess_failure(n, delta, theta, log_factorials(n)))
 
 
-def _log_excess_failure(n: int, delta: float, theta: float) -> float:
+def _log_excess_failure(n: int, delta: float, theta: float, lf: np.ndarray) -> float:
     p = success_probability(theta)
     cutoff = n * (p - delta)
     k_max = math.ceil(cutoff - 1.0) if abs(cutoff - round(cutoff)) > 1e-9 else int(round(cutoff)) - 1
     k_max = min(k_max, n)
     if k_max < 0:
         return -math.inf
-    return logsumexp(_log_binom_pmf(n, k_max, p))
+    return logsumexp(_log_binom_pmf(lf, k_max, p))
 
 
 def error_budget(n: int, delta: float, theta: float) -> TypicalityReport:
-    tset = typical_set(n, delta, resource_spectrum(theta))
-    log_eps_prime = _log_excess_failure(n, delta, theta)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    lf = log_factorials(n)  # shared by the typical set and the failure tail
+    tset = typical_set(n, delta, resource_spectrum(theta), lf=lf)
+    log_eps_prime = _log_excess_failure(n, delta, theta, lf)
     eps_prime = math.exp(log_eps_prime) if log_eps_prime > -math.inf else 0.0
     eps_n = 2.0 * math.sqrt(max(tset.complement, 0.0))
     log_eps_n = (

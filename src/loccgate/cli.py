@@ -254,7 +254,10 @@ def typicality(theta, delta, n_list, enumerate_, fmt, output):
         raise click.UsageError("--enumerate requires every n <= 20")
     rows = []
     for n in ns:
-        report = analysis.error_budget(n, delta, theta)
+        try:
+            report = analysis.error_budget(n, delta, theta)
+        except ValueError as exc:  # e.g. theta so small that cos(theta) rounds to 1
+            raise click.UsageError(f"theta {theta}: {exc}") from None
         row = {
             "n": n,
             "weight": report.typical_weight,

@@ -127,6 +127,11 @@ class ProtocolStep:
     ``simultaneous_with_prev`` declares that this message is exchanged in the
     same round as the nearest preceding message step, which must go in the
     opposite direction and must not feed into this one.
+
+    An ``instrument_fn`` must be a pure function of the values of its
+    ``condition_on`` steps: ``run_exhaustive`` calls it once per distinct
+    tuple of those values in a run and reuses the result at every node
+    that has them.
     """
 
     name: str
@@ -396,6 +401,11 @@ def run_exhaustive(
     ``leaf_diagnostics=False`` skips the per-leaf entropy bookkeeping needed
     by the ledger and the monotonicity check; large batched runs use it when
     only output states matter.
+
+    Each step is resolved once per distinct tuple of its ``condition_on``
+    values, which relies on every ``instrument_fn`` being a pure function of
+    those values.  A conditioned instrument is checked with ``validate_on``
+    when it is first resolved, before it is applied.
     """
     violation = validate_program(program)
     if violation is not None:
@@ -444,36 +454,61 @@ def run_exhaustive(
             )
         )
 
-    def recurse(step_idx: int, vec: np.ndarray, prob: float, transcript: tuple) -> None:
-        if step_idx == len(program.steps):
-            finalize(vec, prob, transcript)
-            return
+    # Every step appends exactly one transcript entry, so the value of a
+    # condition is read at the index of the step it names.
+    step_index = {step.name: idx for idx, step in enumerate(program.steps)}
+    condition_idx = [
+        tuple(step_index[k] for k in step.condition_on) for step in program.steps
+    ]
+    resolved: dict[tuple, tuple[LocalInstrument, list[int], bool]] = {}
+
+    def resolve(step_idx: int, transcript: tuple) -> tuple[LocalInstrument, list[int], bool]:
+        key = (step_idx, *(transcript[j][1] for j in condition_idx[step_idx]))
+        hit = resolved.get(key)
+        if hit is not None:
+            return hit
         step = program.steps[step_idx]
-        known = dict(transcript)
-        inst = step.resolve(known)
-        inst.validate_on(sim_layout)
-        positions = sim_layout.positions(inst.labels)
+        inst = step.resolve(dict(transcript))
+        # Fixed instruments were checked by validate_program against
+        # program.layout, and _build_initial makes sim_layout agree with it
+        # (dim and owner) on every label a fixed instrument can name.  A
+        # conditioned one is checked here, once per distinct instrument.
+        if step.instrument is None:
+            inst.validate_on(sim_layout)
+        identity = len(inst.branches) == 1 and _is_identity(inst.branches[0][1])
+        hit = resolved[key] = (inst, sim_layout.positions(inst.labels), identity)
+        return hit
+
+    n_steps = len(program.steps)
+    # Depth-first walk over an explicit stack.  A node's vector is released
+    # when the next pop rebinds ``vec``, before any child is expanded; a
+    # child leaves the stack when its subtree starts.  Children are pushed in
+    # reverse so that leaves come out in branch order.
+    stack: list[tuple[int, np.ndarray, float, tuple]] = [(0, vec0, 1.0, ())]
+    del vec0
+    while stack:
+        step_idx, vec, prob, transcript = stack.pop()
+        if step_idx == n_steps:
+            finalize(vec, prob, transcript)
+            continue
+        inst, positions, identity = resolve(step_idx, transcript)
+        name = program.steps[step_idx].name
+        if identity:
+            stack.append((step_idx + 1, vec, prob, transcript + ((name, inst.branches[0][0]),)))
+            continue
         branch_total = 0.0
         children = []
         for outcome, kraus in inst.branches:
-            if len(inst.branches) == 1 and _is_identity(kraus):
-                children.append((outcome, vec, 1.0))
-                branch_total = 1.0
-                break
             child = qmath.apply_on_factors(vec, dims, positions, kraus)
             p = float(np.vdot(child, child).real)
             branch_total += p
             if p <= PRUNE_PROB:
                 continue
-            children.append((outcome, child / math.sqrt(p), p))
+            child /= math.sqrt(p)
+            children.append((step_idx + 1, child, prob * p, transcript + ((name, outcome),)))
         if abs(branch_total - 1.0) > NODE_NORM_TOL:
-            raise EngineError(
-                f"norm drift {branch_total - 1.0:.3e} at step {step.name!r}"
-            )
-        for outcome, child, p in children:
-            recurse(step_idx + 1, child, prob * p, transcript + ((step.name, outcome),))
-
-    recurse(0, vec0, 1.0, ())
+            raise EngineError(f"norm drift {branch_total - 1.0:.3e} at step {name!r}")
+        stack.extend(reversed(children))
     total = sum(l.probability for l in leaves)
     if abs(total - 1.0) > 1e-9:
         raise EngineError(f"leaf probabilities sum to {total}")

@@ -17,6 +17,7 @@ from .systems import PureState, SystemLayout
 EIG_CLAMP = 1e-12
 HERM_TOL = 1e-10
 SUM_TOL = 1e-10
+PIVOT_TIE_TOL = 1e-12
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,8 +221,18 @@ def factor_pure_state(
 
     Requires the kept factors to be in a product with the rest (leading
     Schmidt weight >= 1 - tol); raises otherwise.  The returned vector's
-    global phase is fixed so its largest-magnitude amplitude is real
-    positive, which makes branch outputs directly comparable.
+    global phase is fixed so its phase pivot is real positive, which makes
+    branch outputs directly comparable.  The pivot is the first amplitude
+    whose magnitude is within ``PIVOT_TIE_TOL`` of the largest, so float
+    noise cannot move it between near-equal amplitudes.
+
+    When k <= rest, the case of every large leaf, the leading left singular
+    vector of the k x rest matrix M is the leading eigenvector of the Gram
+    matrix M M^dagger: one matrix product and a k x k ``eigh`` instead of an
+    SVD of M.  When k > rest, which only small leaves reach (the heralded
+    fit's is 16 x 4), the SVD is kept: the M^dagger M route moves such a
+    leaf by an ulp or two, enough to shift the fitted heralded failure angle
+    and with it the CLI output bytes.
     """
     dims = tuple(dims)
     keep = list(keep_positions)
@@ -229,12 +240,17 @@ def factor_pure_state(
     psi = np.moveaxis(psi, keep, range(len(keep)))
     k = int(math.prod(dims[p] for p in keep))
     mat = psi.reshape(k, -1)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s[0] ** 2 < 1.0 - tol:
+    if k <= mat.shape[1]:
+        w, v = np.linalg.eigh(mat @ mat.conj().T)
+        weight, out = w[-1], v[:, -1]
+    else:
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
+        weight, out = s[0] ** 2, u[:, 0]
+    if weight < 1.0 - tol:
         raise ValueError(
-            f"factors are still entangled with the rest (leading weight {s[0]**2:.6f})"
+            f"factors are still entangled with the rest (leading weight {weight:.6f})"
         )
-    out = u[:, 0]
-    pivot = out[int(np.argmax(np.abs(out)))]
+    mags = np.abs(out)
+    pivot = out[int(np.argmax(mags >= mags.max() - PIVOT_TIE_TOL))]
     out = out * (abs(pivot) / pivot)
     return out / np.linalg.norm(out)

@@ -168,6 +168,13 @@ def test_uniform_spectrum_everything_typical():
     assert tset.typical_counts == tuple(range(11))
 
 
+@pytest.mark.parametrize("probs,count", [((1.0, 0.0), 0), ((0.0, 1.0), 8)])
+def test_degenerate_spectrum_single_sequence_has_all_weight(probs, count):
+    tset = typical_set(8, 0.5, probs)
+    assert tset.typical_counts == (count,)
+    assert (tset.weight, tset.log_weight, tset.complement) == (1.0, 0.0, 0.0)
+
+
 def test_typical_weight_matches_enumeration():
     lam = resource_spectrum(0.5)
     for n in (4, 8, 12):

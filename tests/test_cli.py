@@ -203,6 +203,13 @@ def test_typicality_rejects_bad_delta_and_enumeration(runner):
     assert runner.invoke(main, ["typicality", "--n-list", "64", "--enumerate"]).exit_code == 2
 
 
+def test_typicality_rejects_vanishing_theta(runner):
+    # cos(theta) cos(sqrt(theta)) rounds to 1: the success probability is undefined
+    result = runner.invoke(main, ["typicality", "--theta", "1e-17", "--n-list", "8"])
+    assert result.exit_code == 2
+    assert "success probability undefined" in result.output
+
+
 # ---------------------------------------------------------------- export
 
 

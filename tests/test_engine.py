@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from loccgate import engine
+from loccgate import engine, protocols, qmath
 from loccgate.engine import (
     CausalityViolation,
     EngineError,
@@ -25,7 +25,15 @@ from loccgate.engine import (
     unitary_instrument,
     validate_program,
 )
-from loccgate.model import GateSpec, SZ, bell_pair, random_pure_state
+from loccgate.model import (
+    GateSpec,
+    SZ,
+    bell_pair,
+    cnot_gate,
+    qudit_cz_gate,
+    random_pure_state,
+    swap_gate,
+)
 from loccgate.systems import ALICE, BOB, REFEREE, PureState, SystemLayout
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
@@ -440,3 +448,121 @@ def test_json_export_is_deterministic():
     a = json.dumps(program_to_json(prog), sort_keys=True)
     b = json.dumps(program_to_json(prog), sort_keys=True)
     assert a == b
+
+
+# ---------------------------------------------------------------- oracle
+
+
+def _svd_factor(vec, dims, keep):
+    psi = np.moveaxis(vec.reshape(dims), keep, range(len(keep)))
+    mat = psi.reshape(math.prod(dims[p] for p in keep), -1)
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    assert s[0] ** 2 >= 1.0 - engine.LEAF_PURITY_TOL
+    out = u[:, 0]
+    mags = np.abs(out)
+    pivot = out[int(np.argmax(mags >= mags.max() - qmath.PIVOT_TIE_TOL))]
+    return out * (abs(pivot) / pivot)
+
+
+def reference_tree(program, initial=None):
+    """Recursive walk with resolve + validate_on at every node and SVD leaves."""
+    sim_layout, vec0 = engine._build_initial(program, initial)
+    dims = sim_layout.dims
+    keep = [i for i, f in enumerate(sim_layout.factors) if f.label not in program.consumed]
+    out_layout = SystemLayout([sim_layout.factors[i] for i in keep], dim_cap=None)
+    res = [
+        (sim_layout.positions(r.layout.labels),
+         [j for j, f in enumerate(r.layout.factors) if f.owner is ALICE])
+        for r in program.resources
+    ]
+    leaves = []
+
+    def walk(idx, vec, prob, transcript):
+        if idx == len(program.steps):
+            remaining = tuple(engine._residual_entanglement(vec, dims, p, a) for p, a in res)
+            state = PureState(out_layout, _svd_factor(vec, dims, keep))
+            leaves.append(engine.Leaf(transcript, prob, state, remaining, None))
+            return
+        step = program.steps[idx]
+        inst = step.resolve(dict(transcript))
+        inst.validate_on(sim_layout)
+        pos = sim_layout.positions(inst.labels)
+        for outcome, kraus in inst.branches:
+            here = transcript + ((step.name, outcome),)
+            if len(inst.branches) == 1 and engine._is_identity(kraus):
+                walk(idx + 1, vec, prob, here)
+                continue
+            child = qmath.apply_on_factors(vec, dims, pos, kraus)
+            p = float(np.vdot(child, child).real)
+            if p > engine.PRUNE_PROB:
+                walk(idx + 1, child / math.sqrt(p), prob * p, here)
+
+    walk(0, vec0, 1.0, ())
+    return engine.BranchTree(tuple(leaves), 0.0)
+
+
+ORACLE_BUILDERS = {
+    "heralded": lambda: protocols.build_heralded(0.5, 0.7).program,
+    "composite": lambda: protocols.build_composite(0.4),
+    "controlled-phase": lambda: protocols.build_controlled_phase(0.3),
+    "clifford-cnot": lambda: protocols.build_clifford(cnot_gate()),
+    "clifford-swap": lambda: protocols.build_clifford(swap_gate()),
+    "clifford-qutrit-cz": lambda: protocols.build_clifford(qudit_cz_gate(3)),
+    "dilution-k3": lambda: protocols.nielsen_dilution([0.3, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05], 3),
+    "batch-n1": lambda: protocols.build_batch(0.5, 1, 2.6).program,
+    "batch-n2": lambda: protocols.build_batch(0.5, 2, 1.2).program,
+}
+
+
+@pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
+def test_engine_matches_reference_walk(builder, rng):
+    program = ORACLE_BUILDERS[builder]()
+    inputs = [program.layout.factor(lb) for lb in program.input_labels]
+    initial = None
+    if inputs:
+        initial = random_pure_state(SystemLayout(inputs + [("R", 2, REFEREE)], dim_cap=None), rng)
+    tree = run_exhaustive(program, initial)
+    ref = reference_tree(program, initial)
+    assert trees_equal(tree, ref, tol=1e-10)
+    assert [l.transcript for l in tree.leaves] == [l.transcript for l in ref.leaves]
+    assert ledger(program, tree) == ledger(program, ref)
+
+
+# ---------------------------------------------------------------- resolution cache
+
+
+def _fix_program(fn):
+    lay = qubit_layout(("A", ALICE), ("B", BOB))
+    steps = [
+        ProtocolStep("ma", ALICE, instrument=projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS}), sends_message=True),
+        ProtocolStep("mb", BOB, instrument=projective_instrument(BOB, ("B",), {"p": PLUS, "m": MINUS})),
+        ProtocolStep("fix", BOB, instrument_fn=fn, condition_on=("ma",)),
+    ]
+    return ProtocolProgram(lay, steps=steps), lay
+
+
+def test_conditioned_instrument_breaking_completeness_raises(rng):
+    def fn(v):
+        if v["ma"] == "m":
+            return LocalInstrument(BOB, ("B",), [("half", 0.5 * np.eye(2))])
+        return unitary_instrument(BOB, ("B",), np.eye(2))
+
+    prog, lay = _fix_program(fn)
+    with pytest.raises(EngineError, match="completeness"):
+        run_exhaustive(prog, random_pure_state(lay, rng))
+
+
+def test_instrument_fn_runs_once_per_condition_values(rng):
+    calls = []
+
+    def fn(v):
+        calls.append(dict(v))
+        return unitary_instrument(BOB, ("B",), SZ if v["ma"] == "m" else np.eye(2))
+
+    prog, lay = _fix_program(fn)
+    tree = run_exhaustive(prog, random_pure_state(lay, rng))
+    assert len(tree.leaves) == 4  # each condition value reached twice
+    assert sorted(c["ma"] for c in calls) == ["m", "p"]
+    calls.clear()
+    run_exhaustive(prog, random_pure_state(lay, rng))
+    assert len(calls) == 2  # the cache lives for one run

@@ -354,7 +354,7 @@ def test_dilution_heralded_correction_compose_to_three_rounds():
 
 @pytest.mark.slow
 def test_batch_three_copies_error_within_analytic_bound(rng):
-    # 18-qubit exhaustive tree; takes a couple of minutes
+    # 18-qubit exhaustive tree; takes about half a minute
     theta, n, delta = 0.5, 3, 0.7
     plan = protocols.build_batch(theta, n, delta)
     lay = SystemLayout(

@@ -324,6 +324,24 @@ def test_factor_pure_state_splits_products(rng):
     assert abs(abs(np.vdot(out, u)) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("keep", [[0], [0, 1]])  # Gram (k <= rest) and SVD (k > rest) routes
+def test_factor_pure_state_phase_pivot_ignores_near_ties(rng, keep):
+    # |u_0| and |u_1| tie up to float noise; the pivot must stay on index 0
+    k = 2 ** len(keep)
+    rest = rng.normal(size=8 // k) + 1j * rng.normal(size=8 // k)
+    rest /= np.linalg.norm(rest)
+    outs = []
+    for noise in (-1e-15, 0.0, 1e-15):
+        u = np.full(k, 0.1 + 0j)
+        u[:2] = [0.5, (0.5 + noise) * 1j]
+        u /= np.linalg.norm(u)
+        out = qmath.factor_pure_state(np.kron(u, rest), (2, 2, 2), keep)
+        assert out[0].real > 0 and abs(out[0].imag) < 1e-15
+        outs.append(out)
+    for out in outs[1:]:
+        np.testing.assert_allclose(out, outs[0], atol=1e-12)
+
+
 def test_factor_pure_state_rejects_entangled():
     vec = bell_pair(2).vector
     with pytest.raises(ValueError, match="entangled"):
