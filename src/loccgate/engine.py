@@ -75,7 +75,10 @@ class LocalInstrument:
     def validate_on(self, layout: SystemLayout) -> None:
         dim = 1
         for lb in self.labels:
-            f = layout.factor(lb)
+            try:
+                f = layout.factor(lb)
+            except KeyError as exc:
+                raise EngineError(exc.args[0]) from None
             if f.owner is not self.party:
                 raise EngineError(
                     f"instrument of {self.party.value} acts on {lb!r} owned by {f.owner.value}"
@@ -93,16 +96,13 @@ class LocalInstrument:
             raise EngineError(f"Kraus completeness violated (deviation {dev:.3e})")
 
 
-def unitary_instrument(
-    party: Owner, labels: Sequence[str], matrix: np.ndarray, outcome: str = "done"
-) -> LocalInstrument:
-    return LocalInstrument(party, labels, [(outcome, matrix)])
+def unitary_instrument(party: Owner, labels: Sequence[str], matrix: np.ndarray) -> LocalInstrument:
+    return LocalInstrument(party, labels, [("done", matrix)])
 
 
-def identity_instrument(
-    party: Owner, labels: Sequence[str], dim: int, outcome: str = "skip"
-) -> LocalInstrument:
-    return LocalInstrument(party, labels, [(outcome, np.eye(dim, dtype=complex))])
+def identity_instrument(party: Owner, labels: Sequence[str], dim: int) -> LocalInstrument:
+    """The instrument of a step that does nothing on this branch; its outcome is "skip"."""
+    return LocalInstrument(party, labels, [("skip", np.eye(dim, dtype=complex))])
 
 
 def projective_instrument(
@@ -836,8 +836,20 @@ def _case_fn(cases: list[dict], condition_on: tuple[str, ...]) -> InstrumentFn:
 
 
 def program_from_json(doc: dict) -> ProtocolProgram:
-    if doc.get("format") != "loccgate-protocol":
+    """Rebuild a program from :func:`program_to_json` output.
+
+    A malformed document raises :class:`EngineError` naming what is wrong,
+    not a bare KeyError, TypeError or ValueError.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != "loccgate-protocol":
         raise EngineError("not a protocol document")
+    try:
+        return _program_from_json(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise EngineError(f"malformed protocol document: {type(exc).__name__}: {exc}") from exc
+
+
+def _program_from_json(doc: dict) -> ProtocolProgram:
     layout = SystemLayout(
         [(f["label"], f["dim"], Owner(f["owner"])) for f in doc["layout"]], dim_cap=None
     )

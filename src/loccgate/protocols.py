@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +57,11 @@ from .systems import ALICE, BOB, REFEREE, Owner, PureState, SystemLayout
 FIT_RESIDUAL_TOL = 1e-8
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / math.sqrt(2)
+X_BASIS = {"plus": PLUS, "minus": MINUS}
+
+# Reads transcript outcomes; returns the (Alice, Bob) systems a gated step
+# acts on, or None where it idles.
+Route = Callable[[Mapping[str, str]], tuple[str, str] | None]
 
 
 def failure_angle(theta: float, alpha: float) -> float:
@@ -97,38 +102,26 @@ def fit_zz_rotation(state: PureState) -> tuple[float, float]:
 
 
 def _heralded_steps(
-    theta: float,
-    alpha: float,
-    a: str,
-    b: str,
-    sys_a: str,
-    sys_b: str,
-    prefix: str,
+    theta: float, alpha: float, a: str, b: str, sys_a: str, sys_b: str, prefix: str
 ) -> list[ProtocolStep]:
+    """Heralded ZZ-phase steps on the resource pair (a, b); see :func:`build_heralded`."""
     chi = np.array(
         [math.cos(theta / 2) / math.cos(alpha / 2), math.sin(theta / 2) / math.sin(alpha / 2)]
     )
-    chi_perp = np.array([chi[1], -chi[0]])
+    cz = cz_gate().matrix
+    meas_a = f"{prefix}meas_a"
 
     def fix_b(visible: Mapping[str, str]) -> LocalInstrument:
-        mat = np.eye(2, dtype=complex) if visible[f"{prefix}meas_a"] == "plus" else SZ
-        return unitary_instrument(BOB, (b,), mat)
+        return unitary_instrument(BOB, (b,), np.eye(2, dtype=complex) if visible[meas_a] == "plus" else SZ)
 
+    herald = {"success": chi, "failure": np.array([chi[1], -chi[0]])}
     return [
-        ProtocolStep(f"{prefix}cz_a", ALICE, instrument=unitary_instrument(ALICE, (a, sys_a), cz_gate().matrix)),
+        ProtocolStep(f"{prefix}cz_a", ALICE, instrument=unitary_instrument(ALICE, (a, sys_a), cz)),
+        ProtocolStep(meas_a, ALICE, instrument=projective_instrument(ALICE, (a,), X_BASIS), sends_message=True),
+        ProtocolStep(f"{prefix}fix_b", BOB, instrument_fn=fix_b, condition_on=(meas_a,)),
+        ProtocolStep(f"{prefix}cz_b", BOB, instrument=unitary_instrument(BOB, (b, sys_b), cz)),
         ProtocolStep(
-            f"{prefix}meas_a",
-            ALICE,
-            instrument=projective_instrument(ALICE, (a,), {"plus": PLUS, "minus": MINUS}),
-            sends_message=True,
-        ),
-        ProtocolStep(f"{prefix}fix_b", BOB, instrument_fn=fix_b, condition_on=(f"{prefix}meas_a",)),
-        ProtocolStep(f"{prefix}cz_b", BOB, instrument=unitary_instrument(BOB, (b, sys_b), cz_gate().matrix)),
-        ProtocolStep(
-            f"{prefix}meas_b",
-            BOB,
-            instrument=projective_instrument(BOB, (b,), {"success": chi, "failure": chi_perp}),
-            sends_message=True,
+            f"{prefix}meas_b", BOB, instrument=projective_instrument(BOB, (b,), herald), sends_message=True
         ),
     ]
 
@@ -196,101 +189,74 @@ def controlled_phase_target(phi: float) -> GateSpec:
     return GateSpec(np.kron(np.eye(2, dtype=complex), p0) + np.kron(z_rotation(phi), p1))
 
 
-def _controlled_phase_steps(
-    phi: float,
-    a: str,
-    b: str,
-    sys_a: str,
-    sys_b: str,
-    prefix: str,
-    gate_key: str | None = None,
-    gate_value: str = "failure",
-) -> list[ProtocolStep]:
-    """Deterministic controlled-phase steps, optionally gated on a transcript key.
+def _gated(
+    name: str,
+    party: Owner,
+    idle_label: str,
+    route: Route,
+    route_on: tuple[str, ...],
+    build: Callable[[Mapping[str, str], str, str], LocalInstrument],
+    *,
+    reads: tuple[str, ...] = (),
+    sends_message: bool = False,
+) -> ProtocolStep:
+    """One step of a sequence that runs only on the branches ``route`` selects.
 
-    When gated, every instrument degrades to a local identity unless the
-    transcript carries ``gate_value`` at ``gate_key``; messages are still
-    exchanged (with a single trivial outcome), so the round structure does
-    not depend on the branch.
+    ``route`` reads the ``route_on`` outcomes and returns the (Alice, Bob)
+    systems to act on, or None where the sequence idles; ``build`` makes the
+    instrument from the visible outcomes and those systems.  An idle step is
+    a one-outcome identity on ``idle_label`` that still sends its message, so
+    the round profile does not depend on the branch.  A step that reads no
+    outcome gets a fixed instrument.
     """
-    gate_cond = (gate_key,) if gate_key else ()
 
-    def active(visible: Mapping[str, str]) -> bool:
-        return gate_key is None or visible[gate_key] == gate_value
+    def resolve(visible: Mapping[str, str]) -> LocalInstrument:
+        systems = route(visible)
+        if systems is None:
+            return identity_instrument(party, (idle_label,), 2)
+        return build(visible, *systems)
 
-    def wrap(party: Owner, labels, build, idle_labels=None, idle_dim=2):
-        if gate_key is None:
-            return None  # caller uses the fixed instrument
-        def fn(visible: Mapping[str, str]) -> LocalInstrument:
-            if active(visible):
-                return build(visible)
-            return identity_instrument(party, idle_labels or labels, idle_dim)
-        return fn
+    condition_on = (*route_on, *reads)
+    if not condition_on:
+        return ProtocolStep(name, party, instrument=resolve({}), sends_message=sends_message)
+    return ProtocolStep(
+        name, party, instrument_fn=resolve, condition_on=condition_on, sends_message=sends_message
+    )
 
-    steps: list[ProtocolStep] = []
 
+def _controlled_phase_steps(
+    phi: float, a: str, b: str, prefix: str, route: Route, route_on: tuple[str, ...] = ()
+) -> list[ProtocolStep]:
+    """Controlled-phase steps on the Bell pair (a, b), with Bob's system as control.
+
+    Bob CNOTs his system onto b and measures b; Alice flips a to match, so a
+    carries Bob's control bit, applies the controlled Z rotation from a to her
+    system and measures a in the X basis; Bob undoes the phase kick-back.
+    See :func:`_gated` for ``route`` and ``route_on``.
+    """
     cnot = cnot_target_first_gate().matrix
-    build_cnot = lambda _v: unitary_instrument(BOB, (b, sys_b), cnot)
-    fn = wrap(BOB, (b,), build_cnot, idle_labels=(b,))
-    steps.append(
-        ProtocolStep(f"{prefix}cnot", BOB, instrument=None if fn else build_cnot({}),
-                     instrument_fn=fn, condition_on=gate_cond)
-    )
-
-    build_meas_b = lambda _v: projective_instrument(
-        BOB, (b,), {"zero": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])}
-    )
-    fn = wrap(BOB, (b,), build_meas_b)
-    steps.append(
-        ProtocolStep(f"{prefix}meas_b", BOB, instrument=None if fn else build_meas_b({}),
-                     instrument_fn=fn, condition_on=gate_cond, sends_message=True)
-    )
-
-    def build_fix_a(visible: Mapping[str, str]) -> LocalInstrument:
-        mat = SX if visible[f"{prefix}meas_b"] == "one" else np.eye(2, dtype=complex)
-        return unitary_instrument(ALICE, (a,), mat)
-
-    def fix_a_fn(visible: Mapping[str, str]) -> LocalInstrument:
-        if active(visible):
-            return build_fix_a(visible)
-        return identity_instrument(ALICE, (a,), 2)
-
-    steps.append(
-        ProtocolStep(f"{prefix}fix_a", ALICE, instrument_fn=fix_a_fn,
-                     condition_on=gate_cond + (f"{prefix}meas_b",))
-    )
-
     rot = controlled_z_rotation_gate(phi).matrix
-    build_rot = lambda _v: unitary_instrument(ALICE, (a, sys_a), rot)
-    fn = wrap(ALICE, (a,), build_rot, idle_labels=(a,))
-    steps.append(
-        ProtocolStep(f"{prefix}rot", ALICE, instrument=None if fn else build_rot({}),
-                     instrument_fn=fn, condition_on=gate_cond)
-    )
+    z_basis = {"zero": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])}
+    meas_b, meas_a = f"{prefix}meas_b", f"{prefix}meas_a"
 
-    build_meas_a = lambda _v: projective_instrument(
-        ALICE, (a,), {"plus": PLUS, "minus": MINUS}
-    )
-    fn = wrap(ALICE, (a,), build_meas_a)
-    steps.append(
-        ProtocolStep(f"{prefix}meas_a", ALICE, instrument=None if fn else build_meas_a({}),
-                     instrument_fn=fn, condition_on=gate_cond, sends_message=True)
-    )
+    def fix_a(visible: Mapping[str, str], _sys_a: str, _sys_b: str) -> LocalInstrument:
+        return unitary_instrument(ALICE, (a,), SX if visible[meas_b] == "one" else np.eye(2, dtype=complex))
 
-    def build_fix_b(visible: Mapping[str, str]) -> LocalInstrument:
-        mat = SZ if visible[f"{prefix}meas_a"] == "minus" else np.eye(2, dtype=complex)
-        return unitary_instrument(BOB, (sys_b,), mat)
+    def fix_b(visible: Mapping[str, str], _sys_a: str, sys_b: str) -> LocalInstrument:
+        return unitary_instrument(BOB, (sys_b,), SZ if visible[meas_a] == "minus" else np.eye(2, dtype=complex))
 
-    def fix_b_fn(visible: Mapping[str, str]) -> LocalInstrument:
-        if active(visible):
-            return build_fix_b(visible)
-        return identity_instrument(BOB, (b,), 2)
-
-    steps.append(
-        ProtocolStep(f"{prefix}fix_B", BOB, instrument_fn=fix_b_fn,
-                     condition_on=gate_cond + (f"{prefix}meas_a",))
-    )
-    return steps
+    return [
+        _gated(f"{prefix}cnot", BOB, b, route, route_on,
+               lambda _v, _sa, sys_b: unitary_instrument(BOB, (b, sys_b), cnot)),
+        _gated(meas_b, BOB, b, route, route_on,
+               lambda *_: projective_instrument(BOB, (b,), z_basis), sends_message=True),
+        _gated(f"{prefix}fix_a", ALICE, a, route, route_on, fix_a, reads=(meas_b,)),
+        _gated(f"{prefix}rot", ALICE, a, route, route_on,
+               lambda _v, sys_a, _sb: unitary_instrument(ALICE, (a, sys_a), rot)),
+        _gated(meas_a, ALICE, a, route, route_on,
+               lambda *_: projective_instrument(ALICE, (a,), X_BASIS), sends_message=True),
+        _gated(f"{prefix}fix_B", BOB, b, route, route_on, fix_b, reads=(meas_a,)),
+    ]
 
 
 def build_controlled_phase(
@@ -304,13 +270,11 @@ def build_controlled_phase(
     if not math.isfinite(phi):
         raise ValueError(f"non-finite angle {phi}")
     a, b = labels
-    layout = SystemLayout(
-        [("A", 2, ALICE), ("B", 2, BOB), (a, 2, ALICE), (b, 2, BOB)]
-    )
+    layout = SystemLayout([("A", 2, ALICE), ("B", 2, BOB), (a, 2, ALICE), (b, 2, BOB)])
     program = ProtocolProgram(
         layout=layout,
         resources=(bell_pair(2, (a, b)),),
-        steps=_controlled_phase_steps(phi, a, b, "A", "B", "c_"),
+        steps=_controlled_phase_steps(phi, a, b, "c_", lambda _v: ("A", "B")),
         consumed=(a, b),
     )
     if (v := validate_program(program)) is not None:
@@ -366,27 +330,18 @@ def build_composite(theta: float, alpha: float | None = None) -> ProtocolProgram
     dressing = local_dressing(correction)
 
     layout = SystemLayout(
-        [
-            ("A", 2, ALICE),
-            ("B", 2, BOB),
-            ("a", 2, ALICE),
-            ("b", 2, BOB),
-            ("a2", 2, ALICE),
-            ("b2", 2, BOB),
-        ]
-    )
-    steps = list(heralded.program.steps)
-    steps += _controlled_phase_steps(
-        dressing.controlled_angle, "a2", "b2", "A", "B", "c_",
-        gate_key="h_meas_b", gate_value="failure",
+        [("A", 2, ALICE), ("B", 2, BOB), ("a", 2, ALICE), ("b", 2, BOB), ("a2", 2, ALICE), ("b2", 2, BOB)]
     )
 
-    def dress(visible: Mapping[str, str]) -> LocalInstrument:
-        if visible["h_meas_b"] == "failure":
-            return unitary_instrument(ALICE, ("A",), dressing.v_a.matrix)
-        return identity_instrument(ALICE, ("A",), 2)
+    def on_failure(visible: Mapping[str, str]) -> tuple[str, str] | None:
+        return ("A", "B") if visible["h_meas_b"] == "failure" else None
 
-    steps.append(ProtocolStep("c_dress", ALICE, instrument_fn=dress, condition_on=("h_meas_b",)))
+    steps = [
+        *heralded.program.steps,
+        *_controlled_phase_steps(dressing.controlled_angle, "a2", "b2", "c_", on_failure, ("h_meas_b",)),
+        _gated("c_dress", ALICE, "A", on_failure, ("h_meas_b",),
+               lambda _v, sys_a, _sb: unitary_instrument(ALICE, (sys_a,), dressing.v_a.matrix)),
+    ]
     program = ProtocolProgram(
         layout=layout,
         resources=(
@@ -654,11 +609,8 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
     dilution_bells = math.ceil(n * (entropy + delta))
     pool = min(math.ceil(n * (1.0 - p + delta)), n)
 
-    omega = None
-    program = None
-    if n <= MAX_BATCH_SIMULATION:
-        omega = typical_resource(theta, n, delta)
-        program = _batch_program(theta, n, pool, omega, dressing)
+    omega = typical_resource(theta, n, delta) if n <= MAX_BATCH_SIMULATION else None
+    program = None if omega is None else _batch_program(theta, n, pool, omega, dressing)
     return BatchPlan(
         theta=theta,
         n=n,
@@ -681,143 +633,40 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
 def _batch_program(
     theta: float, n: int, pool: int, omega: PureState, dressing: Dressing
 ) -> ProtocolProgram:
-    alpha = math.sqrt(theta)
-    factors = [(f"A{i+1}", 2, ALICE) for i in range(n)] + [
-        (f"B{i+1}", 2, BOB) for i in range(n)
-    ]
-    factors += list(omega.layout.factors)
+    """Heralded gate on every copy; slot m of the Bell pool corrects the m-th failure."""
+    copies = range(1, n + 1)
     bells = [bell_pair(2, (f"ba{m}", f"bb{m}")) for m in range(pool)]
-    for b in bells:
-        factors += list(b.layout.factors)
-    layout = SystemLayout(factors, dim_cap=None)
-
-    steps: list[ProtocolStep] = []
-    herald_names = tuple(f"s{i+1}_meas_b" for i in range(n))
-    for i in range(n):
-        steps.append(
-            ProtocolStep(
-                f"s{i+1}_cz_a", ALICE,
-                instrument=unitary_instrument(ALICE, (f"a{i+1}", f"A{i+1}"), cz_gate().matrix),
-            )
-        )
-    chi = np.array(
-        [math.cos(theta / 2) / math.cos(alpha / 2), math.sin(theta / 2) / math.sin(alpha / 2)]
+    resource_factors = [f for res in (omega, *bells) for f in res.layout.factors]
+    layout = SystemLayout(
+        [(f"A{i}", 2, ALICE) for i in copies] + [(f"B{i}", 2, BOB) for i in copies] + resource_factors,
+        dim_cap=None,
     )
-    chi_perp = np.array([chi[1], -chi[0]])
-    for i in range(n):
-        steps.append(
-            ProtocolStep(
-                f"s{i+1}_meas_a", ALICE,
-                instrument=projective_instrument(ALICE, (f"a{i+1}",), {"plus": PLUS, "minus": MINUS}),
-                sends_message=True,
-            )
-        )
-    for i in range(n):
-        def fix_b(visible: Mapping[str, str], *, _i=i) -> LocalInstrument:
-            mat = np.eye(2, dtype=complex) if visible[f"s{_i+1}_meas_a"] == "plus" else SZ
-            return unitary_instrument(BOB, (f"b{_i+1}",), mat)
-        steps.append(
-            ProtocolStep(f"s{i+1}_fix_b", BOB, instrument_fn=fix_b,
-                         condition_on=(f"s{i+1}_meas_a",))
-        )
-    for i in range(n):
-        steps.append(
-            ProtocolStep(
-                f"s{i+1}_cz_b", BOB,
-                instrument=unitary_instrument(BOB, (f"b{i+1}", f"B{i+1}"), cz_gate().matrix),
-            )
-        )
-    for i in range(n):
-        steps.append(
-            ProtocolStep(
-                f"s{i+1}_meas_b", BOB,
-                instrument=projective_instrument(
-                    BOB, (f"b{i+1}",), {"success": chi, "failure": chi_perp}
-                ),
-                sends_message=True,
-            )
-        )
+    heralds = tuple(f"s{i}_meas_b" for i in copies)
+    shots = [
+        _heralded_steps(theta, math.sqrt(theta), f"a{i}", f"b{i}", f"A{i}", f"B{i}", f"s{i}_")
+        for i in copies
+    ]
 
-    def failed_shots(visible: Mapping[str, str]) -> list[int]:
-        return [i + 1 for i in range(n) if visible[f"s{i+1}_meas_b"] == "failure"]
+    def slot_route(m: int) -> Route:
+        def route(visible: Mapping[str, str]) -> tuple[str, str] | None:
+            failed = [i for i, key in zip(copies, heralds) if visible[key] == "failure"]
+            return (f"A{failed[m]}", f"B{failed[m]}") if m < len(failed) else None
+        return route
 
-    cnot = cnot_target_first_gate().matrix
-    rot = controlled_z_rotation_gate(dressing.controlled_angle).matrix
+    dress = lambda _v, sys_a, _sb: unitary_instrument(ALICE, (sys_a,), dressing.v_a.matrix)
+    slots = []
     for m in range(pool):
-        def slot_cnot(visible: Mapping[str, str], *, _m=m) -> LocalInstrument:
-            failed = failed_shots(visible)
-            if _m < len(failed):
-                return unitary_instrument(BOB, (f"bb{_m}", f"B{failed[_m]}"), cnot)
-            return identity_instrument(BOB, (f"bb{_m}",), 2)
-        steps.append(
-            ProtocolStep(f"p{m}_cnot", BOB, instrument_fn=slot_cnot, condition_on=herald_names)
-        )
-    for m in range(pool):
-        def slot_meas_b(visible: Mapping[str, str], *, _m=m) -> LocalInstrument:
-            if _m < len(failed_shots(visible)):
-                return projective_instrument(
-                    BOB, (f"bb{_m}",), {"zero": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])}
-                )
-            return identity_instrument(BOB, (f"bb{_m}",), 2, outcome="idle")
-        steps.append(
-            ProtocolStep(f"p{m}_meas_b", BOB, instrument_fn=slot_meas_b,
-                         condition_on=herald_names, sends_message=True)
-        )
-    for m in range(pool):
-        def slot_fix_a(visible: Mapping[str, str], *, _m=m) -> LocalInstrument:
-            if _m < len(failed_shots(visible)) and visible[f"p{_m}_meas_b"] == "one":
-                return unitary_instrument(ALICE, (f"ba{_m}",), SX)
-            return identity_instrument(ALICE, (f"ba{_m}",), 2)
-        steps.append(
-            ProtocolStep(f"p{m}_fix_a", ALICE, instrument_fn=slot_fix_a,
-                         condition_on=herald_names + (f"p{m}_meas_b",))
-        )
-    for m in range(pool):
-        def slot_rot(visible: Mapping[str, str], *, _m=m) -> LocalInstrument:
-            failed = failed_shots(visible)
-            if _m < len(failed):
-                return unitary_instrument(ALICE, (f"ba{_m}", f"A{failed[_m]}"), rot)
-            return identity_instrument(ALICE, (f"ba{_m}",), 2)
-        steps.append(
-            ProtocolStep(f"p{m}_rot", ALICE, instrument_fn=slot_rot, condition_on=herald_names)
-        )
-    for m in range(pool):
-        def slot_meas_a(visible: Mapping[str, str], *, _m=m) -> LocalInstrument:
-            if _m < len(failed_shots(visible)):
-                return projective_instrument(ALICE, (f"ba{_m}",), {"plus": PLUS, "minus": MINUS})
-            return identity_instrument(ALICE, (f"ba{_m}",), 2, outcome="idle")
-        steps.append(
-            ProtocolStep(f"p{m}_meas_a", ALICE, instrument_fn=slot_meas_a,
-                         condition_on=herald_names, sends_message=True)
-        )
-    for m in range(pool):
-        def slot_fix_B(visible: Mapping[str, str], *, _m=m) -> LocalInstrument:
-            failed = failed_shots(visible)
-            if _m < len(failed) and visible[f"p{_m}_meas_a"] == "minus":
-                return unitary_instrument(BOB, (f"B{failed[_m]}",), SZ)
-            return identity_instrument(BOB, (f"bb{_m}",), 2)
-        steps.append(
-            ProtocolStep(f"p{m}_fix_B", BOB, instrument_fn=slot_fix_B,
-                         condition_on=herald_names + (f"p{m}_meas_a",))
-        )
-    dress_mat = dressing.v_a.matrix
-    for m in range(pool):
-        def slot_dress(visible: Mapping[str, str], *, _m=m) -> LocalInstrument:
-            failed = failed_shots(visible)
-            if _m < len(failed):
-                return unitary_instrument(ALICE, (f"A{failed[_m]}",), dress_mat)
-            return identity_instrument(ALICE, (f"ba{_m}",), 2)
-        steps.append(
-            ProtocolStep(f"p{m}_dress", ALICE, instrument_fn=slot_dress, condition_on=herald_names)
-        )
-
-    consumed = [f"a{i+1}" for i in range(n)] + [f"b{i+1}" for i in range(n)]
-    consumed += [f"ba{m}" for m in range(pool)] + [f"bb{m}" for m in range(pool)]
+        route = slot_route(m)
+        cp = _controlled_phase_steps(dressing.controlled_angle, f"ba{m}", f"bb{m}", f"p{m}_", route, heralds)
+        slots.append([*cp, _gated(f"p{m}_dress", ALICE, f"ba{m}", route, heralds, dress)])
+    # Stage by stage (every copy's cz_a, then every copy's meas_a, ..., then
+    # every slot's cnot, ...), so all copies share the three rounds.
+    steps = [s for group in (shots, slots) for stage in zip(*group) for s in stage]
     program = ProtocolProgram(
         layout=layout,
-        resources=(omega, *[bell_pair(2, (f"ba{m}", f"bb{m}")) for m in range(pool)]),
+        resources=(omega, *bells),
         steps=steps,
-        consumed=consumed,
+        consumed=[f.label for f in resource_factors],
     )
     if (v := validate_program(program)) is not None:
         raise EngineError(f"batch program invalid: {v}")

@@ -13,7 +13,6 @@ from loccgate.engine import (
     ProtocolStep,
     classify_rounds,
     compose_merge,
-    identity_instrument,
     ledger,
     program_from_json,
     program_to_json,
@@ -211,6 +210,26 @@ def test_referee_factors_cannot_be_touched(rng):
     assert validate_program(prog) is not None
     with pytest.raises(EngineError):
         run_exhaustive(prog, random_pure_state(lay, rng))
+
+
+def test_unknown_label_is_a_violation_not_a_key_error(rng):
+    lay = qubit_layout(("A", ALICE))
+    prog = ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, instrument=unitary_instrument(ALICE, ("Z",), SZ))])
+    violation = validate_program(prog)
+    assert isinstance(violation, CausalityViolation)
+    assert "unknown label 'Z'" in violation.reason
+    with pytest.raises(EngineError, match="unknown label 'Z'"):
+        run_exhaustive(prog, random_pure_state(lay, rng))
+
+
+def test_conditioned_instrument_on_unknown_label_raises_engine_error(rng):
+    lay = qubit_layout(("A", ALICE), ("B", BOB))
+    steps = [
+        ProtocolStep("ma", ALICE, instrument=projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS}), sends_message=True),
+        ProtocolStep("fix", BOB, instrument_fn=lambda v: unitary_instrument(BOB, ("Z",), SZ), condition_on=("ma",)),
+    ]
+    with pytest.raises(EngineError, match="unknown label 'Z'"):
+        run_exhaustive(ProtocolProgram(lay, steps=steps), random_pure_state(lay, rng))
 
 
 def test_initial_state_extras_must_be_referee(rng):
@@ -440,6 +459,34 @@ def test_json_roundtrip_preserves_semantics(rng):
     clone = program_from_json(json.loads(text))
     st = random_pure_state(lay, rng)
     assert trees_equal(run_exhaustive(prog, st), run_exhaustive(clone, st))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("steps", 2, "name"), None),
+        (("layout",), None),
+        (("steps", 2, "condition_on"), 5),
+        (("layout", 0, "owner"), "carol"),
+        (("resources", 0, "amplitudes", "re", 0), 3.0),
+    ],
+    ids=["missing-step-name", "missing-layout", "condition-on-not-a-list", "unknown-owner", "wrong-norm-amplitude"],
+)
+def test_program_from_json_rejects_malformed_documents(path, value):
+    """One mutation of an exported document each; value None deletes the entry."""
+    text = json.dumps(program_to_json(protocols.build_controlled_phase(0.7)))
+    program_from_json(json.loads(text))  # the exported document itself loads
+    doc = json.loads(text)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    with pytest.raises(EngineError, match="malformed protocol document"):
+        program_from_json(doc)
 
 
 def test_json_export_is_deterministic():

@@ -1,9 +1,10 @@
-"""Golden values of the numerical kernels and of two CLI tables.
+"""Golden values of the numerical kernels and of CLI output.
 
-The values were recorded with scipy 1.17.1 (``unitary_group.rvs``,
+The kernel values were recorded with scipy 1.17.1 (``unitary_group.rvs``,
 ``gammaln``, ``logsumexp`` and ``optimize.bisect``), which these kernels
 replace, so a change in their floating-point behaviour shows up here bit for
-bit.
+bit.  The ``export-protocol`` digests pin the JSON of every exported
+protocol kind, so a builder refactor cannot change a serialized program.
 """
 
 import hashlib
@@ -161,3 +162,23 @@ def test_cli_import_pulls_in_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["heralded", "--theta", "0.5"], "e30aba0a08123fd79b846b8175f298e7bac0fc47d46c9fe2c347e24f1785b386"),
+        (["controlled-phase", "--phi", "0.7"], "ec52a73ab098727f9a43467f8ed82bc93fec71b98461c74e9f15ebd8c69ec9da"),
+        (["composite", "--theta", "0.4"], "5440c2201456576977989c4fa3c2e612122a5c6dae237fb11f88d557c2c69bd0"),
+        (["clifford", "--gate", "cnot"], "a17fb7cc35b0de0b3b431602f57a05611e87a9b6586048e4a7e7d19d3fb91423"),
+        (
+            ["dilution", "--target", "0.4,0.3,0.2,0.1", "--k", "2"],
+            "56b74ba837c471873a48d4fc73d1c129c0b49bbd17c300f2b98a6fb8eb93032e",
+        ),
+    ],
+    ids=["heralded", "controlled-phase", "composite", "clifford", "dilution"],
+)
+def test_export_protocol_stdout(args, digest):
+    result = CliRunner().invoke(main, ["export-protocol", *args])
+    assert result.exit_code == 0, result.output
+    assert sha256(result.output.encode()) == digest

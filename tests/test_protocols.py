@@ -311,6 +311,20 @@ def test_batch_single_copy_matches_composite(rng):
     assert led_b.expected_ebits == pytest.approx(led_c.expected_ebits, abs=1e-9)
 
 
+def test_batch_single_copy_follows_composite_outcomes(rng):
+    # One idle convention: a slot's steps give the composite's outcomes leaf by leaf.
+    theta = 0.5
+    plan = protocols.build_batch(theta, 1, 2.6)
+    comp = protocols.build_composite(theta)
+    inp1 = random_pure_state(SystemLayout([("A1", 2, ALICE), ("B1", 2, BOB), ("R", 4, REFEREE)]), rng)
+    tree_b = run_exhaustive(plan.program, inp1)
+    tree_c = run_exhaustive(comp, inp1.renamed({"A1": "A", "B1": "B"}))
+    assert len(tree_b.leaves) == len(tree_c.leaves)
+    for leaf_b, leaf_c in zip(tree_b.leaves, tree_c.leaves):
+        assert [o for _, o in leaf_b.transcript] == [o for _, o in leaf_c.transcript]
+        assert leaf_b.probability == pytest.approx(leaf_c.probability, abs=1e-12)
+
+
 def test_batch_two_copies_error_within_analytic_bound(rng):
     theta, n, delta = 0.5, 2, 1.2
     plan = protocols.build_batch(theta, n, delta)
