@@ -1,7 +1,8 @@
 """Build, validate, and exhaustively simulate each protocol once.
 
-For every builder: worst infidelity over a few random referee-purified
-inputs, the communication round profile, and the entanglement ledger.
+For every builder, from one run on the Choi input: worst infidelity over a
+few random referee-purified inputs, the Choi-input infidelity, the
+communication round profile, and the entanglement ledger.
 """
 
 import argparse
@@ -23,21 +24,21 @@ from loccgate.systems import ALICE, BOB, REFEREE, SystemLayout
 
 
 def show(name, program, target, inputs, rng):
+    tree = engine.run_exhaustive(program, engine.choi_input(program))
     worst = 0.0
-    tree = None
     for _ in range(inputs):
         if len(target.labels) == 2 and target.matrix.shape[0] == 9:
             lay = SystemLayout([("A", 3, ALICE), ("B", 3, BOB), ("R", 9, REFEREE)])
             inp = random_pure_state(lay, rng)
         else:
             inp = random_referee_state(rng)
-        worst = max(worst, engine.protocol_error(program, target, inp))
-        tree = engine.run_exhaustive(program, inp)
+        worst = max(worst, engine.protocol_error(program, target, inp, tree=tree))
     prof = engine.classify_rounds(program)
     led = engine.ledger(program, tree)
     gap = engine.entanglement_monotonicity_gap(tree)
     print(
-        f"{name:<22} worst err {worst:9.2e}   rounds {prof.round_count}/{prof.kind}   "
+        f"{name:<22} worst err {worst:9.2e}   choi err {engine.choi_error(program, target, tree):9.2e}   "
+        f"rounds {prof.round_count}/{prof.kind}   "
         f"ebits {led.expected_ebits:8.5f}   monotonicity gap {gap:+.3e}"
     )
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import analysis, engine, model, protocols
+from . import analysis, engine, model, protocols, qmath
 from .systems import ALICE, BOB, REFEREE, SystemLayout
 
 
@@ -98,7 +98,11 @@ def main() -> None:
 @click.option("--output", default=None, help="Output path; '-' or omitted for stdout.")
 @click.pass_context
 def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, output):
-    """Build a protocol, run it exhaustively on random inputs, report errors."""
+    """Build a protocol, run it once on the Choi input, report its errors.
+
+    The one run fixes the protocol's channel, so the error on each random
+    input is a reduction over its leaves, not another run.
+    """
     rng = np.random.default_rng(seed)
     if gate == "u-theta":
         if theta is None:
@@ -118,14 +122,13 @@ def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, o
         params = {"gate": gate_name}
         label = f"clifford:{gate_name}"
 
+    gate_ab = model.GateSpec(target.matrix, ("A", "B"))
+    tree = engine.run_exhaustive(program, engine.choi_input(program))
     errors = []
-    tree = None
     for _ in range(max(inputs, 1)):
         layout = SystemLayout([("A", d, ALICE), ("B", d, BOB), ("R", d * d, REFEREE)])
         state = model.random_pure_state(layout, rng)
-        errors.append(engine.protocol_error(program, model.GateSpec(target.matrix, ("A", "B")), state))
-        if tree is None:
-            tree = engine.run_exhaustive(program, state)
+        errors.append(engine.protocol_error(program, gate_ab, state, tree=tree))
     led = engine.ledger(program, tree)
     prof = engine.classify_rounds(program)
     worst = max(errors)
@@ -135,6 +138,7 @@ def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, o
         "parameters": params,
         "worst_error": worst,
         "mean_error": float(np.mean(errors)),
+        "choi_error": engine.choi_error(program, gate_ab, tree),
         "round_count": prof.round_count,
         "round_type": prof.kind,
         "resource_ebits": led.resource_ebits,
@@ -222,7 +226,7 @@ def markov_cost(gate_name, theta, gate_file, output):
         "command": "markov-cost",
         "gate": label,
         "fixed_state_eigenvalues": eigs,
-        "cost_ebits": analysis.markovianizing_cost(spec),
+        "cost_ebits": qmath.von_neumann_entropy(fixed),  # analysis.markovianizing_cost(spec)
         "channel_trace_preserving": True,
         "channel_min_choi_eigenvalue": choi_min,
     }

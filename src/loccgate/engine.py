@@ -30,6 +30,9 @@ KRAUS_TOL = 1e-10
 PRUNE_PROB = 1e-12
 NODE_NORM_TOL = 1e-8
 LEAF_PURITY_TOL = 1e-9
+# budget for the leaf probabilities' deviation from 1, and for the total
+# probability mass a run may prune at PRUNE_PROB
+LEAF_SUM_TOL = 1e-9
 
 
 class EngineError(Exception):
@@ -242,8 +245,15 @@ class Leaf:
 
 @dataclass(frozen=True)
 class BranchTree:
+    """Leaves of one exhaustive run.
+
+    ``pruned_mass`` is the probability of the branches dropped at
+    ``PRUNE_PROB``: the sum of their path probabilities.
+    """
+
     leaves: tuple[Leaf, ...]
     initial_alice_side_entropy: float
+    pruned_mass: float = 0.0
 
     def total_probability(self) -> float:
         return float(sum(leaf.probability for leaf in self.leaves))
@@ -356,19 +366,9 @@ def validate_program(program: ProtocolProgram) -> CausalityViolation | None:
 # simulation
 
 
-def _build_initial(
-    program: ProtocolProgram, initial: PureState | None
-) -> tuple[SystemLayout, np.ndarray]:
+def _check_initial(program: ProtocolProgram, initial: PureState) -> None:
+    """The initial state holds every program input and nothing but referee factors besides."""
     inputs = set(program.input_labels)
-    if initial is None:
-        if inputs:
-            raise EngineError(f"program expects input factors {sorted(inputs)}")
-        state: PureState | None = None
-        for res in program.resources:
-            state = res if state is None else state.tensor(res)
-        if state is None:
-            raise EngineError("nothing to simulate: no inputs and no resources")
-        return state.layout, state.vector.copy()
     got = set(initial.layout.labels)
     missing = inputs - got
     if missing:
@@ -384,6 +384,21 @@ def _build_initial(
             )
     if got & program.resource_labels:
         raise EngineError("initial state overlaps resource labels")
+
+
+def _build_initial(
+    program: ProtocolProgram, initial: PureState | None
+) -> tuple[SystemLayout, np.ndarray]:
+    if initial is None:
+        if program.input_labels:
+            raise EngineError(f"program expects input factors {sorted(program.input_labels)}")
+        state: PureState | None = None
+        for res in program.resources:
+            state = res if state is None else state.tensor(res)
+        if state is None:
+            raise EngineError("nothing to simulate: no inputs and no resources")
+        return state.layout, state.vector.copy()
+    _check_initial(program, initial)
     state = initial
     for res in program.resources:
         state = state.tensor(res)
@@ -480,6 +495,7 @@ def run_exhaustive(
         return hit
 
     n_steps = len(program.steps)
+    pruned_mass = 0.0
     # Depth-first walk over an explicit stack.  A node's vector is released
     # when the next pop rebinds ``vec``, before any child is expanded; a
     # child leaves the stack when its subtree starts.  Children are pushed in
@@ -503,6 +519,12 @@ def run_exhaustive(
             p = float(np.vdot(child, child).real)
             branch_total += p
             if p <= PRUNE_PROB:
+                pruned_mass += prob * p
+                if pruned_mass > LEAF_SUM_TOL:
+                    raise EngineError(
+                        f"pruned probability mass {pruned_mass:.3e} exceeds "
+                        f"{LEAF_SUM_TOL:g} at step {name!r}"
+                    )
                 continue
             child /= math.sqrt(p)
             children.append((step_idx + 1, child, prob * p, transcript + ((name, outcome),)))
@@ -510,9 +532,9 @@ def run_exhaustive(
             raise EngineError(f"norm drift {branch_total - 1.0:.3e} at step {name!r}")
         stack.extend(reversed(children))
     total = sum(l.probability for l in leaves)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > LEAF_SUM_TOL:
         raise EngineError(f"leaf probabilities sum to {total}")
-    return BranchTree(tuple(leaves), initial_alice_entropy)
+    return BranchTree(tuple(leaves), initial_alice_entropy, pruned_mass)
 
 
 def _is_identity(kraus: np.ndarray) -> bool:
@@ -681,24 +703,103 @@ def ledger(program: ProtocolProgram, tree: BranchTree) -> EntanglementLedger:
     )
 
 
-def protocol_error(
-    program: ProtocolProgram, target: GateSpec, initial: PureState
+def choi_input(program: ProtocolProgram) -> PureState | None:
+    """Maximally entangled state of the program inputs and one referee factor.
+
+    The state is sum_i |i>|i> / sqrt(D) over the joint basis of
+    ``program.input_labels``, in that order, and a referee factor of their
+    total dimension D.  A run on it fixes the program's channel; see
+    :func:`protocol_error`.  A program without inputs gets None, the initial
+    state ``run_exhaustive`` takes for it.
+    """
+    inputs = [program.layout.factor(lb) for lb in program.input_labels]
+    if not inputs:
+        return None
+    referee = "R"
+    while referee in program.layout:
+        referee += "_"
+    dim = math.prod(f.dim for f in inputs)
+    layout = SystemLayout(inputs + [(referee, dim, REFEREE)], dim_cap=None)
+    return PureState(layout, np.eye(dim).reshape(-1) / math.sqrt(dim))
+
+
+def _branch_operators(program: ProtocolProgram, choi: PureState, tree: BranchTree) -> np.ndarray:
+    """K_t = sqrt(D p_t) unvec(leaf_t) for every leaf of a run on ``choi``, as (T, D, D)."""
+    first = tree.leaves[0].state.layout
+    layout = first.renamed(program.renames)
+    if set(layout.labels) != set(choi.layout.labels) or any(
+        leaf.state.layout != first for leaf in tree.leaves
+    ):
+        raise EngineError(f"leaves on {layout.labels} are not those of a run on {choi.layout.labels}")
+    perm = layout.positions(choi.layout.labels)
+    if tuple(layout.dims[i] for i in perm) != choi.dims:
+        raise EngineError(f"leaf dimensions {layout.dims} differ from the inputs' {choi.dims}")
+    dim = choi.dims[-1]
+    states = np.stack([leaf.state.vector for leaf in tree.leaves]).reshape(-1, *layout.dims)
+    states = states.transpose(0, *(i + 1 for i in perm)).reshape(-1, dim, dim)
+    probs = np.array([leaf.probability for leaf in tree.leaves])
+    return states * np.sqrt(dim * probs)[:, None, None]
+
+
+def _channel_error(
+    program: ProtocolProgram, target: GateSpec, state: PureState, tree: BranchTree | None
 ) -> float:
-    """1 - F between the target-rotated input and the averaged protocol output."""
-    tree = run_exhaustive(program, initial)
-    expected = initial.apply_unitary(target.matrix, target.labels)
-    renames = program.renames
-    fid = 0.0
-    for leaf in tree.leaves:
-        out = leaf.state.renamed(renames) if renames else leaf.state
-        if set(out.layout.labels) != set(expected.layout.labels):
-            raise EngineError(
-                f"output labels {out.layout.labels} do not match target "
-                f"input labels {expected.layout.labels}"
-            )
-        amp = expected.overlap(out)
-        fid += leaf.probability * float(abs(amp) ** 2)
-    return max(0.0, 1.0 - fid)
+    inputs = program.input_labels
+    outputs = {
+        program.renames.get(lb, lb) for lb in program.layout.labels if lb not in program.consumed
+    }
+    if outputs != set(inputs):
+        raise EngineError(
+            f"output labels {sorted(outputs)} do not match program input labels {sorted(inputs)}"
+        )
+    choi = choi_input(program)
+    if choi is None:
+        raise EngineError("program has no inputs, so it implements no gate")
+    expected = state.apply_unitary(target.matrix, target.labels)
+    if tree is None:
+        tree = run_exhaustive(program, choi, leaf_diagnostics=False)
+    ops = _branch_operators(program, choi, tree)
+    order = inputs + tuple(lb for lb in state.layout.labels if lb not in inputs)
+    dim = ops.shape[1]
+    psi = state.permuted(order).vector.reshape(dim, -1)
+    want = expected.permuted(order).vector.reshape(-1)
+    amps = (ops @ psi).reshape(len(ops), -1) @ want.conj()
+    return max(0.0, 1.0 - float(np.vdot(amps, amps).real))
+
+
+def protocol_error(
+    program: ProtocolProgram,
+    target: GateSpec,
+    initial: PureState,
+    tree: BranchTree | None = None,
+) -> float:
+    """1 - F between the target-rotated input and the averaged protocol output.
+
+    The protocol's channel comes from ``tree``, a run of ``program`` on
+    ``choi_input(program)``, made here when it is omitted.  Leaf t of that
+    run, with probability p_t and a state on the inputs (after
+    ``output_renames``) and the referee, gives the branch operator
+    K_t = sqrt(D p_t) unvec(leaf_t) from inputs to outputs, D being the
+    inputs' total dimension.  On an input psi, branch t then has probability
+    ||(K_t (x) I) psi||^2, and F = sum_t |<(U (x) I) psi, (K_t (x) I) psi>|^2.
+
+    A branch pruned on the Choi input has p_t <= PRUNE_PROB there, and so
+    p_t(psi) <= ||K_t||^2 <= Tr(K_t^dagger K_t) = D p_t <= D * PRUNE_PROB on
+    any psi: the branches a run prunes carry at most D * ``pruned_mass`` of
+    any input's probability.
+    """
+    _check_initial(program, initial)
+    return _channel_error(program, target, initial, tree)
+
+
+def choi_error(program: ProtocolProgram, target: GateSpec, tree: BranchTree) -> float:
+    """1 - sum_t |Tr(U^dagger K_t) / D|^2: one minus the entanglement fidelity.
+
+    This is :func:`protocol_error` on ``choi_input(program)`` itself, for
+    <(U (x) I) Phi, (K_t (x) I) Phi> = Tr(U^dagger K_t) / D.  It is 0 exactly
+    when the protocol's channel is the target gate (Choi-Jamiolkowski).
+    """
+    return _channel_error(program, target, choi_input(program), tree)
 
 
 def entanglement_monotonicity_gap(tree: BranchTree) -> float:

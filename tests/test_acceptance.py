@@ -101,16 +101,19 @@ def test_criterion_3_controlled_phase_exactness():
     led = ledger(prog, tree)
     prof = classify_rounds(prog)
     assert worst <= 1e-10
+    assert engine.choi_error(prog, target, run_exhaustive(prog, engine.choi_input(prog))) <= 1e-9
     assert led.expected_ebits == pytest.approx(1.0, abs=1e-9)
     assert (prof.round_count, prof.kind) == (2, "b")
     report(3, f"deterministic, worst infid {worst:.1e}, 1 ebit, rounds (2, b)")
 
 
 def test_criterion_4_composite_protocol():
-    worst_err, worst_ebit_gap = 0.0, 0.0
+    worst_err, worst_ebit_gap, worst_choi = 0.0, 0.0, 0.0
     for theta in (0.1, 0.3, 0.7, math.pi / 2):
         prog = protocols.build_composite(theta)
         target = zz_phase_gate(theta)
+        choi_tree = run_exhaustive(prog, engine.choi_input(prog))
+        worst_choi = max(worst_choi, engine.choi_error(prog, target, choi_tree))
         tree = None
         for _ in range(4):
             inp = random_referee_state(RNG)
@@ -123,11 +126,12 @@ def test_criterion_4_composite_protocol():
         prof = classify_rounds(prog)
         assert (prof.round_count, prof.kind) == (3, "c")
     assert worst_err <= 1e-9
+    assert worst_choi <= 1e-9
     assert worst_ebit_gap <= 1e-9
     report(
         4,
-        f"end-to-end worst infid {worst_err:.1e}, ledger matches 1 - p + h to "
-        f"{worst_ebit_gap:.1e}, rounds (3, c)",
+        f"end-to-end worst infid {worst_err:.1e}, Choi infid {worst_choi:.1e}, "
+        f"ledger matches 1 - p + h to {worst_ebit_gap:.1e}, rounds (3, c)",
     )
 
 
@@ -194,6 +198,7 @@ def test_criterion_7_clifford_protocols():
             1 - abs(expected.overlap(l.state.renamed(renames))) ** 2 for l in tree.leaves
         )
         assert worst <= 1e-10
+        assert engine.choi_error(prog, gate, run_exhaustive(prog, engine.choi_input(prog))) <= 1e-9
         led = ledger(prog, tree)
         assert led.expected_ebits == pytest.approx(gate_entanglement(gate), abs=1e-9)
         assert classify_rounds(prog).kind == "d"

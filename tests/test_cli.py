@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from loccgate import engine, model
+from loccgate import engine, model, protocols
 from loccgate.cli import main
 from loccgate.model import random_referee_state
 
@@ -32,6 +32,41 @@ def test_simulate_u_theta_passes(runner):
     assert doc["worst_error"] <= 1e-9
     assert (doc["round_count"], doc["round_type"]) == (3, "c")
     jsonschema.validate(doc, load_schema("report.schema.json"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["u-theta", "--theta", "0.5"], ["clifford", "--gate", "cnot"], ["clifford", "--gate", "qutrit-cz"]],
+)
+def test_simulate_runs_the_engine_once(runner, monkeypatch, args):
+    """One run on the built program feeds every error, the ledger and the rounds.
+
+    The heralded fit inside ``build_composite`` runs its own program through
+    ``protocols.run_exhaustive``, which this wrapper does not see.
+    """
+    built, runs = [], []
+
+    def capture(build):
+        def wrapped(*a, **k):
+            built.append(build(*a, **k))
+            return built[-1]
+
+        return wrapped
+
+    for name in ("build_composite", "build_clifford"):
+        monkeypatch.setattr(protocols, name, capture(getattr(protocols, name)))
+    run = engine.run_exhaustive
+
+    def counted(program, *a, **k):
+        runs.append(program)
+        return run(program, *a, **k)
+
+    monkeypatch.setattr(engine, "run_exhaustive", counted)
+    result = runner.invoke(main, ["simulate", *args])
+    assert result.exit_code == 0, result.output
+    assert len(built) == 1
+    assert sum(program is built[0] for program in runs) == 1
+    assert json.loads(result.output)["choi_error"] <= 1e-9
 
 
 def test_simulate_rejects_out_of_domain_angle(runner):

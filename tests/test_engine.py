@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from loccgate import engine, protocols, qmath
+from loccgate.cli import main
 from loccgate.engine import (
     CausalityViolation,
     EngineError,
@@ -29,9 +31,11 @@ from loccgate.model import (
     SZ,
     bell_pair,
     cnot_gate,
+    haar_unitary,
     qudit_cz_gate,
     random_pure_state,
     swap_gate,
+    zz_phase_gate,
 )
 from loccgate.systems import ALICE, BOB, REFEREE, PureState, SystemLayout
 
@@ -443,7 +447,7 @@ def test_monotonicity_gap_nonnegative_for_measurement(rng):
 # ---------------------------------------------------------------- json
 
 
-def test_json_roundtrip_preserves_semantics(rng):
+def _toy_program():
     lay = qubit_layout(("A", ALICE), ("B", BOB))
     steps = [
         ProtocolStep("ma", ALICE, instrument=projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS}), sends_message=True),
@@ -453,12 +457,30 @@ def test_json_roundtrip_preserves_semantics(rng):
             condition_on=("ma",),
         ),
     ]
-    prog = ProtocolProgram(lay, steps=steps)
+    return ProtocolProgram(lay, steps=steps)
+
+
+ROUNDTRIP_BUILDERS = {  # the toy program, each export-protocol kind at its defaults, batch n = 1
+    "toy": _toy_program,
+    "heralded": lambda: protocols.build_heralded(0.5, math.sqrt(0.5)).program,
+    "controlled-phase": lambda: protocols.build_controlled_phase(0.5),
+    "composite": lambda: protocols.build_composite(0.5),
+    "clifford": lambda: protocols.build_clifford(cnot_gate()),
+    "dilution": lambda: protocols.nielsen_dilution([0.4, 0.3, 0.2, 0.1], 2),
+    "batch-n1": lambda: protocols.build_batch(0.5, 1, 2.6).program,
+}
+
+
+@pytest.mark.parametrize("builder", list(ROUNDTRIP_BUILDERS))
+def test_json_roundtrip_preserves_semantics(builder):
+    prog = ROUNDTRIP_BUILDERS[builder]()
     doc = program_to_json(prog)
     text = json.dumps(doc, sort_keys=True)
     clone = program_from_json(json.loads(text))
-    st = random_pure_state(lay, rng)
-    assert trees_equal(run_exhaustive(prog, st), run_exhaustive(clone, st))
+    st = engine.choi_input(prog)
+    tree, clone_tree = run_exhaustive(prog, st), run_exhaustive(clone, st)
+    assert trees_equal(tree, clone_tree)
+    assert ledger(prog, tree) == ledger(clone, clone_tree)
 
 
 @pytest.mark.parametrize(
@@ -613,3 +635,114 @@ def test_instrument_fn_runs_once_per_condition_values(rng):
     calls.clear()
     run_exhaustive(prog, random_pure_state(lay, rng))
     assert len(calls) == 2  # the cache lives for one run
+
+
+# ---------------------------------------------------------------- pruning
+
+
+def _dribble_program(count):
+    """A Z measurement of a qubit, then ``count`` outcomes of probability 5e-13 each and the rest."""
+    eps = 5e-13
+    branches = [("rest", math.sqrt(1.0 - count * eps) * np.eye(2))]
+    branches += [(f"d{i}", math.sqrt(eps) * np.eye(2)) for i in range(count)]
+    lay = qubit_layout(("A", ALICE))
+    steps = [
+        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("A",), {"0": np.array([1.0, 0]), "1": np.array([0, 1.0])})),
+        ProtocolStep("dribble", ALICE, instrument=LocalInstrument(ALICE, ("A",), branches)),
+    ]
+    return ProtocolProgram(lay, steps=steps), lay
+
+
+def test_pruned_mass_is_counted(rng):
+    prog, lay = _dribble_program(1)
+    tree = run_exhaustive(prog, random_pure_state(lay, rng))
+    assert [dict(l.transcript)["dribble"] for l in tree.leaves] == ["rest", "rest"]
+    # one pruned branch under each outcome of "m", weighted by its probability
+    assert tree.pruned_mass == pytest.approx(5e-13, rel=1e-9, abs=0.0)
+
+
+def test_pruned_mass_over_budget_raises_at_its_step(rng):
+    prog, lay = _dribble_program(3000)  # 1.5e-9 in branches below PRUNE_PROB
+    with pytest.raises(EngineError, match="pruned probability mass .* at step 'dribble'"):
+        run_exhaustive(prog, random_pure_state(lay, rng))
+
+
+# ---------------------------------------------------------------- channel reduction
+
+
+def direct_protocol_error(program, target, initial):
+    """The error from a run on ``initial`` itself: 1 - sum_t p_t |<U psi|out_t>|^2."""
+    tree = run_exhaustive(program, initial, leaf_diagnostics=False)
+    expected = initial.apply_unitary(target.matrix, target.labels)
+    fid = 0.0
+    for leaf in tree.leaves:
+        fid += leaf.probability * abs(expected.overlap(leaf.state.renamed(program.renames))) ** 2
+    return max(0.0, 1.0 - fid)
+
+
+def _exported_composite():
+    result = CliRunner().invoke(main, ["export-protocol", "composite", "--theta", "0.5"])
+    assert result.exit_code == 0, result.output
+    return program_from_json(json.loads(result.output))
+
+
+def _twisted_toy_program():
+    """The toy program after a fixed unitary on A that is not symmetric, so K_t^T != K_t."""
+    twist = unitary_instrument(ALICE, ("A",), haar_unitary(2, np.random.default_rng(3)))
+    toy = _toy_program()
+    return ProtocolProgram(toy.layout, steps=(ProtocolStep("twist", ALICE, instrument=twist), *toy.steps))
+
+
+CHANNEL_CASES = {  # name -> (program builder, target gate, local dimension)
+    **{
+        f"composite-{theta:.3f}": (lambda t=theta: protocols.build_composite(t), zz_phase_gate(theta), 2)
+        for theta in (0.1, 0.5, math.pi / 2)
+    },
+    "heralded": (lambda: protocols.build_heralded(0.5, 0.7).program, zz_phase_gate(0.5), 2),
+    "controlled-phase": (
+        lambda: protocols.build_controlled_phase(0.3), protocols.controlled_phase_target(0.3), 2
+    ),
+    "clifford-cnot": (lambda: protocols.build_clifford(cnot_gate()), cnot_gate(), 2),
+    "clifford-swap": (lambda: protocols.build_clifford(swap_gate()), swap_gate(), 2),
+    "clifford-qutrit-cz": (lambda: protocols.build_clifford(qudit_cz_gate(3)), qudit_cz_gate(3), 3),
+    "exported-composite": (_exported_composite, zz_phase_gate(0.5), 2),
+    "twisted-toy": (_twisted_toy_program, GateSpec(haar_unitary(4, np.random.default_rng(4))), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(CHANNEL_CASES))
+def test_reduced_error_matches_direct_run(case, rng):
+    build, target, d = CHANNEL_CASES[case]
+    program = build()
+    choi = engine.choi_input(program)
+    tree = run_exhaustive(program, choi)
+    layouts = [
+        SystemLayout([("A", d, ALICE), ("B", d, BOB), ("R", d * d, REFEREE)]),
+        SystemLayout([("A", d, ALICE), ("B", d, BOB), ("R", d * d, REFEREE)]),
+        SystemLayout([("R1", 2, REFEREE), ("A", d, ALICE), ("B", d, BOB), ("R2", d, REFEREE)]),
+    ]
+    for i, layout in enumerate(layouts):
+        inp = random_pure_state(layout, rng)
+        direct = direct_protocol_error(program, target, inp)
+        assert abs(protocol_error(program, target, inp, tree=tree) - direct) <= 1e-12
+        if i == 0:  # without a tree, protocol_error makes the Choi-input run itself
+            assert abs(protocol_error(program, target, inp) - direct) <= 1e-12
+    choi_err = engine.choi_error(program, target, tree)
+    assert abs(choi_err - direct_protocol_error(program, target, choi)) <= 1e-12
+
+
+def test_choi_input_is_maximally_entangled_with_a_fresh_referee():
+    program = protocols.build_clifford(qudit_cz_gate(3))
+    choi = engine.choi_input(program)
+    assert choi.layout.labels == ("A", "B", "R") and choi.dims == (3, 3, 9)
+    assert np.allclose(choi.reduced(["A", "B"]), np.eye(9) / 9, atol=1e-15)
+    taken = ProtocolProgram(SystemLayout([("R", 2, ALICE), ("a", 2, ALICE)]), resources=())
+    assert engine.choi_input(taken).layout.labels == ("R", "a", "R_")
+    assert engine.choi_input(protocols.nielsen_dilution([0.5, 0.5], 1)) is None
+
+
+def test_protocol_error_rejects_a_tree_from_another_input(rng):
+    program = protocols.build_controlled_phase(0.3)
+    inp = random_pure_state(SystemLayout([("A", 2, ALICE), ("B", 2, BOB), ("Q", 2, REFEREE)]), rng)
+    with pytest.raises(EngineError, match="not those of a run on"):
+        protocol_error(program, protocols.controlled_phase_target(0.3), inp, tree=run_exhaustive(program, inp))

@@ -5,6 +5,8 @@ The kernel values were recorded with scipy 1.17.1 (``unitary_group.rvs``,
 replace, so a change in their floating-point behaviour shows up here bit for
 bit.  The ``export-protocol`` digests pin the JSON of every exported
 protocol kind, so a builder refactor cannot change a serialized program.
+The ``simulate`` digests pin the reports of the README commands, whose
+errors and ledger all come from one run on the Choi input.
 """
 
 import hashlib
@@ -180,5 +182,20 @@ def test_cli_import_pulls_in_no_scipy():
 )
 def test_export_protocol_stdout(args, digest):
     result = CliRunner().invoke(main, ["export-protocol", *args])
+    assert result.exit_code == 0, result.output
+    assert sha256(result.output.encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["u-theta", "--theta", "0.5"], "8449c0ff6e5fdeccc823c71a5379c3ca78b98e44b41ba45c9beb7aa66bf7810b"),
+        (["clifford", "--gate", "cnot"], "474292789e25b45dc12e0a70a09f88cba000805c528463a5e66742638ec24920"),
+        (["clifford", "--gate", "qutrit-cz"], "4e422747661747ffe9eb020ee414e141c926fad3e912c7ae4b4b7d851536aec6"),
+    ],
+    ids=["u-theta", "cnot", "qutrit-cz"],
+)
+def test_simulate_stdout(args, digest):
+    result = CliRunner().invoke(main, ["simulate", *args])
     assert result.exit_code == 0, result.output
     assert sha256(result.output.encode()) == digest
