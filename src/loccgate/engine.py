@@ -249,10 +249,12 @@ class BranchTree:
 
     ``pruned_mass`` is the probability of the branches dropped at
     ``PRUNE_PROB``: the sum of their path probabilities.
+    ``initial_alice_side_entropy`` is None when the tree was run without
+    leaf diagnostics.
     """
 
     leaves: tuple[Leaf, ...]
-    initial_alice_side_entropy: float
+    initial_alice_side_entropy: float | None
     pruned_mass: float = 0.0
 
     def total_probability(self) -> float:
@@ -413,9 +415,9 @@ def run_exhaustive(
 ) -> BranchTree:
     """Follow every instrument branch; leaves carry exact post-selected states.
 
-    ``leaf_diagnostics=False`` skips the per-leaf entropy bookkeeping needed
-    by the ledger and the monotonicity check; large batched runs use it when
-    only output states matter.
+    ``leaf_diagnostics=False`` skips the entropy bookkeeping needed by the
+    ledger and the monotonicity check, per leaf and for the initial state;
+    large batched runs use it when only output states matter.
 
     Each step is resolved once per distinct tuple of its ``condition_on``
     values, which relies on every ``instrument_fn`` being a pure function of
@@ -427,23 +429,24 @@ def run_exhaustive(
         raise EngineError(f"invalid program: {violation}")
     sim_layout, vec0 = _build_initial(program, initial)
     dims = sim_layout.dims
-    alice_pos = [i for i, f in enumerate(sim_layout.factors) if f.owner is ALICE]
+    alice_pos = tuple(i for i, f in enumerate(sim_layout.factors) if f.owner is ALICE)
     res_pos = []
     res_alice_local = []
     for res in program.resources:
-        pos = sim_layout.positions(res.layout.labels)
-        res_pos.append(pos)
+        res_pos.append(tuple(sim_layout.positions(res.layout.labels)))
         res_alice_local.append(
             [j for j, f in enumerate(res.layout.factors) if f.owner is ALICE]
         )
-    keep_pos = [
+    keep_pos = tuple(
         i for i, f in enumerate(sim_layout.factors) if f.label not in program.consumed
-    ]
+    )
     out_layout = SystemLayout(
         [sim_layout.factors[i] for i in keep_pos], dim_cap=None
     )
 
-    initial_alice_entropy = _entropy_of_positions(vec0, dims, alice_pos)
+    initial_alice_entropy = (
+        _entropy_of_positions(vec0, dims, alice_pos) if leaf_diagnostics else None
+    )
     leaves: list[Leaf] = []
 
     def finalize(vec: np.ndarray, prob: float, transcript: tuple) -> None:
@@ -475,9 +478,9 @@ def run_exhaustive(
     condition_idx = [
         tuple(step_index[k] for k in step.condition_on) for step in program.steps
     ]
-    resolved: dict[tuple, tuple[LocalInstrument, list[int], bool]] = {}
+    resolved: dict[tuple, tuple[LocalInstrument, tuple[int, ...], bool]] = {}
 
-    def resolve(step_idx: int, transcript: tuple) -> tuple[LocalInstrument, list[int], bool]:
+    def resolve(step_idx: int, transcript: tuple) -> tuple[LocalInstrument, tuple[int, ...], bool]:
         key = (step_idx, *(transcript[j][1] for j in condition_idx[step_idx]))
         hit = resolved.get(key)
         if hit is not None:
@@ -491,7 +494,7 @@ def run_exhaustive(
         if step.instrument is None:
             inst.validate_on(sim_layout)
         identity = len(inst.branches) == 1 and _is_identity(inst.branches[0][1])
-        hit = resolved[key] = (inst, sim_layout.positions(inst.labels), identity)
+        hit = resolved[key] = (inst, tuple(sim_layout.positions(inst.labels)), identity)
         return hit
 
     n_steps = len(program.steps)
@@ -526,7 +529,7 @@ def run_exhaustive(
                         f"{LEAF_SUM_TOL:g} at step {name!r}"
                     )
                 continue
-            child /= math.sqrt(p)
+            qmath.divide_by_real(child, math.sqrt(p))
             children.append((step_idx + 1, child, prob * p, transcript + ((name, outcome),)))
         if abs(branch_total - 1.0) > NODE_NORM_TOL:
             raise EngineError(f"norm drift {branch_total - 1.0:.3e} at step {name!r}")

@@ -164,7 +164,7 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
         .tensor(bell_pair(2, ("B", "RB"), (BOB, REFEREE)))
         .permuted(("A", "B", "RA", "RB"))
     )
-    tree = run_exhaustive(program, probe)
+    tree = run_exhaustive(program, probe, leaf_diagnostics=False)
     fitted = None
     for leaf in tree.leaves:
         if dict(leaf.transcript)["h_meas_b"] == "failure":

@@ -7,6 +7,7 @@ exact zeros before logarithms; operators are required to be Hermitian up to
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -25,6 +26,35 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
+@functools.lru_cache(maxsize=1024)
+def _factor_plan(
+    dims: tuple[int, ...], positions: tuple[int, ...]
+) -> tuple[tuple[int, ...] | None, tuple[int, ...], tuple[int, ...], int]:
+    """(forward permutation, moved shape, inverse permutation, k) for ``positions``.
+
+    The forward permutation puts the listed axes first, in the order given,
+    and the others after them in order; it is None when that is the
+    identity.  k is the joint dimension of the listed factors.
+    """
+    rest = tuple(i for i in range(len(dims)) if i not in positions)
+    fwd = positions + rest
+    inv = tuple(sorted(range(len(fwd)), key=fwd.__getitem__))
+    moved = tuple(dims[i] for i in fwd)
+    k = int(math.prod(dims[p] for p in positions))
+    return (None if fwd == tuple(range(len(dims))) else fwd), moved, inv, k
+
+
+def _factor_matrix(vec: np.ndarray, dims: Sequence[int], positions: Sequence[int]):
+    """The (k, rest) matrix of ``vec`` with ``positions`` as its row index, and its plan."""
+    dims = tuple(dims)
+    plan = _factor_plan(dims, tuple(positions))
+    fwd, _, _, k = plan
+    psi = np.asarray(vec)
+    if fwd is not None:
+        psi = psi.reshape(dims).transpose(fwd)
+    return psi.reshape(k, -1), plan
+
+
 def apply_on_factors(
     vec: np.ndarray, dims: Sequence[int], positions: Sequence[int], op: np.ndarray
 ) -> np.ndarray:
@@ -33,29 +63,31 @@ def apply_on_factors(
     ``op`` must be ordered as the Kronecker product over ``positions`` in the
     order given.  Returns a flat vector; no normalization is performed.
     """
-    dims = tuple(dims)
-    positions = list(positions)
-    k = int(math.prod(dims[p] for p in positions))
+    mat, (fwd, moved, inv, k) = _factor_matrix(vec, dims, positions)
     if op.shape != (k, k):
         raise ValueError(f"operator shape {op.shape} does not match factors of dimension {k}")
-    psi = np.asarray(vec).reshape(dims)
-    psi = np.moveaxis(psi, positions, range(len(positions)))
-    moved_shape = psi.shape
-    psi = op @ psi.reshape(k, -1)
-    psi = psi.reshape(moved_shape)
-    psi = np.moveaxis(psi, range(len(positions)), positions)
-    return psi.reshape(-1)
+    out = op @ mat
+    if fwd is None:
+        return out.reshape(-1)
+    return out.reshape(moved).transpose(inv).reshape(-1)
 
 
 def reduced_density(vec: np.ndarray, dims: Sequence[int], keep_positions: Sequence[int]) -> np.ndarray:
     """Reduced density operator of a pure state on the kept positions."""
-    dims = tuple(dims)
-    keep = list(keep_positions)
-    psi = np.asarray(vec).reshape(dims)
-    psi = np.moveaxis(psi, keep, range(len(keep)))
-    k = int(math.prod(dims[p] for p in keep))
-    mat = psi.reshape(k, -1)
+    mat, _ = _factor_matrix(vec, dims, keep_positions)
     return mat @ mat.conj().T
+
+
+def divide_by_real(vec: np.ndarray, s: float) -> None:
+    """``vec /= s`` in place for a complex vector and a positive float, bit for bit.
+
+    numpy's complex division by s + 0j computes (re + im*0, im - re*0) * (1/s).
+    The product with (1/s) - 0j, (re*(1/s) - im*(-0), re*(-0) + im*(1/s)),
+    agrees with it on every entry, the sign of each zero included, and is
+    about 5x faster at 4096 entries.  Scaling the float64 view by 1/s would
+    flip the sign of some zeros.
+    """
+    vec *= complex(1.0 / s, -0.0)
 
 
 def partial_trace(rho: np.ndarray, layout: SystemLayout, keep: Iterable[str]) -> np.ndarray:
@@ -176,12 +208,9 @@ def schmidt_coefficients(state: PureState, cut_labels: Iterable[str]) -> np.ndar
     missing = cut - set(state.layout.labels)
     if missing:
         raise KeyError(f"unknown labels {sorted(missing)}")
-    dims = state.dims
     left = [i for i, f in enumerate(state.layout.factors) if f.label in cut]
-    psi = state.vector.reshape(dims)
-    psi = np.moveaxis(psi, left, range(len(left)))
-    k = int(math.prod(dims[i] for i in left))
-    s = np.linalg.svd(psi.reshape(k, -1), compute_uv=False)
+    mat, _ = _factor_matrix(state.vector, state.dims, left)
+    s = np.linalg.svd(mat, compute_uv=False)
     return s**2
 
 
@@ -234,12 +263,8 @@ def factor_pure_state(
     leaf by an ulp or two, enough to shift the fitted heralded failure angle
     and with it the CLI output bytes.
     """
-    dims = tuple(dims)
-    keep = list(keep_positions)
-    psi = np.asarray(vec).reshape(dims)
-    psi = np.moveaxis(psi, keep, range(len(keep)))
-    k = int(math.prod(dims[p] for p in keep))
-    mat = psi.reshape(k, -1)
+    mat, _ = _factor_matrix(vec, dims, keep_positions)
+    k = mat.shape[0]
     if k <= mat.shape[1]:
         w, v = np.linalg.eigh(mat @ mat.conj().T)
         weight, out = w[-1], v[:, -1]

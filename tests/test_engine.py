@@ -597,6 +597,27 @@ def test_engine_matches_reference_walk(builder, rng):
     assert ledger(program, tree) == ledger(program, ref)
 
 
+@pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
+def test_leaf_diagnostics_leave_states_alone(builder, rng):
+    program = ORACLE_BUILDERS[builder]()
+    inputs = [program.layout.factor(lb) for lb in program.input_labels]
+    initial = None
+    if inputs:
+        initial = random_pure_state(SystemLayout(inputs + [("R", 2, REFEREE)], dim_cap=None), rng)
+    on = run_exhaustive(program, initial)
+    off = run_exhaustive(program, initial, leaf_diagnostics=False)
+    assert [l.transcript for l in on.leaves] == [l.transcript for l in off.leaves]
+    for a, b in zip(on.leaves, off.leaves):
+        assert a.probability.hex() == b.probability.hex()
+        assert a.state.layout.labels == b.state.layout.labels
+        assert np.array_equal(a.state.vector.view(np.uint64), b.state.vector.view(np.uint64))
+        assert b.resource_remaining is None and b.alice_side_entropy is None
+    assert on.initial_alice_side_entropy is not None
+    assert off.initial_alice_side_entropy is None
+    with pytest.raises(EngineError, match="without leaf diagnostics"):
+        engine.entanglement_monotonicity_gap(off)
+
+
 # ---------------------------------------------------------------- resolution cache
 
 

@@ -346,3 +346,79 @@ def test_factor_pure_state_rejects_entangled():
     vec = bell_pair(2).vector
     with pytest.raises(ValueError, match="entangled"):
         qmath.factor_pure_state(vec, (2, 2), [0])
+
+
+# ---------------------------------------------------------------- kernel
+
+
+def _moveaxis_kernel(vec, dims, positions, op):
+    """The kernel as it was before permutation plans: the bit-level oracle."""
+    positions = list(positions)
+    k = math.prod(dims[p] for p in positions)
+    psi = np.moveaxis(np.asarray(vec).reshape(dims), positions, range(len(positions)))
+    moved_shape = psi.shape
+    psi = (op @ psi.reshape(k, -1)).reshape(moved_shape)
+    return np.moveaxis(psi, range(len(positions)), positions).reshape(-1)
+
+
+def _moveaxis_reduced_density(vec, dims, keep):
+    psi = np.moveaxis(np.asarray(vec).reshape(dims), list(keep), range(len(keep)))
+    mat = psi.reshape(math.prod(dims[p] for p in keep), -1)
+    return mat @ mat.conj().T
+
+
+def _kernel_cases(n_factors, rng):
+    """(dims, positions) with 1-3 positions: identity, adjacent and non-adjacent."""
+    dims = tuple(int(d) for d in rng.choice([2, 3], size=n_factors))
+    for m in range(1, min(3, n_factors) + 1):
+        yield dims, tuple(range(m))  # the identity permutation
+        start = int(rng.integers(0, n_factors - m + 1))
+        yield dims, tuple(int(p) for p in rng.permutation(range(start, start + m)))
+        yield dims, tuple(int(p) for p in rng.choice(n_factors, size=m, replace=False))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("n_factors", range(1, 10))
+def test_apply_on_factors_bit_identical_to_moveaxis_kernel(n_factors):
+    rng = np.random.default_rng(1000 + n_factors)
+    for dims, positions in _kernel_cases(n_factors, rng):
+        k = math.prod(dims[p] for p in positions)
+        vec = rng.normal(size=math.prod(dims)) + 1j * rng.normal(size=math.prod(dims))
+        u, v = (rng.normal(size=k) + 1j * rng.normal(size=k) for _ in range(2))
+        for op in (_rand_mat(rng, k), np.outer(u, v.conj())):  # dense and rank one
+            got = qmath.apply_on_factors(vec, dims, positions, op)
+            want = _moveaxis_kernel(vec, dims, positions, op)
+            assert np.array_equal(_bits(got), _bits(want)), (dims, positions)
+        got = qmath.reduced_density(vec, dims, positions)
+        assert np.array_equal(_bits(got), _bits(_moveaxis_reduced_density(vec, dims, positions)))
+
+
+@pytest.mark.parametrize("positions", [(0,), (1, 0), (2,)])
+def test_apply_on_factors_rejects_wrong_operator_shape(positions):
+    vec = np.zeros(8, dtype=complex)
+    with pytest.raises(ValueError, match="does not match factors"):
+        qmath.apply_on_factors(vec, (2, 2, 2), positions, np.eye(3))
+
+
+def test_divide_by_real_bit_identical_to_division():
+    from loccgate.engine import PRUNE_PROB
+
+    vals = [0.0, -0.0, 1.5, -1.5, 1e-300, -1e-300, 5e-324, -5e-324]
+    signed = np.array([complex(a, b) for a in vals for b in vals])
+    rng = np.random.default_rng(7)
+    for p in (PRUNE_PROB * (1 + 1e-9), PRUNE_PROB * 3, 0.3, 1.0, 1.0 - 1e-12, 1.0 + 1e-13):
+        s = math.sqrt(p)
+        for n in (1, 3, 7, 64, 4099):
+            vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+            vec.real[rng.random(n) < 0.3] = -0.0
+            vec.imag[rng.random(n) < 0.3] = -0.0
+            vec.real[rng.random(n) < 0.2] = 0.0
+            for x in (vec, signed):
+                want = x.copy()
+                want /= s
+                got = x.copy()
+                qmath.divide_by_real(got, s)
+                assert np.array_equal(_bits(got), _bits(want)), (p, n)
