@@ -9,7 +9,9 @@ the image of the matrix unit ``|k><l|``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,6 +25,19 @@ CHANNEL_CP_TOL = 1e-8
 CESARO_MAX_TERMS = 10**6
 BISECT_RTOL = 4 * np.finfo(float).eps
 BISECT_MAXITER = 100
+ROUNDOFF = np.finfo(float).eps / 2  # unit roundoff: |fl(x op y) - x op y| <= ROUNDOFF |x op y|
+TYPICAL_EDGE_EPS = 1e-12  # absorbs float fuzz of log2 P(x^n) at the typical window's edges
+CUTOFF_INTEGER_TOL = 1e-9  # n (p - delta) this close to an integer is that integer
+# exp(x) is 0.0 below -745.13; log-pmf terms this far below their subset's
+# maximum add exactly nothing, with ~55 nats to spare for rounding in the terms
+EXP_UNDERFLOW_CUT = 800.0
+# a block's starting half-width, in normal estimates of the distance in which
+# log P falls by the cut; where that is short, the block's ends walk outward
+WINDOW_SCALE = 1.25
+# log(k!) below this comes from a 64 KB table built at import, so a binomial
+# kernel at n < 2^13 (the CLI's default typicality rows, every simulated batch
+# plan) slices it instead of evaluating lgam twice per error_budget
+LOG_FACTORIAL_TABLE_SIZE = 2**13
 
 
 class AnalysisError(Exception):
@@ -309,21 +324,37 @@ class TypicalSet:
     delta: float
     probs: tuple[float, float]
     entropy: float
-    typical_counts: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]  # maximal [start, stop) ranges of typical counts
     weight: float
     complement: float  # 1 - weight, computed from the atypical side
     log_weight: float  # natural log
     log_complement: float
 
     @functools.cached_property
+    def typical_counts(self) -> tuple[int, ...]:
+        """Typical counts of ones, ascending (lazy)."""
+        return tuple(k for start, stop in self.runs for k in range(start, stop))
+
+    @functools.cached_property
     def count(self) -> int:
-        """Exact number of typical sequences (big-integer arithmetic; lazy)."""
-        return int(sum(math.comb(self.n, k) for k in self.typical_counts))
+        """Exact number of typical sequences (big-integer arithmetic; lazy).
+
+        Along a run, C(n, k + 1) = C(n, k) (n - k) / (k + 1) exactly.
+        """
+        total = 0
+        for start, stop in self.runs:
+            c = math.comb(self.n, start)
+            for k in range(start, stop):
+                total += c
+                c = c * (self.n - k) // (k + 1)
+        return total
 
     def is_typical(self, sequence: Sequence[int]) -> bool:
         if len(sequence) != self.n:
             raise ValueError(f"sequence length {len(sequence)} != n = {self.n}")
-        return int(sum(sequence)) in set(self.typical_counts)
+        k = int(sum(sequence))
+        i = bisect_right(self.runs, (k, math.inf)) - 1
+        return i >= 0 and k < self.runs[i][1]
 
 
 # cephes lgam: log Gamma(x) = (x - 1/2) log x - x + log sqrt(2 pi) + A(1/x^2) / x
@@ -335,35 +366,88 @@ _LGAM_A = (
     8.33333333333331927722e-2,
 )
 _LS2PI = 0.91893853320467274178
-_LOG_FACTORIAL_SMALL = np.array([math.log(float(math.factorial(k))) for k in range(12)])
 
 
-def log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n, as cephes lgam evaluates log Gamma(k + 1).
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """cephes lgam at ascending integers x >= 13, in cephes' order of operations.
 
-    A table of log(k!) below x = k + 1 = 13, the Stirling form with the
-    cephes correction above, in cephes' order of operations.
-    np.log can differ from the C library log by an ulp, which moves a few
-    entries at x >= 9170 by an ulp-scale amount.
+    The Stirling form plus A(1/x^2) / x below 1000, plus a three-term series
+    up to 1e8 and nothing above.  np.log can differ from the C library log
+    by an ulp, which moves a few values at x >= 9170 by an ulp-scale amount.
     """
-    x = np.arange(1.0, n + 2.0)  # out[k] = lgam(x[k])
     out = (x - 0.5) * np.log(x) - x + _LS2PI
-    out[:12] = _LOG_FACTORIAL_SMALL[: n + 1]
-    mid = slice(12, 999)  # 13 <= x < 1000: polynomial correction
-    xs = x[mid]
+    # positions of the first x >= 1000 and the first x > 1e8
+    b1000, b1e8 = np.searchsorted(x, (1000.0, 1e8 + 0.5)).tolist()
+    xs = x[:b1000]
     p = 1.0 / (xs * xs)
     poly = _LGAM_A[0]
     for c in _LGAM_A[1:]:
         poly = poly * p + c
-    out[mid] += poly / xs
-    far = slice(999, 10**8)  # 1000 <= x <= 1e8: three-term series; none above
-    xs = x[far]
+    out[:b1000] += poly / xs
+    xs = x[b1000:b1e8]
     p = 1.0 / (xs * xs)
-    out[far] += (
+    out[b1000:b1e8] += (
         (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
         + 0.0833333333333333333333
     ) / xs
     return out
+
+
+# log(k!) below LOG_FACTORIAL_TABLE_SIZE, built once: exact below k = 12
+_LOG_FACTORIAL_TABLE = np.concatenate(
+    (
+        [math.log(float(math.factorial(k))) for k in range(12)],
+        _lgam(np.arange(13.0, LOG_FACTORIAL_TABLE_SIZE + 1.0)),
+    )
+)
+_LOG_FACTORIAL_TABLE.setflags(write=False)
+
+
+def _log_factorial_range(k0: int, k1: int) -> np.ndarray:
+    """log(k!) for k = k0..k1-1, as cephes lgam evaluates log Gamma(k + 1).
+
+    Every entry depends on its k alone, so a range equals the same slice of
+    a longer table.  A range inside the table is a read-only view of it.
+    """
+    if k1 <= LOG_FACTORIAL_TABLE_SIZE:
+        return _LOG_FACTORIAL_TABLE[k0:k1]
+    out = np.empty(k1 - k0)
+    low = max(LOG_FACTORIAL_TABLE_SIZE - k0, 0)
+    out[:low] = _LOG_FACTORIAL_TABLE[k0:]
+    out[low:] = _lgam(np.arange(k0 + low + 1.0, k1 + 1.0))
+    return out
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n, as cephes lgam evaluates log Gamma(k + 1)."""
+    return np.array(_log_factorial_range(0, n + 1))
+
+
+def _logsumexp_at(size: int, chunks: Sequence[tuple[int, np.ndarray]]) -> float:
+    """logsumexp of a ``size``-term array known only on its chunks.
+
+    Each chunk is (offset, values).  Every term outside the chunks lies more
+    than EXP_UNDERFLOW_CUT below the maximum, so its exp(a - a_max) is 0.0:
+    the sum runs over the full zero-filled array, because numpy sums
+    pairwise by position and summing the chunks alone would change the bits.
+    """
+    if size == 0:
+        return -math.inf
+    a_max = max([np.maximum.reduce(v) for _, v in chunks])
+    if not math.isfinite(a_max):  # all terms -inf, or an inf or nan term
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return float(np.log(sum([np.exp(v).sum() for _, v in chunks])))
+    e = np.zeros(size)
+    m = 0
+    for offset, v in chunks:
+        ties = v == a_max
+        m += np.count_nonzero(ties)
+        seg = np.exp(v - a_max, out=e[offset : offset + v.size])
+        seg[ties] = 0.0
+    s = np.add.reduce(e)
+    if s != 0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + a_max)
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -371,46 +455,149 @@ def logsumexp(a: np.ndarray) -> float:
 
     The maximum is factored out and its m ties are summed apart:
     log1p(sum(exp(a - a_max) over the rest) / m) + log(m) + a_max.
-    A non-finite result is recomputed directly as log(sum(exp(a))).
+    A non-finite maximum gives log(sum(exp(a))) directly.
     """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max()
-        ties = a == a_max
-        m = np.float64(np.count_nonzero(ties))
-        e = np.exp(a - a_max)
-        e[ties] = 0.0
-        s = e.sum()
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return float(out)
+    a = np.asarray(a, dtype=float).reshape(-1)
+    return _logsumexp_at(a.size, [(0, a)])
 
 
-def _log_binom_pmf(lf: np.ndarray, k_max: int, p1: float) -> np.ndarray:
-    """log P(k) of Binomial(n, p1) for k = 0..k_max, from lf = log_factorials(n)."""
-    n = lf.size - 1
+def _log_binom_pmf(n: int, p1: float, k0: int, k1: int) -> np.ndarray:
+    """log P(k) of Binomial(n, p1) for k = k0..k1-1."""
     log_p1 = math.log(p1) if p1 > 0 else -math.inf
     log_p0 = math.log1p(-p1) if p1 < 1 else -math.inf
-    ks = np.arange(k_max + 1)
-    out = lf[n] - lf[: k_max + 1] - lf[n - k_max :][::-1]
+    ks = np.arange(k0, k1)
+    out = (
+        _log_factorial_range(n, n + 1)[0]
+        - _log_factorial_range(k0, k1)
+        - _log_factorial_range(n - k1 + 1, n - k0 + 1)[::-1]
+    )
     # 0 log 0 = 0: at p1 = 0 or 1 the certain count keeps log P = 0, not nan
     out += ks * log_p1 if p1 > 0 else np.where(ks == 0, 0.0, -math.inf)
     out += (n - ks) * log_p0 if p1 < 1 else np.where(ks == n, 0.0, -math.inf)
     return out
 
 
-def typical_set(
-    n: int, delta: float, probs: Sequence[float], *, lf: np.ndarray | None = None
-) -> TypicalSet:
-    """Sequences whose product probability is within 2^{+-n delta} of 2^{-nH}.
+def _log_binom_sums(
+    n: int, p1: float, segments: Sequence[tuple[int, int, int]], count: int
+) -> list[float]:
+    """logsumexp of log P(k), Binomial(n, p1), over each of ``count`` subsets of counts.
 
-    ``lf`` is ``log_factorials(n)``, for a caller that has built it already.
+    ``segments`` are ascending, disjoint [start, stop) ranges of counts, each
+    labelled with its subset.  Each result has the bits of logsumexp over
+    the subset's terms in count order.  log P is concave in k, so on each
+    segment the largest term is at the count c nearest the mode and the terms
+    fall away from it.  Terms are evaluated on a block around c whose ends
+    walk outward until each is the segment's end or EXP_UNDERFLOW_CUT below
+    the largest such P(c) of the subset; every term beyond then has
+    exp(a - a_max) = 0.0.
     """
+    mode = min(math.floor((n + 1) * p1), n)
+    spread = 2.0 * EXP_UNDERFLOW_CUT * n * p1 * (1.0 - p1)
+    # how far past c a normal log P with this mode falls by the cut, scaled;
+    # from the mode itself that is `reach`, and no starting block is longer
+    reach = int(WINDOW_SCALE * math.sqrt(spread)) + 17
+    sizes = [0] * count
+    rows = []  # [block start, block stop, subset, segment start, segment stop, position, step, c]
+    walk = False  # whether some block leaves part of its segment out
+    for start, stop, i in segments:
+        c = mode if start <= mode < stop else (start if mode < start else stop - 1)
+        if stop - start <= reach:  # evaluated whole
+            rows.append([start, stop, i, start, stop, sizes[i], reach, c])
+        else:
+            d = abs(c - mode)
+            h = int(WINDOW_SCALE * (math.sqrt(d * d + spread) - d)) + 17
+            b0, b1 = max(start, c - h), min(stop, c + h + 1)
+            walk = walk or b0 > start or b1 < stop
+            rows.append([b0, b1, i, start, stop, sizes[i], h, c])
+        sizes[i] += stop - start
+    values = []
+    g = 0  # one evaluation per maximal group of touching blocks
+    for j in range(1, len(rows) + 1):
+        if j == len(rows) or rows[j][0] != rows[j - 1][1]:
+            s0 = rows[g][0]
+            span = _log_binom_pmf(n, p1, s0, rows[j - 1][1])
+            values += [span[row[0] - s0 : row[1] - s0] for row in rows[g:j]]
+            g = j
+    if walk:
+        peak = [-math.inf] * count
+        for row, v in zip(rows, values):
+            peak[row[2]] = max(peak[row[2]], v[row[7] - row[0]])
+        for j, (row, v) in enumerate(zip(rows, values)):
+            b0, b1, i, start, stop, _, h, _ = row
+            cut, step = peak[i] - EXP_UNDERFLOW_CUT, h
+            while b0 > start and v[0] > cut:  # walk outward, doubling the step
+                v = np.concatenate((_log_binom_pmf(n, p1, max(start, b0 - step), b0), v))
+                b0, step = max(start, b0 - step), 2 * step
+            step = h
+            while b1 < stop and v[-1] > cut:
+                v = np.concatenate((v, _log_binom_pmf(n, p1, b1, min(stop, b1 + step))))
+                b1, step = min(stop, b1 + step), 2 * step
+            row[0], values[j] = b0, v
+    chunks: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
+    for row, v in zip(rows, values):
+        own, offset = chunks[row[2]], row[5] + row[0] - row[3]  # position of the block's start
+        if own and own[-1][0] + own[-1][1].size == offset:
+            own[-1] = (own[-1][0], np.concatenate((own[-1][1], v)))
+        else:
+            own.append((offset, v))
+    return [_logsumexp_at(size, own) for size, own in zip(sizes, chunks)]
+
+
+def _typical_runs(
+    n: int, lam0: float, lam1: float, lo: float, hi: float
+) -> tuple[tuple[int, int], ...]:
+    """Maximal [start, stop) runs of the counts k with lo <= log2 P(x^n) <= hi.
+
+    log2 P = (n - k) log2 lam0 + k log2 lam1 is linear in k, so the runs are
+    one interval up to rounding.  Outside [o0, o1) the test fails and inside
+    [i0, i1) it holds whatever the rounding; it is evaluated only on the
+    bands between, in Python floats, whose products, sums and comparisons
+    round as numpy's do.
+    """
+    if not lo <= hi:  # nan bounds: nothing is typical
+        return ()
+    if lam1 in (0.0, 1.0):
+        # degenerate spectrum: log2 P is 0 for the certain count c, -inf for the rest
+        c = n if lam1 == 1.0 else 0
+        if lo > -math.inf:
+            return ((c, c + 1),) if lo <= 0.0 <= hi else ()
+        rest = tuple((start, stop) for start, stop in ((0, c), (c + 1, n + 1)) if start < stop)
+        return ((0, n + 1),) if 0.0 <= hi else rest
+    a0, a1 = math.log2(lam0), math.log2(lam1)
+    slope = a1 - a0
+    # bounds the rounding of log2 P at any k and of the edge arithmetic below
+    finite = (abs(lo) if lo > -math.inf else 0.0) + (abs(hi) if hi < math.inf else 0.0)
+    fuzz = 8 * ROUNDOFF * (n * (abs(a0) + abs(a1)) + finite)
+    if slope == 0.0:  # uniform spectrum: every k has the same exact log2 P
+        o0, o1 = (0, n + 1) if lo - fuzz <= n * a0 <= hi + fuzz else (0, 0)
+        i0, i1 = (0, n + 1) if lo + fuzz <= n * a0 <= hi - fuzz else (0, 0)
+    else:
+        # real k where log2 P equals lo - fuzz, hi + fuzz, lo + fuzz and hi - fuzz,
+        # clamped to [-1, n + 1] and ordered by k
+        x0, x1, y0, y1 = [
+            min(max((c - n * a0) / slope, -1.0), n + 1.0)
+            for c in (lo - fuzz, hi + fuzz, lo + fuzz, hi - fuzz)
+        ]
+        if slope < 0:
+            x0, x1, y0, y1 = x1, x0, y1, y0
+        o0, o1 = max(0, math.floor(x0) - 1), min(n + 1, math.floor(x1) + 2)
+        i0, i1 = max(o0, math.ceil(y0) + 1), min(o1, math.floor(y1))
+    if i0 >= i1:  # no certain interior: test the whole outer range
+        i0 = i1 = o1
+    runs: list[list[int]] = []
+    for k in itertools.chain(range(o0, i0), range(i0, i0 + (i0 < i1)), range(i1, o1)):
+        interior = k == i0 < i1  # i0 stands for the whole interior, where the test holds
+        if interior or lo <= (n - k) * a0 + k * a1 <= hi:
+            stop = i1 if interior else k + 1
+            if runs and runs[-1][1] == k:
+                runs[-1][1] = stop
+            else:
+                runs.append([k, stop])
+    return tuple(map(tuple, runs))
+
+
+def typical_set(n: int, delta: float, probs: Sequence[float]) -> TypicalSet:
+    """Sequences whose product probability is within 2^{+-n delta} of 2^{-nH}."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if delta <= 0:
@@ -420,27 +607,28 @@ def typical_set(
         raise ValueError("only binary spectra are supported")
     lam0, lam1 = float(lam[0]), float(lam[1])
     entropy = qmath.shannon_entropy(lam)
-    ks = np.arange(n + 1)
-    if lam1 in (0.0, 1.0):
-        # degenerate spectrum: the single sequence has probability 1 = 2^{-n 0}
-        log2_prob = np.where(ks == (n if lam1 == 1.0 else 0), 0.0, -np.inf)
-    else:
-        log2_prob = (n - ks) * math.log2(lam0) + ks * math.log2(lam1)
-    eps = 1e-12  # absorb float fuzz at the window edges
-    typical = (log2_prob >= -n * (entropy + delta) - eps) & (
-        log2_prob <= -n * (entropy - delta) + eps
+    runs = _typical_runs(
+        n,
+        lam0,
+        lam1,
+        -n * (entropy + delta) - TYPICAL_EDGE_EPS,
+        -n * (entropy - delta) + TYPICAL_EDGE_EPS,
     )
-    if lf is None:
-        lf = log_factorials(n)
-    log_pmf = _log_binom_pmf(lf, n, lam1)
-    log_weight = logsumexp(log_pmf[typical])
-    log_complement = logsumexp(log_pmf[~typical])
+    segments, prev = [], 0  # subset 0 is the typical counts, 1 the rest
+    for start, stop in runs:
+        if start > prev:
+            segments.append((prev, start, 1))
+        segments.append((start, stop, 0))
+        prev = stop
+    if prev <= n:
+        segments.append((prev, n + 1, 1))
+    log_weight, log_complement = _log_binom_sums(n, lam1, segments, 2)
     return TypicalSet(
         n=n,
         delta=delta,
         probs=(lam0, lam1),
         entropy=entropy,
-        typical_counts=tuple(ks[typical].tolist()),
+        runs=runs,
         weight=float(math.exp(log_weight)) if log_weight > -math.inf else 0.0,
         complement=float(math.exp(log_complement)) if log_complement > -math.inf else 0.0,
         log_weight=log_weight,
@@ -488,25 +676,28 @@ def projection_error(n: int, delta: float, theta: float) -> float:
 
 def excess_failure_prob(n: int, delta: float, theta: float) -> float:
     """Exact lower binomial tail: fewer than n (p - delta) heralded successes."""
-    return math.exp(_log_excess_failure(n, delta, theta, log_factorials(n)))
+    return math.exp(_log_excess_failure(n, delta, theta))
 
 
-def _log_excess_failure(n: int, delta: float, theta: float, lf: np.ndarray) -> float:
+def _log_excess_failure(n: int, delta: float, theta: float) -> float:
     p = success_probability(theta)
     cutoff = n * (p - delta)
-    k_max = math.ceil(cutoff - 1.0) if abs(cutoff - round(cutoff)) > 1e-9 else int(round(cutoff)) - 1
+    k_max = (
+        math.ceil(cutoff - 1.0)
+        if abs(cutoff - round(cutoff)) > CUTOFF_INTEGER_TOL
+        else int(round(cutoff)) - 1
+    )
     k_max = min(k_max, n)
     if k_max < 0:
         return -math.inf
-    return logsumexp(_log_binom_pmf(lf, k_max, p))
+    return _log_binom_sums(n, p, [(0, k_max + 1, 0)], 1)[0]
 
 
 def error_budget(n: int, delta: float, theta: float) -> TypicalityReport:
     if n < 1:
         raise ValueError("n must be at least 1")
-    lf = log_factorials(n)  # shared by the typical set and the failure tail
-    tset = typical_set(n, delta, resource_spectrum(theta), lf=lf)
-    log_eps_prime = _log_excess_failure(n, delta, theta, lf)
+    tset = typical_set(n, delta, resource_spectrum(theta))
+    log_eps_prime = _log_excess_failure(n, delta, theta)
     eps_prime = math.exp(log_eps_prime) if log_eps_prime > -math.inf else 0.0
     eps_n = 2.0 * math.sqrt(max(tset.complement, 0.0))
     log_eps_n = (

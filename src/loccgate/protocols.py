@@ -571,7 +571,7 @@ def typical_resource(theta: float, n: int, delta: float) -> PureState:
     per-copy i phase on each 1.
     """
     tset = analysis.typical_set(n, delta, analysis.resource_spectrum(theta))
-    if not tset.typical_counts:
+    if not tset.runs:
         raise ValueError(
             f"typical set is empty at n={n}, delta={delta}; enlarge delta"
         )
@@ -582,9 +582,9 @@ def typical_resource(theta: float, n: int, delta: float) -> PureState:
     layout = SystemLayout(factors, dim_cap=None)
     vec = np.zeros(layout.dim, dtype=complex)
     for x in range(2**n):
-        ones = bin(x).count("1")
-        if ones not in tset.typical_counts:
+        if not tset.is_typical([(x >> i) & 1 for i in range(n)]):
             continue
+        ones = bin(x).count("1")
         amp = (1j**ones) * math.sqrt(lam0 ** (n - ones) * lam1**ones / tset.weight)
         vec[x * (2**n) + x] = amp
     return PureState(layout, vec, normalize=True)

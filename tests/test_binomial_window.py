@@ -1,0 +1,272 @@
+"""Windowed binomial kernels against a full-array oracle, bit for bit.
+
+``typical_set``, ``_log_excess_failure`` and ``logsumexp`` evaluate log-pmf
+terms only where exp(a - a_max) can be nonzero.  The oracle below is the
+full-array form they replace: every log-factorial, every log-pmf term and
+exp over every term.  Each float is compared by ``.hex()``.
+"""
+
+import dataclasses
+import math
+import random
+
+import numpy as np
+import pytest
+
+from loccgate import analysis, qmath
+from loccgate.analysis import resource_spectrum, success_probability
+
+# --------------------------------------------------------------------------
+# oracle: the full-array kernels
+
+
+def oracle_log_factorials(n):
+    x = np.arange(1.0, n + 2.0)
+    out = (x - 0.5) * np.log(x) - x + 0.91893853320467274178
+    out[:12] = np.array([math.log(float(math.factorial(k))) for k in range(12)])[: n + 1]
+    xs = x[12:999]
+    p = 1.0 / (xs * xs)
+    poly = 8.11614167470508450300e-4
+    for c in (-5.95061904284301438324e-4, 7.93650340457716943945e-4, -2.77777777730099687205e-3, 8.33333333333331927722e-2):
+        poly = poly * p + c
+    out[12:999] += poly / xs
+    xs = x[999 : 10**8]
+    p = 1.0 / (xs * xs)
+    out[999 : 10**8] += (
+        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    ) / xs
+    return out
+
+
+def oracle_logsumexp(a):
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        ties = a == a_max
+        m = np.float64(np.count_nonzero(ties))
+        e = np.exp(a - a_max)
+        e[ties] = 0.0
+        s = e.sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
+def oracle_log_binom_pmf(lf, k_max, p1):
+    n = lf.size - 1
+    log_p1 = math.log(p1) if p1 > 0 else -math.inf
+    log_p0 = math.log1p(-p1) if p1 < 1 else -math.inf
+    ks = np.arange(k_max + 1)
+    out = lf[n] - lf[: k_max + 1] - lf[n - k_max :][::-1]
+    out += ks * log_p1 if p1 > 0 else np.where(ks == 0, 0.0, -math.inf)
+    out += (n - ks) * log_p0 if p1 < 1 else np.where(ks == n, 0.0, -math.inf)
+    return out
+
+
+def oracle_typical_set(n, delta, probs, lf=None):
+    lam = qmath.as_distribution(probs)
+    lam0, lam1 = float(lam[0]), float(lam[1])
+    entropy = qmath.shannon_entropy(lam)
+    ks = np.arange(n + 1)
+    if lam1 in (0.0, 1.0):
+        log2_prob = np.where(ks == (n if lam1 == 1.0 else 0), 0.0, -np.inf)
+    else:
+        log2_prob = (n - ks) * math.log2(lam0) + ks * math.log2(lam1)
+    typical = (log2_prob >= -n * (entropy + delta) - 1e-12) & (log2_prob <= -n * (entropy - delta) + 1e-12)
+    lf = oracle_log_factorials(n) if lf is None else lf
+    log_pmf = oracle_log_binom_pmf(lf, n, lam1)
+    log_weight = oracle_logsumexp(log_pmf[typical])
+    log_complement = oracle_logsumexp(log_pmf[~typical])
+    return {
+        "entropy": entropy,
+        "typical_counts": tuple(ks[typical].tolist()),
+        "weight": float(math.exp(log_weight)) if log_weight > -math.inf else 0.0,
+        "complement": float(math.exp(log_complement)) if log_complement > -math.inf else 0.0,
+        "log_weight": log_weight,
+        "log_complement": log_complement,
+    }
+
+
+def oracle_log_excess_failure(n, delta, theta, lf):
+    p = success_probability(theta)
+    cutoff = n * (p - delta)
+    k_max = math.ceil(cutoff - 1.0) if abs(cutoff - round(cutoff)) > 1e-9 else int(round(cutoff)) - 1
+    k_max = min(k_max, n)
+    if k_max < 0:
+        return -math.inf
+    return oracle_logsumexp(oracle_log_binom_pmf(lf, k_max, p))
+
+
+def oracle_error_budget(n, delta, theta):
+    lf = oracle_log_factorials(n)
+    tset = oracle_typical_set(n, delta, resource_spectrum(theta), lf)
+    log_eps_prime = oracle_log_excess_failure(n, delta, theta, lf)
+    eps_prime = math.exp(log_eps_prime) if log_eps_prime > -math.inf else 0.0
+    eps_n = 2.0 * math.sqrt(max(tset["complement"], 0.0))
+    log_eps_n = math.log(2.0) + 0.5 * tset["log_complement"] if tset["log_complement"] > -math.inf else -math.inf
+    return {
+        "theta": theta,
+        "n": n,
+        "delta": delta,
+        "entropy": tset["entropy"],
+        "typical_weight": tset["weight"],
+        "epsilon_n": eps_n,
+        "epsilon_prime": eps_prime,
+        "total_error": eps_n + 2.0 * eps_prime,
+        "dilution_ebits": n * (tset["entropy"] + delta),
+        "log_epsilon_n": log_eps_n,
+        "log_epsilon_prime": log_eps_prime,
+        "hoeffding_epsilon_prime": math.exp(-2.0 * delta**2 * n),
+    }
+
+
+# --------------------------------------------------------------------------
+
+
+def bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+def typical_set_bits(tset):
+    fields = ("entropy", "weight", "complement", "log_weight", "log_complement", "typical_counts")
+    if isinstance(tset, dict):
+        return {k: bits(tset[k]) for k in fields}
+    return {k: bits(getattr(tset, k)) for k in fields}
+
+
+def budget_grid():
+    rng = random.Random(20261018)
+    ns = [1, 2, 3, 5, 64, 100, 999, 1000, 4096, 8191, 8192, 8193, 10**4, 65537, 2**20]
+    cases = []
+    for i in range(110):
+        n = ns[i] if i < len(ns) else rng.choice(ns + [rng.randint(1, 5000), rng.randint(5000, 300000)])
+        delta = rng.choice([rng.uniform(0.005, 0.45), rng.uniform(0.45, 3.0), 1e-9])
+        theta = rng.choice([rng.uniform(1e-3, math.pi / 2), rng.uniform(1e-3, 0.05), math.pi / 2])
+        cases.append((n, delta, theta))
+    # 2^20 appears a few times more, with the workload's delta range
+    cases += [(2**20, rng.uniform(0.02, 0.4), rng.uniform(0.01, math.pi / 2)) for _ in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("n, delta, theta", budget_grid())
+def test_error_budget_matches_full_array_oracle(n, delta, theta):
+    got = dataclasses.asdict(analysis.error_budget(n, delta, theta))
+    assert {k: bits(v) for k, v in got.items()} == {k: bits(v) for k, v in oracle_error_budget(n, delta, theta).items()}
+    probs = resource_spectrum(theta)
+    assert typical_set_bits(analysis.typical_set(n, delta, probs)) == typical_set_bits(oracle_typical_set(n, delta, probs))
+    lf = oracle_log_factorials(n)
+    tail = oracle_log_excess_failure(n, delta, theta, lf)
+    assert analysis.excess_failure_prob(n, delta, theta).hex() == math.exp(tail).hex()
+    complement = oracle_typical_set(n, delta, probs, lf)["complement"]
+    assert analysis.projection_error(n, delta, theta).hex() == (2.0 * math.sqrt(max(complement, 0.0))).hex()
+
+
+WALK_CASES = [
+    (4096, 0.1, 0.5),
+    (10000, 0.02, 0.01),
+    (65537, 0.3, math.pi / 2),
+    (2**20, 0.05, 0.5),
+    (2**20, 0.4, 0.02),
+]
+
+
+@pytest.mark.parametrize("n, delta, theta", WALK_CASES)
+def test_walk_alone_finds_every_window(monkeypatch, n, delta, theta):
+    # blocks start 17 counts wide, so the walk must reach each cut by itself
+    monkeypatch.setattr(analysis, "WINDOW_SCALE", 0.0)
+    got = dataclasses.asdict(analysis.error_budget(n, delta, theta))
+    assert {k: bits(v) for k, v in got.items()} == {k: bits(v) for k, v in oracle_error_budget(n, delta, theta).items()}
+
+
+EDGE_TYPICAL = {
+    # no count is typical: the window falls between two counts
+    "empty typical set": (4, 0.01, resource_spectrum(0.5)),
+    # every count is typical
+    "empty complement": (64, 5.0, resource_spectrum(0.5)),
+    "theta = pi/2": (4096, 0.1, resource_spectrum(math.pi / 2)),
+    "degenerate (1, 0)": (8, 0.5, (1.0, 0.0)),
+    "degenerate (0, 1)": (4096, 0.5, (0.0, 1.0)),
+    "degenerate, infinite delta": (5, math.inf, (1.0, 0.0)),
+    "uniform spectrum": (65536, 0.1, (0.5, 0.5)),
+    "near-uniform spectrum, tiny delta": (100000, 1e-14, (0.5 + 1e-13, 0.5 - 1e-13)),
+    "near-uniform spectrum, delta at the rounding": (4096, 1e-9, (0.5 + 2**-40, 0.5 - 2**-40)),
+    "heavy ones": (2**20, 0.05, (0.3, 0.7)),
+    "rare ones": (2**20, 0.2, (0.999, 0.001)),
+    "nan delta": (64, math.nan, resource_spectrum(0.5)),
+}
+
+
+@pytest.mark.parametrize("n, delta, probs", EDGE_TYPICAL.values(), ids=EDGE_TYPICAL.keys())
+def test_typical_set_edge_cases_match_oracle(n, delta, probs):
+    assert typical_set_bits(analysis.typical_set(n, delta, probs)) == typical_set_bits(oracle_typical_set(n, delta, probs))
+
+
+def test_edge_cases_cover_what_they_name():
+    assert analysis.typical_set(*EDGE_TYPICAL["empty typical set"]).runs == ()
+    assert analysis.typical_set(*EDGE_TYPICAL["empty complement"]).runs == ((0, 65),)
+    assert analysis.typical_set(*EDGE_TYPICAL["nan delta"]).runs == ()
+
+
+P_HALF = success_probability(0.5)
+EDGE_TAIL = {
+    "k_max < 0": (64, P_HALF + 0.1, 0.5),
+    "k_max = 0": (1, P_HALF / 2, 0.5),
+    # delta < 0 pushes the cutoff past n, so k_max is clamped to n and the tail is everything
+    "k_max = n": (64, -0.5, 0.5),
+    "integer cutoff": (100, P_HALF - 37 / 100, 0.5),
+    "theta = pi/2": (4096, 0.1, math.pi / 2),
+    "2^20 far tail": (2**20, 0.3, 1.0),
+}
+
+
+@pytest.mark.parametrize("n, delta, theta", EDGE_TAIL.values(), ids=EDGE_TAIL.keys())
+def test_excess_failure_edge_cases_match_oracle(n, delta, theta):
+    want = oracle_log_excess_failure(n, delta, theta, oracle_log_factorials(n))
+    assert analysis._log_excess_failure(n, delta, theta).hex() == want.hex()
+
+
+def test_excess_failure_edge_cases_cover_what_they_name():
+    assert analysis._log_excess_failure(*EDGE_TAIL["k_max < 0"]) == -math.inf
+    assert analysis._log_excess_failure(*EDGE_TAIL["k_max = n"]) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 127, 128, 129, 8192, 100003])
+@pytest.mark.parametrize("kind", ["spread", "ties", "inf", "nan", "all -inf"])
+def test_logsumexp_matches_oracle(size, kind):
+    a = np.random.default_rng(size).normal(size=size) * 300
+    if kind == "ties":
+        a[[0, size // 2, size - 1]] = a.max() + 1.0
+    elif kind == "inf":
+        a[0] = np.inf
+    elif kind == "nan":
+        a[-1] = np.nan
+    elif kind == "all -inf":
+        a[:] = -np.inf
+    with np.errstate(invalid="ignore"):
+        assert analysis.logsumexp(a).hex() == oracle_logsumexp(a).hex()
+
+
+@pytest.mark.parametrize("n", [0, 11, 12, 998, 999, 8191, 8192, 8193, 30000])
+def test_log_factorials_match_full_table(n):
+    assert np.array_equal(analysis.log_factorials(n), oracle_log_factorials(n))
+
+
+@pytest.mark.parametrize("n", [10, 64, 1000])
+def test_count_recurrence_equals_binomial_sum(n):
+    for delta in (0.05, 0.3, 2.0):
+        tset = analysis.typical_set(n, delta, resource_spectrum(0.7))
+        assert tset.count == sum(math.comb(n, k) for k in tset.typical_counts)
+
+
+def test_membership_reads_the_runs_not_the_counts():
+    n = 2**16
+    tset = analysis.typical_set(n, 0.05, resource_spectrum(0.5))
+    (start, stop), = tset.runs
+    for k in (0, start - 1, start, (start + stop) // 2, stop - 1, stop, n):
+        assert tset.is_typical([1] * k + [0] * (n - k)) == (start <= k < stop)
+    assert "typical_counts" not in vars(tset)  # built only on demand

@@ -6,9 +6,11 @@ replace, so a change in their floating-point behaviour shows up here bit for
 bit.  The ``export-protocol`` digests pin the JSON of every exported
 protocol kind, so a builder refactor cannot change a serialized program.
 The ``simulate`` digests pin the reports of the README commands, whose
-errors and ledger all come from one run on the Choi input.
+errors and ledger all come from one run on the Choi input.  The typicality
+values at n up to 2^20 were recorded with the full-array binomial kernels.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -99,6 +101,26 @@ def test_error_budget_bits(n):
     assert got == ERROR_BUDGET_GOLDEN[n]
 
 
+def test_error_budget_bits_at_two_to_the_twenty():
+    # n = 2^20, delta = 0.05, theta = 0.5: every field, recorded with the
+    # full-array kernels; most log-pmf terms there underflow exp to 0.0
+    report = dataclasses.asdict(analysis.error_budget(2**20, 0.05, 0.5))
+    assert {k: v.hex() if isinstance(v, float) else v for k, v in report.items()} == {
+        "theta": "0x1.0000000000000p-1",
+        "n": 1048576,
+        "delta": "0x1.999999999999ap-5",
+        "entropy": "0x1.0eda4be3efca1p-1",
+        "typical_weight": "0x1.000000075c588p+0",
+        "epsilon_n": "0x0.0p+0",
+        "epsilon_prime": "0x0.0p+0",
+        "total_error": "0x0.0p+0",
+        "dilution_ebits": "0x1.2873e57d8963bp+19",
+        "log_epsilon_n": "-0x1.69b6a25870eadp+9",
+        "log_epsilon_prime": "-0x1.5b61c6f8e783ap+12",
+        "hoeffding_epsilon_prime": "0x0.0p+0",
+    }
+
+
 @pytest.mark.parametrize(
     "values, expected",
     [
@@ -145,6 +167,25 @@ def test_typicality_default_stdout():
     result = CliRunner().invoke(main, ["typicality"])
     assert result.exit_code == 0
     assert result.output == TYPICALITY_DEFAULT_CSV
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--n-list", "10000,65536,1048576"], "78774603b558b1ead20da6f12ccad5507ace6a9eea92ccca32f712d4d9f7fe13"),
+        (
+            ["--theta", "0.3", "--delta", "0.05", "--n-list", "100000,1048576"],
+            "b3a0215ea49378ffd6633fee55f5d84d80d1814b6bc0c19784aca5fcb2b11864",
+        ),
+    ],
+    ids=["default-angle", "theta-0.3"],
+)
+def test_typicality_stdout_at_large_n(args, digest):
+    # recorded with the full-array kernels; at these n the windowed kernels
+    # skip almost every log-pmf term
+    result = CliRunner().invoke(main, ["typicality", *args])
+    assert result.exit_code == 0, result.output
+    assert sha256(result.output.encode()) == digest
 
 
 def test_cost_curve_stdout():
