@@ -244,8 +244,8 @@ def markov_cost(gate_name, theta, gate_file, output):
 @click.option("--output", default=None)
 def typicality(theta, delta, n_list, enumerate_, fmt, output):
     """Typical weight and error decay table over block lengths."""
-    if delta <= 0:
-        raise click.UsageError("delta must be positive")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise click.UsageError("delta must be positive and finite")
     if not 0.0 < theta <= math.pi / 2:
         raise click.UsageError(f"theta {theta} outside (0, pi/2]")
     try:

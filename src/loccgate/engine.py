@@ -132,9 +132,10 @@ class ProtocolStep:
     opposite direction and must not feed into this one.
 
     An ``instrument_fn`` must be a pure function of the values of its
-    ``condition_on`` steps: ``run_exhaustive`` calls it once per distinct
-    tuple of those values in a run and reuses the result at every node
-    that has them.
+    ``condition_on`` steps, and must accept every combination of their
+    outcome alphabets, reachable or not: :func:`compile_program` calls it
+    once per combination, on each ``run_exhaustive`` and each
+    ``program_to_json`` call.
     """
 
     name: str
@@ -364,6 +365,36 @@ def validate_program(program: ProtocolProgram) -> CausalityViolation | None:
     return None
 
 
+def compile_program(
+    program: ProtocolProgram,
+) -> tuple[list[dict[tuple[str, ...], LocalInstrument]], dict[str, tuple[str, ...]]]:
+    """Resolve every step on every combination of the outcomes it reads.
+
+    Returns one table per step, from the values of its ``condition_on``
+    steps (in that order, keys in ``itertools.product`` order over their
+    alphabets) to its instrument, where a fixed step has the one key ();
+    and each step's outcome alphabet, in first-resolved order.  Every
+    conditioned instrument is checked with ``validate_on`` against the
+    program layout; fixed ones are :func:`validate_program`'s to check.
+    """
+    tables: list[dict[tuple[str, ...], LocalInstrument]] = []
+    alphabets: dict[str, tuple[str, ...]] = {}
+    for step in program.steps:
+        table = {}
+        for combo in itertools.product(*(alphabets[k] for k in step.condition_on)):
+            condition = dict(zip(step.condition_on, combo))
+            inst = table[combo] = step.resolve(condition)
+            if step.instrument is None:
+                try:
+                    inst.validate_on(program.layout)
+                except EngineError as exc:
+                    raise EngineError(f"step {step.name!r} on {condition}: {exc}") from None
+        tables.append(table)
+        outcomes = (o for inst in table.values() for o in inst.outcomes)
+        alphabets[step.name] = tuple(dict.fromkeys(outcomes))
+    return tables, alphabets
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -419,10 +450,10 @@ def run_exhaustive(
     ledger and the monotonicity check, per leaf and for the initial state;
     large batched runs use it when only output states matter.
 
-    Each step is resolved once per distinct tuple of its ``condition_on``
-    values, which relies on every ``instrument_fn`` being a pure function of
-    those values.  A conditioned instrument is checked with ``validate_on``
-    when it is first resolved, before it is applied.
+    The program is compiled once per call (:func:`compile_program`): every
+    step is resolved on every combination of the outcomes it reads, and
+    every conditioned instrument is checked with ``validate_on`` before the
+    walk starts.  Each node then looks its instrument up in that table.
     """
     violation = validate_program(program)
     if violation is not None:
@@ -475,27 +506,13 @@ def run_exhaustive(
     # Every step appends exactly one transcript entry, so the value of a
     # condition is read at the index of the step it names.
     step_index = {step.name: idx for idx, step in enumerate(program.steps)}
-    condition_idx = [
-        tuple(step_index[k] for k in step.condition_on) for step in program.steps
-    ]
-    resolved: dict[tuple, tuple[LocalInstrument, tuple[int, ...], bool]] = {}
-
-    def resolve(step_idx: int, transcript: tuple) -> tuple[LocalInstrument, tuple[int, ...], bool]:
-        key = (step_idx, *(transcript[j][1] for j in condition_idx[step_idx]))
-        hit = resolved.get(key)
-        if hit is not None:
-            return hit
-        step = program.steps[step_idx]
-        inst = step.resolve(dict(transcript))
-        # Fixed instruments were checked by validate_program against
-        # program.layout, and _build_initial makes sim_layout agree with it
-        # (dim and owner) on every label a fixed instrument can name.  A
-        # conditioned one is checked here, once per distinct instrument.
-        if step.instrument is None:
-            inst.validate_on(sim_layout)
-        identity = len(inst.branches) == 1 and _is_identity(inst.branches[0][1])
-        hit = resolved[key] = (inst, tuple(sim_layout.positions(inst.labels)), identity)
-        return hit
+    plan = []
+    for step, table in zip(program.steps, compile_program(program)[0]):
+        entries = {}
+        for key, inst in table.items():
+            identity = len(inst.branches) == 1 and _is_identity(inst.branches[0][1])
+            entries[key] = (inst, tuple(sim_layout.positions(inst.labels)), identity)
+        plan.append((step.name, tuple(step_index[k] for k in step.condition_on), entries))
 
     n_steps = len(program.steps)
     pruned_mass = 0.0
@@ -510,8 +527,8 @@ def run_exhaustive(
         if step_idx == n_steps:
             finalize(vec, prob, transcript)
             continue
-        inst, positions, identity = resolve(step_idx, transcript)
-        name = program.steps[step_idx].name
+        name, condition_idx, entries = plan[step_idx]
+        inst, positions, identity = entries[tuple(transcript[j][1] for j in condition_idx)]
         if identity:
             stack.append((step_idx + 1, vec, prob, transcript + ((name, inst.branches[0][0]),)))
             continue
@@ -855,29 +872,10 @@ def _instrument_from_json(doc: dict) -> LocalInstrument:
     )
 
 
-def possible_outcomes(program: ProtocolProgram) -> dict[str, tuple[str, ...]]:
-    """Outcome alphabet of every step, resolving conditions combinatorially."""
-    table: dict[str, tuple[str, ...]] = {}
-    for step in program.steps:
-        if step.instrument is not None:
-            table[step.name] = step.instrument.outcomes
-            continue
-        outcomes: list[str] = []
-        domains = [table[k] for k in step.condition_on]
-        for combo in itertools.product(*domains):
-            inst = step.resolve(dict(zip(step.condition_on, combo)))
-            for o in inst.outcomes:
-                if o not in outcomes:
-                    outcomes.append(o)
-        table[step.name] = tuple(outcomes)
-    return table
-
-
 def program_to_json(program: ProtocolProgram) -> dict:
     """Flat JSON document; conditioned instruments are expanded case by case."""
-    alphabet = possible_outcomes(program)
     steps = []
-    for step in program.steps:
+    for step, table in zip(program.steps, compile_program(program)[0]):
         doc = {
             "name": step.name,
             "party": step.party.value,
@@ -888,15 +886,13 @@ def program_to_json(program: ProtocolProgram) -> dict:
         if step.instrument is not None:
             doc["instrument"] = _instrument_to_json(step.instrument)
         else:
-            cases = []
-            domains = [alphabet[k] for k in step.condition_on]
-            for combo in itertools.product(*domains):
-                assignment = dict(zip(step.condition_on, combo))
-                inst = step.resolve(assignment)
-                cases.append(
-                    {"condition": assignment, "instrument": _instrument_to_json(inst)}
-                )
-            doc["cases"] = cases
+            doc["cases"] = [
+                {
+                    "condition": dict(zip(step.condition_on, combo)),
+                    "instrument": _instrument_to_json(inst),
+                }
+                for combo, inst in table.items()
+            ]
         steps.append(doc)
     return {
         "format": "loccgate-protocol",

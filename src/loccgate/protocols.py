@@ -563,17 +563,18 @@ class BatchPlan:
     program: ProtocolProgram | None
 
 
-def typical_resource(theta: float, n: int, delta: float) -> PureState:
+def typical_resource(tset: analysis.TypicalSet) -> PureState:
     """Typical-subspace projection of n copies of the heralded resource pair.
 
-    Lives on qubit factors a1..an (Alice) and b1..bn (Bob); amplitudes are
-    the renormalized product coefficients over typical bitstrings, with the
-    per-copy i phase on each 1.
+    ``tset`` is the typical set of the resource spectrum at n = ``tset.n``.
+    The state lives on qubit factors a1..an (Alice) and b1..bn (Bob); its
+    amplitudes are the renormalized product coefficients over typical
+    bitstrings, with the per-copy i phase on each 1.
     """
-    tset = analysis.typical_set(n, delta, analysis.resource_spectrum(theta))
+    n = tset.n
     if not tset.runs:
         raise ValueError(
-            f"typical set is empty at n={n}, delta={delta}; enlarge delta"
+            f"typical set is empty at n={n}, delta={tset.delta}; enlarge delta"
         )
     lam0, lam1 = tset.probs
     factors = [(f"a{i+1}", 2, ALICE) for i in range(n)] + [
@@ -609,7 +610,7 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
     dilution_bells = math.ceil(n * (entropy + delta))
     pool = min(math.ceil(n * (1.0 - p + delta)), n)
 
-    omega = typical_resource(theta, n, delta) if n <= MAX_BATCH_SIMULATION else None
+    omega = typical_resource(tset) if n <= MAX_BATCH_SIMULATION else None
     program = None if omega is None else _batch_program(theta, n, pool, omega, dressing)
     return BatchPlan(
         theta=theta,

@@ -235,6 +235,10 @@ def test_typicality_degenerate_half_spectrum_row(runner):
 
 def test_typicality_rejects_bad_delta_and_enumeration(runner):
     assert runner.invoke(main, ["typicality", "--delta", "0"]).exit_code == 2
+    for bad in ("inf", "nan"):
+        result = runner.invoke(main, ["typicality", "--delta", bad])
+        assert result.exit_code == 2
+        assert "delta must be positive and finite" in result.output
     assert runner.invoke(main, ["typicality", "--n-list", "64", "--enumerate"]).exit_code == 2
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -511,6 +513,51 @@ def test_program_from_json_rejects_malformed_documents(path, value):
         program_from_json(doc)
 
 
+def test_program_to_json_runs_each_instrument_fn_once_per_condition():
+    toy = _toy_program()
+    ma, fix = toy.steps
+    calls = []
+
+    def fn(v):
+        calls.append(v["ma"])
+        return fix.instrument_fn(v)
+
+    prog = ProtocolProgram(toy.layout, steps=[ma, dataclasses.replace(fix, instrument_fn=fn)])
+    doc = program_to_json(prog)
+    assert sorted(calls) == ["m", "p"]
+    assert [case["condition"] for case in doc["steps"][1]["cases"]] == [{"ma": "p"}, {"ma": "m"}]
+
+
+def test_program_to_json_resolves_each_batch_condition_once(monkeypatch):
+    prog = protocols.build_batch(0.5, 1, 2.6).program
+    resolves = Counter()
+    resolve = ProtocolStep.resolve
+
+    def counted(step, visible):
+        resolves[step.name, tuple(sorted(visible.items()))] += 1
+        return resolve(step, visible)
+
+    monkeypatch.setattr(ProtocolStep, "resolve", counted)
+    doc = program_to_json(prog)
+    assert set(resolves.values()) == {1}
+    conditioned = {s.name for s in prog.steps if s.instrument_fn is not None}
+    cases = sum(len(sdoc.get("cases", ())) for sdoc in doc["steps"])
+    assert cases == sum(1 for name, _ in resolves if name in conditioned)
+
+
+@pytest.mark.parametrize("builder", list(ROUNDTRIP_BUILDERS))
+def test_compiled_tables_cover_every_transcript(builder):
+    prog = ROUNDTRIP_BUILDERS[builder]()
+    tables, alphabets = engine.compile_program(prog)
+    for step, table in zip(prog.steps, tables):
+        assert len(table) == math.prod(len(alphabets[k]) for k in step.condition_on)
+    for leaf in run_exhaustive(prog, engine.choi_input(prog), leaf_diagnostics=False).leaves:
+        seen = dict(leaf.transcript)
+        for step, table in zip(prog.steps, tables):
+            assert seen[step.name] in alphabets[step.name]
+            assert tuple(seen[k] for k in step.condition_on) in table
+
+
 def test_json_export_is_deterministic():
     lay = qubit_layout(("A", ALICE))
     prog = ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, instrument=unitary_instrument(ALICE, ("A",), SZ))])
@@ -640,6 +687,27 @@ def test_conditioned_instrument_breaking_completeness_raises(rng):
     prog, lay = _fix_program(fn)
     with pytest.raises(EngineError, match="completeness"):
         run_exhaustive(prog, random_pure_state(lay, rng))
+
+
+def test_conditioned_instrument_is_checked_before_the_walk(rng, monkeypatch):
+    def fn(v):
+        if v["ma"] == "m":
+            return LocalInstrument(BOB, ("B",), [("half", 0.5 * np.eye(2))])
+        return unitary_instrument(BOB, ("B",), np.eye(2))
+
+    prog, lay = _fix_program(fn)
+    applied = []
+    apply = qmath.apply_on_factors
+
+    def counted(*args, **kwargs):
+        applied.append(args[2])
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(qmath, "apply_on_factors", counted)
+    with pytest.raises(EngineError, match="completeness") as info:
+        run_exhaustive(prog, random_pure_state(lay, rng))
+    assert applied == []
+    assert "step 'fix' on {'ma': 'm'}" in str(info.value)
 
 
 def test_instrument_fn_runs_once_per_condition_values(rng):

@@ -8,6 +8,8 @@ protocol kind, so a builder refactor cannot change a serialized program.
 The ``simulate`` digests pin the reports of the README commands, whose
 errors and ledger all come from one run on the Choi input.  The typicality
 values at n up to 2^20 were recorded with the full-array binomial kernels.
+The typical-resource digests were recorded while ``typical_resource`` still
+built its own typical set.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ import pytest
 from click.testing import CliRunner
 
 import loccgate
-from loccgate import analysis, model
+from loccgate import analysis, model, protocols
 from loccgate.cli import main
 
 
@@ -55,6 +57,20 @@ def test_haar_unitary_generator_state_after_draw():
 def test_haar_unitary_rejects_dimension_one():
     with pytest.raises(ValueError):
         model.haar_unitary(1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "n, delta, digest",
+    [
+        (1, 2.6, "4334ead199bbca929ab871f7d79fb00f6945bcc5e19214b8743889b2ad7f3cc8"),
+        (2, 1.2, "f8843e8ce5d4f8cb80f4844cc090bc3e2131fdf57ff1b1ccd48ec3bae324c326"),
+        (3, 0.7, "d215c4fdc96babb8ca175fbf5603640d9b432269b1a00f7a06b3b5dde7cd1bbb"),
+    ],
+)
+def test_typical_resource_bits(n, delta, digest):
+    """The batched protocol's typical resource, built from the plan's own typical set."""
+    omega = protocols.build_batch(0.5, n, delta).omega
+    assert sha256(omega.vector.view(np.uint64).tobytes()) == digest
 
 
 def test_log_factorial_table_bits():

@@ -340,6 +340,20 @@ def test_batch_two_copies_error_within_analytic_bound(rng):
     assert (prof.round_count, prof.kind) == (3, "c")
 
 
+def test_build_batch_reuses_its_typical_set(monkeypatch):
+    calls = []
+    typical_set = analysis.typical_set
+
+    def counted(*args):
+        calls.append(args)
+        return typical_set(*args)
+
+    monkeypatch.setattr(analysis, "typical_set", counted)
+    plan = protocols.build_batch(0.5, 2, 1.2)
+    assert plan.omega is not None
+    assert len(calls) == 2  # the plan's own, and error_budget's
+
+
 def test_batch_program_passes_validation():
     plan = protocols.build_batch(0.5, 2, 1.2)
     assert engine.validate_program(plan.program) is None
