@@ -22,7 +22,9 @@ from .model import GateSpec, bell_pair
 
 CHANNEL_TP_TOL = 1e-8
 CHANNEL_CP_TOL = 1e-8
-CESARO_MAX_TERMS = 10**6
+CESARO_NULL_CUT = 1e-10  # singular values of T - I at or below this span its null spaces
+CESARO_STATE_TOL = 1e-8  # the Cesaro limit may miss positivity and unit trace by this much
+BREAK_EVEN_XTOL = 1e-10  # absolute tolerance of break_even_theta's bisection
 BISECT_RTOL = 4 * np.finfo(float).eps
 BISECT_MAXITER = 100
 ROUNDOFF = np.finfo(float).eps / 2  # unit roundoff: |fl(x op y) - x op y| <= ROUNDOFF |x op y|
@@ -115,103 +117,73 @@ def round_trip_channel(gate: GateSpec) -> ChannelMatrix:
     """Channel on one side induced by undoing and redoing the gate.
 
     tau -> Tr_{B RB}[ U ( Tr_B[ U+ (tau (x) I_B / d) U ] (x) Phi_d^{B RB} ) U+ ].
-    The maximally mixed ancilla keeps the composition trace preserving.
+    The maximally mixed ancilla keeps the composition trace preserving.  All
+    d^2 matrix units |k><l| go through at once, along a leading axis.
     """
     d = gate.local_dim
     u = gate.matrix
     bell = bell_pair(d).vector
     phi = np.outer(bell, bell.conj())  # on (B, RB)
     eye_b = np.eye(d, dtype=complex) / d
-
-    def apply_fn(tau: np.ndarray) -> np.ndarray:
-        joint = u.conj().T @ np.kron(tau, eye_b) @ u
-        on_a = _trace_second(joint, d, d)
-        big = np.kron(on_a, phi)  # factors (A, B, RB)
-        big = _apply_two_site(u, big, (d, d, d), (0, 1))
-        return _trace_out_rest(big, (d, d, d), keep=0)
-
-    return ChannelMatrix(superoperator_from_map(apply_fn, d), d)
-
-
-def _trace_second(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    x = rho.reshape(d1, d2, d1, d2)
-    return np.einsum("aibi->ab", x)
-
-
-def _trace_out_rest(rho: np.ndarray, dims: Sequence[int], keep: int) -> np.ndarray:
-    dims = tuple(dims)
-    n = len(dims)
-    x = rho.reshape(dims + dims)
-    x = np.moveaxis(x, (keep, n + keep), (0, 1))
-    k = dims[keep]
-    rest = int(np.prod(dims)) // k
-    x = x.reshape(k, k, rest, rest)
-    return np.einsum("abii->ab", x)
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    # kron(tau, I_B / d) per unit, then U+ . U and the trace over B
+    joint = (units[:, :, None, :, None] * eye_b[None, None, :, None, :]).reshape(-1, d * d, d * d)
+    joint = u.conj().T @ joint @ u
+    on_a = np.einsum("naibi->nab", joint.reshape(-1, d, d, d, d))
+    # U (on_a (x) Phi) U+ on (A, B, RB), traced over (B, RB).  Phi is
+    # supported on |m, m>, so at RB = RB' = m the conjugation meets nonzero
+    # entries on_a[a1, a1'] Phi[(m, m), (m, m)] only through U's column
+    # (a1, m) and U+'s row (a1', m).  The terms left out are exact zeros,
+    # which leave a sum from +0 unchanged, so these two einsums keep the bits
+    # of the dense conjugation "ab,xbmcn,cd->xamdn" and trace "xaibi->xab".
+    g = on_a * phi.diagonal()[:: d + 1, None, None, None]  # [m, x, a1, a1']
+    u4 = u.reshape(d, d, d, d).transpose(0, 2, 1, 3)  # [a, a1, B, m] = U[(a, B), (a1, m)]
+    v4 = u.conj().T.reshape(d, d, d, d)  # [a1', m, a', B] = U+[(a1', m), (a', B)]
+    images = np.einsum("xaABm->xaA", np.einsum("akBm,mxkl,lmAB->xaABm", u4, g, v4))
+    return ChannelMatrix(images.reshape(d * d, d * d).T, d)
 
 
-def _apply_two_site(u: np.ndarray, rho: np.ndarray, dims: Sequence[int], sites: tuple[int, int]) -> np.ndarray:
-    dims = tuple(dims)
-    total = int(np.prod(dims))
-    vec_cols = []
-    # conjugate via the vector embedding on both sides
-    x = rho.reshape(dims + dims)
-    n = len(dims)
-    i, j = sites
-    x = np.moveaxis(x, (i, j, n + i, n + j), (0, 1, n, n + 1))
-    moved = x.shape
-    dd = dims[i] * dims[j]
-    x = x.reshape(dd, total // dd, dd, total // dd)
-    x = np.einsum("ab,bmcn,cd->amdn", u, x, u.conj().T)
-    x = x.reshape(moved)
-    x = np.moveaxis(x, (0, 1, n, n + 1), (i, j, n + i, n + j))
-    return x.reshape(total, total)
+def _lifted(channel: ChannelMatrix) -> np.ndarray:
+    """Superoperator of the channel on A of (A, RA), as a d^4 x d^4 matrix.
 
-
-def cesaro_fixed_state(channel: ChannelMatrix, tol: float = 1e-8) -> np.ndarray:
-    """Long-run Cesaro mean of channel iterates on half a maximally entangled pair.
-
-    Works on the doubled system (A, RA): only the fixed sector (eigenvalue
-    exactly 1) survives Cesaro averaging, so the limit is the eigenvalue-1
-    spectral projection of the lifted superoperator applied to the pair
-    projector.  Falls back to explicit running means when the spectral
-    decomposition is ill conditioned.
+    T[(i, b), (j, b'); (k, a), (l, a')] = S[i, j; k, l] delta(b, a) delta(b', a').
     """
     d = channel.d
-    dims = (d, d)
+    lifted = np.zeros((d,) * 8, dtype=complex)
+    s4 = channel.matrix.reshape(d, d, d, d)
+    for a in range(d):
+        for b in range(d):
+            lifted[:, a, :, b, :, a, :, b] = s4
+    return lifted.reshape(d**4, d**4)
+
+
+def cesaro_fixed_state(channel: ChannelMatrix) -> np.ndarray:
+    """Long-run Cesaro mean of channel iterates on half a maximally entangled pair.
+
+    Works on the doubled system (A, RA), on which the channel acts as
+    T = S (x) id.  The peripheral spectrum of a channel is semisimple, so the
+    Cesaro mean of T^k converges to the spectral projection onto ker(T - I),
+    P = R (L+ R)^-1 L+, with R and L orthonormal bases of the right and left
+    null spaces of T - I, both read off one SVD.  The limit is P applied to
+    the pair projector; it is checked to be a state.
+    """
+    d = channel.d
     bell = bell_pair(d).vector
     start = np.outer(bell, bell.conj())
 
-    lifted = superoperator_from_map(
-        lambda rho: apply_channel_to_factor(channel, rho, dims, 0), d * d
-    )
-    try:
-        w, v = np.linalg.eig(lifted)
-        cond = np.linalg.cond(v)
-        if cond > 1e10:
-            raise np.linalg.LinAlgError("eigenbasis ill conditioned")
-        coeffs = np.linalg.solve(v, start.reshape(-1))
-        sel = np.abs(w - 1.0) <= 1e-10
-        limit = (v[:, sel] @ coeffs[sel]).reshape(d * d, d * d)
-        limit = (limit + limit.conj().T) / 2
-        evals = np.linalg.eigvalsh(limit)
-        if float(evals.min()) < -1e-8 or abs(float(np.trace(limit).real) - 1.0) > 1e-8:
-            raise np.linalg.LinAlgError("projected limit is not a state")
-        return limit
-    except np.linalg.LinAlgError:
-        pass
-
-    # iterative fallback: running Cesaro mean of channel iterates
-    current = start
-    mean = np.zeros_like(start)
-    prev_mean = None
-    for k in range(1, CESARO_MAX_TERMS + 1):
-        current = apply_channel_to_factor(channel, current, dims, 0)
-        mean = mean + (current - mean) / k
-        if k % 64 == 0:
-            if prev_mean is not None and float(np.max(np.abs(mean - prev_mean))) < tol:
-                return (mean + mean.conj().T) / 2
-            prev_mean = mean.copy()
-    raise AnalysisError(f"Cesaro iteration did not settle within {CESARO_MAX_TERMS} terms")
+    left, sing, right_h = np.linalg.svd(_lifted(channel) - np.eye(d**4))
+    null = sing <= CESARO_NULL_CUT
+    r = right_h[null].conj().T
+    l_h = left[:, null].conj().T
+    limit = (r @ np.linalg.solve(l_h @ r, l_h) @ start.reshape(-1)).reshape(d * d, d * d)
+    limit = (limit + limit.conj().T) / 2
+    evals = np.linalg.eigvalsh(limit)
+    trace_dev = abs(float(np.trace(limit).real) - 1.0)
+    if float(evals.min()) < -CESARO_STATE_TOL or trace_dev > CESARO_STATE_TOL:
+        raise AnalysisError(
+            f"Cesaro limit is not a state (min eigenvalue {evals.min():.3e}, trace deviation {trace_dev:.3e})"
+        )
+    return limit
 
 
 def markovianizing_cost(gate: GateSpec) -> float:
@@ -292,6 +264,22 @@ def bisect(f: Callable[[float], float], a: float, b: float, xtol: float) -> floa
     raise RuntimeError(f"bisection did not converge in {BISECT_MAXITER} steps, value is {a}")
 
 
+def _e_bar_minus_one(thetas: np.ndarray) -> np.ndarray:
+    """e_bar(theta) - 1 = h(theta) - p(theta) on an array, as CostCurvePoint.at forms it."""
+    alpha = np.sqrt(thetas)
+    denom = 2.0 * (1.0 - np.cos(thetas) * np.cos(alpha))
+    if np.any(denom == 0.0):
+        raise ValueError("success probability undefined at theta = alpha = 0")
+    p = np.sin(alpha) ** 2 / denom
+    x = np.cos(alpha / 2) ** 2  # resource_spectrum(theta)[0]
+    # binary entropy of (x, 1 - x), each term clamped to 0 at or below EIG_CLAMP
+    w = np.stack((x, 1.0 - x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(w > qmath.EIG_CLAMP, w * np.log2(w), 0.0)
+    h = -(terms[0] + terms[1])
+    return 1.0 - p + h - 1.0
+
+
 def break_even_theta(
     grid_points: int = 1000, lo: float = 1e-4, hi: float = math.pi / 2
 ) -> float | None:
@@ -300,12 +288,14 @@ def break_even_theta(
     Returns None when no sign change is found on the grid.
     """
     thetas = np.linspace(lo, hi, grid_points)
-    values = np.array([CostCurvePoint.at(t).e_bar - 1.0 for t in thetas])
+    values = _e_bar_minus_one(thetas)
     sign_change = np.nonzero(np.diff(np.sign(values)) != 0)[0]
     if sign_change.size == 0:
         return None
     i = int(sign_change[0])
-    return bisect(lambda t: CostCurvePoint.at(t).e_bar - 1.0, thetas[i], thetas[i + 1], xtol=1e-10)
+    return bisect(
+        lambda t: CostCurvePoint.at(t).e_bar - 1.0, thetas[i], thetas[i + 1], xtol=BREAK_EVEN_XTOL
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +683,17 @@ def _log_excess_failure(n: int, delta: float, theta: float) -> float:
     return _log_binom_sums(n, p, [(0, k_max + 1, 0)], 1)[0]
 
 
-def error_budget(n: int, delta: float, theta: float) -> TypicalityReport:
+def error_budget(
+    n: int, delta: float, theta: float, *, tset: TypicalSet | None = None
+) -> TypicalityReport:
+    """Error budget at block length n; ``tset``, when the caller already holds
+    it, is ``typical_set(n, delta, resource_spectrum(theta))``."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    tset = typical_set(n, delta, resource_spectrum(theta))
+    if tset is None:
+        tset = typical_set(n, delta, resource_spectrum(theta))
+    elif (tset.n, tset.delta) != (n, delta):
+        raise ValueError(f"typical set is for (n, delta) = {(tset.n, tset.delta)}, not {(n, delta)}")
     log_eps_prime = _log_excess_failure(n, delta, theta)
     eps_prime = math.exp(log_eps_prime) if log_eps_prime > -math.inf else 0.0
     eps_n = 2.0 * math.sqrt(max(tset.complement, 0.0))

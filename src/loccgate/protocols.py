@@ -601,7 +601,7 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
     entropy = qmath.shannon_entropy(lam)
     p = analysis.success_probability(theta)
     tset = analysis.typical_set(n, delta, lam)
-    report = analysis.error_budget(n, delta, theta)
+    report = analysis.error_budget(n, delta, theta, tset=tset)
     heralded = build_heralded(theta, math.sqrt(theta))
     correction = theta - heralded.failure_angle
     dressing = local_dressing(correction)

@@ -25,7 +25,17 @@ from loccgate.analysis import (
     superoperator_from_map,
     typical_set,
 )
-from loccgate.model import GateSpec, SZ, haar_unitary, random_density, zz_phase_gate
+from loccgate.model import (
+    GateSpec,
+    SZ,
+    bell_pair,
+    cnot_gate,
+    haar_unitary,
+    qudit_cz_gate,
+    random_density,
+    swap_gate,
+    zz_phase_gate,
+)
 
 
 # ---------------------------------------------------------------- channel
@@ -114,6 +124,80 @@ def test_markovianizing_cost_is_one_for_zz_family(theta):
 
 def test_markovianizing_cost_identity_is_zero():
     assert markovianizing_cost(GateSpec(np.eye(4))) == pytest.approx(0.0, abs=1e-8)
+
+
+def per_unit_round_trip(gate):
+    """The round-trip superoperator built one matrix unit at a time, with the
+    dense conjugation of (A, B) by the gate."""
+    d = gate.local_dim
+    u = gate.matrix
+    bell = bell_pair(d).vector
+    phi = np.outer(bell, bell.conj())
+    eye_b = np.eye(d, dtype=complex) / d
+
+    def apply_fn(tau):
+        joint = u.conj().T @ np.kron(tau, eye_b) @ u
+        on_a = np.einsum("aibi->ab", joint.reshape(d, d, d, d))
+        x = np.kron(on_a, phi).reshape(d * d, d, d * d, d)
+        x = np.einsum("ab,bmcn,cd->amdn", u, x, u.conj().T).reshape((d,) * 6)
+        x = np.moveaxis(x, (0, 3), (0, 1)).reshape(d, d, d * d, d * d)
+        return np.einsum("abii->ab", x)
+
+    return superoperator_from_map(apply_fn, d)
+
+
+def per_unit_lifted(ch):
+    """The channel on A of (A, RA), built one matrix unit at a time."""
+    d = ch.d
+    return superoperator_from_map(lambda rho: analysis.apply_channel_to_factor(ch, rho, (d, d), 0), d * d)
+
+
+def bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def named_gates():
+    rng = np.random.default_rng(1810)
+    gates = {
+        "cnot": cnot_gate(),
+        "swap": swap_gate(),
+        "cz": GateSpec(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)),
+        "identity": GateSpec(np.eye(4)),
+        "qutrit-cz": qudit_cz_gate(3),
+    }
+    for theta in (0.05, 0.3, 0.5, 0.8, 1.2, math.pi / 2):
+        gates[f"u({theta})"] = zz_phase_gate(theta)
+    for i, dim in enumerate((4, 4, 4, 4, 9, 16)):
+        gates[f"haar{i}-d{dim}"] = GateSpec(haar_unitary(dim, rng))
+    gates["ququart-cz"] = qudit_cz_gate(4)
+    return gates
+
+
+@pytest.mark.parametrize("name", sorted(named_gates()))
+def test_batched_round_trip_and_lift_match_per_unit_bits(name):
+    gate = named_gates()[name]
+    ch = round_trip_channel(gate)
+    assert bits_equal(ch.matrix, per_unit_round_trip(gate))
+    assert bits_equal(analysis._lifted(ch), per_unit_lifted(ch))
+
+
+def test_markovianizing_cost_is_one_for_zz_family_to_rounding():
+    for theta in np.linspace(0.05, math.pi / 2, 24):
+        assert abs(markovianizing_cost(zz_phase_gate(float(theta))) - 1.0) <= 1e-12
+
+
+def test_markovianizing_cost_of_swap_is_exactly_two():
+    assert markovianizing_cost(swap_gate()) == 2.0
+
+
+def test_cesaro_limit_is_fixed_by_the_channel(rng):
+    # the projection onto ker(T - I) lands on states that S on A leaves alone
+    for _ in range(3):
+        ch = round_trip_channel(GateSpec(haar_unitary(4, rng)))
+        fixed = cesaro_fixed_state(ch)
+        moved = analysis.apply_channel_to_factor(ch, fixed, (2, 2), 0)
+        assert np.max(np.abs(moved - fixed)) < 1e-12
+        assert abs(np.trace(fixed).real - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------- cost curve
@@ -227,6 +311,14 @@ def test_excess_failure_single_copy():
     assert excess_failure_prob(1, p / 2, theta) == pytest.approx(1 - p, abs=1e-12)
 
 
+def test_error_budget_takes_the_callers_typical_set():
+    n, delta, theta = 256, 0.3, 0.5
+    tset = typical_set(n, delta, resource_spectrum(theta))
+    assert error_budget(n, delta, theta, tset=tset) == error_budget(n, delta, theta)
+    with pytest.raises(ValueError, match="typical set is for"):
+        error_budget(n + 1, delta, theta, tset=tset)
+
+
 def test_error_budget_invariants():
     rep = error_budget(64, 0.4, 0.5)
     assert rep.epsilon_n == pytest.approx(2 * math.sqrt(1 - rep.typical_weight), abs=1e-12)
@@ -255,3 +347,20 @@ def test_log_epsilon_finite_when_float_underflows():
     assert rep.epsilon_prime == 0.0  # underflowed
     assert math.isfinite(rep.log_epsilon_prime)
     assert rep.log_epsilon_prime < -1000
+
+
+@pytest.mark.parametrize(
+    "thetas",
+    [
+        np.linspace(1e-4, math.pi / 2, 100),
+        np.linspace(1e-4, math.pi / 2, 1000),
+        np.linspace(1e-4, math.pi / 2, 10**4),
+        np.linspace(0.605, 0.606, 1000),  # theta* = 0.60571...
+        np.linspace(0.6057065321, 0.6057065324, 1001),  # 3e-10 wide, straddles the root
+    ],
+    ids=["100", "1000", "10^4", "narrow", "narrower"],
+)
+def test_break_even_grid_signs_match_scalar_points(thetas):
+    scalar = np.sign([CostCurvePoint.at(float(t)).e_bar - 1.0 for t in thetas])
+    assert {-1.0, 1.0} <= set(scalar.tolist())
+    assert np.array_equal(np.sign(analysis._e_bar_minus_one(thetas)), scalar)

@@ -9,7 +9,11 @@ The ``simulate`` digests pin the reports of the README commands, whose
 errors and ledger all come from one run on the Choi input.  The typicality
 values at n up to 2^20 were recorded with the full-array binomial kernels.
 The typical-resource digests were recorded while ``typical_resource`` still
-built its own typical set.
+built its own typical set.  The ``markov-cost`` digests were recorded while
+``cesaro_fixed_state`` still took the eigenvalue-1 columns of an ``eig`` of the
+lifted channel and the round-trip channel was built one matrix unit at a time;
+swap's is the exact projection's (cost 2.0, where ``eig`` gave
+1.9999999999999998).
 """
 
 import dataclasses
@@ -254,5 +258,24 @@ def test_export_protocol_stdout(args, digest):
 )
 def test_simulate_stdout(args, digest):
     result = CliRunner().invoke(main, ["simulate", *args])
+    assert result.exit_code == 0, result.output
+    assert sha256(result.output.encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--gate", "cnot"], "dbae433d3a4de39fca0ed7aa9b3470d56980a82f4ce96bead66c154578426f2c"),
+        (["--gate", "qutrit-cz"], "745c0d6a2d902cf6f7a11937f871a60285a45f7cde077eecc4d9504035069259"),
+        (["--gate", "identity"], "a8c5ff06f796b4c1b6649ea04dde1209e64ab2cb80b4e78bde4d970a43d63069"),
+        (["--gate", "cz"], "2325cc8a5fbc119911ef29166a74010c61299a1730fc7d3bb6cf2f837bdfcd51"),
+        (["--gate", "u-theta", "--theta", "0.3"], "9ff9cecf1da9d139a2e3e0591ee69e2033bcc42534a149ff0d62ebea66fe114d"),
+        (["--gate", "u-theta", "--theta", "0.5"], "944899fb728b4674fdbcfe53c53685d3344f81b64d33e7e16ec123d279de80ef"),
+        (["--gate", "swap"], "8f8e0ddd6b7050b6262cb37a41e3afd89ffbb7006ffadaf93780e36b4dd77a26"),
+    ],
+    ids=["cnot", "qutrit-cz", "identity", "cz", "u-theta-0.3", "u-theta-0.5", "swap"],
+)
+def test_markov_cost_stdout(args, digest):
+    result = CliRunner().invoke(main, ["markov-cost", *args])
     assert result.exit_code == 0, result.output
     assert sha256(result.output.encode()) == digest

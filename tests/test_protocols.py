@@ -351,7 +351,7 @@ def test_build_batch_reuses_its_typical_set(monkeypatch):
     monkeypatch.setattr(analysis, "typical_set", counted)
     plan = protocols.build_batch(0.5, 2, 1.2)
     assert plan.omega is not None
-    assert len(calls) == 2  # the plan's own, and error_budget's
+    assert len(calls) == 1  # the plan's own, handed on to error_budget
 
 
 def test_batch_program_passes_validation():
