@@ -22,7 +22,7 @@ from .model import GateSpec, bell_pair
 
 CHANNEL_TP_TOL = 1e-8
 CHANNEL_CP_TOL = 1e-8
-CESARO_NULL_CUT = 1e-10  # singular values of T - I at or below this span its null spaces
+CESARO_NULL_CUT = 1e-10  # singular values of S - I at or below this span its null spaces
 CESARO_STATE_TOL = 1e-8  # the Cesaro limit may miss positivity and unit trace by this much
 BREAK_EVEN_XTOL = 1e-10  # absolute tolerance of break_even_theta's bisection
 BISECT_RTOL = 4 * np.finfo(float).eps
@@ -52,10 +52,15 @@ class AnalysisError(Exception):
 
 @dataclass(frozen=True, init=False)
 class ChannelMatrix:
-    """Verified CPTP superoperator on a d-dimensional system."""
+    """Verified CPTP superoperator on a d-dimensional system.
+
+    ``min_choi_eigenvalue`` is the smallest eigenvalue of the (symmetrized)
+    Choi matrix, from the one spectrum the complete-positivity check takes.
+    """
 
     matrix: np.ndarray
     d: int
+    min_choi_eigenvalue: float
 
     def __init__(self, matrix: np.ndarray, d: int):
         mat = np.asarray(matrix, dtype=complex).copy()
@@ -68,49 +73,17 @@ class ChannelMatrix:
         if tp_dev > CHANNEL_TP_TOL:
             raise AnalysisError(f"channel is not trace preserving (deviation {tp_dev:.3e})")
         choi = np.einsum("ijkl->kilj", s4).reshape(d * d, d * d)
-        eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
-        if float(eigs.min()) < -CHANNEL_CP_TOL:
-            raise AnalysisError(f"channel is not completely positive (min Choi eig {eigs.min():.3e})")
+        min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
+        if min_eig < -CHANNEL_CP_TOL:
+            raise AnalysisError(f"channel is not completely positive (min Choi eig {min_eig:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "min_choi_eigenvalue", min_eig)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = self.matrix @ np.asarray(rho, dtype=complex).reshape(-1)
         return out.reshape(self.d, self.d)
-
-    def choi(self) -> np.ndarray:
-        s4 = self.matrix.reshape(self.d, self.d, self.d, self.d)
-        return np.einsum("ijkl->kilj", s4).reshape(self.d * self.d, self.d * self.d)
-
-
-def superoperator_from_map(apply_fn: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
-    cols = []
-    for k in range(d):
-        for l in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[k, l] = 1.0
-            cols.append(apply_fn(unit).reshape(-1))
-    return np.stack(cols, axis=1)
-
-
-def apply_channel_to_factor(
-    channel: ChannelMatrix, rho: np.ndarray, dims: Sequence[int], position: int
-) -> np.ndarray:
-    """Apply the channel to one tensor factor of a multipartite operator."""
-    dims = tuple(dims)
-    d = dims[position]
-    if d != channel.d:
-        raise AnalysisError(f"factor dimension {d} != channel dimension {channel.d}")
-    n = len(dims)
-    x = np.asarray(rho, dtype=complex).reshape(dims + dims)
-    x = np.moveaxis(x, (position, n + position), (0, 1))
-    rest = x.shape[2:]
-    s4 = channel.matrix.reshape(d, d, d, d)
-    x = np.einsum("ijkl,kl...->ij...", s4, x)
-    x = np.moveaxis(x.reshape((d, d) + rest), (0, 1), (position, n + position))
-    total = int(np.prod(dims))
-    return x.reshape(total, total)
 
 
 def round_trip_channel(gate: GateSpec) -> ChannelMatrix:
@@ -143,39 +116,32 @@ def round_trip_channel(gate: GateSpec) -> ChannelMatrix:
     return ChannelMatrix(images.reshape(d * d, d * d).T, d)
 
 
-def _lifted(channel: ChannelMatrix) -> np.ndarray:
-    """Superoperator of the channel on A of (A, RA), as a d^4 x d^4 matrix.
-
-    T[(i, b), (j, b'); (k, a), (l, a')] = S[i, j; k, l] delta(b, a) delta(b', a').
-    """
-    d = channel.d
-    lifted = np.zeros((d,) * 8, dtype=complex)
-    s4 = channel.matrix.reshape(d, d, d, d)
-    for a in range(d):
-        for b in range(d):
-            lifted[:, a, :, b, :, a, :, b] = s4
-    return lifted.reshape(d**4, d**4)
-
-
 def cesaro_fixed_state(channel: ChannelMatrix) -> np.ndarray:
     """Long-run Cesaro mean of channel iterates on half a maximally entangled pair.
 
-    Works on the doubled system (A, RA), on which the channel acts as
-    T = S (x) id.  The peripheral spectrum of a channel is semisimple, so the
-    Cesaro mean of T^k converges to the spectral projection onto ker(T - I),
-    P = R (L+ R)^-1 L+, with R and L orthonormal bases of the right and left
-    null spaces of T - I, both read off one SVD.  The limit is P applied to
-    the pair projector; it is checked to be a state.
+    On the doubled system (A, RA) the channel acts as T = S (x) id.  The
+    peripheral spectrum of a channel is semisimple, so the Cesaro mean of
+    S^k converges to the spectral projection onto ker(S - I),
+    P_S = R (L+ R)^-1 L+, with R and L orthonormal bases of the right and
+    left null spaces of S - I, both read off one d^2 x d^2 SVD.  Since
+    T - I = (S - I) (x) id, the right and left null spaces of T - I are those
+    of S - I tensored with the whole of RA, and the projection of T is
+    P_S (x) id: the d^4 x d^4 lift is never formed.  P_S acts on the pair
+    projector with its (A, A') indices in front, [(i, j), (b, b')], and the
+    result is put back in [(i, b), (j, b')] order; it is checked to be a
+    state.
     """
     d = channel.d
     bell = bell_pair(d).vector
     start = np.outer(bell, bell.conj())
 
-    left, sing, right_h = np.linalg.svd(_lifted(channel) - np.eye(d**4))
+    left, sing, right_h = np.linalg.svd(channel.matrix - np.eye(d * d))
     null = sing <= CESARO_NULL_CUT
     r = right_h[null].conj().T
     l_h = left[:, null].conj().T
-    limit = (r @ np.linalg.solve(l_h @ r, l_h) @ start.reshape(-1)).reshape(d * d, d * d)
+    proj = r @ np.linalg.solve(l_h @ r, l_h)
+    x = start.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(i, j), (b, b')]
+    limit = (proj @ x).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     limit = (limit + limit.conj().T) / 2
     evals = np.linalg.eigvalsh(limit)
     trace_dev = abs(float(np.trace(limit).real) - 1.0)

@@ -103,13 +103,18 @@ def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, o
     The one run fixes the protocol's channel, so the error on each random
     input is a reduction over its leaves, not another run.
     """
+    if not math.isfinite(tolerance):
+        raise click.UsageError("tolerance must be finite")
     rng = np.random.default_rng(seed)
     if gate == "u-theta":
         if theta is None:
             raise click.UsageError("--theta is required")
         if not 0.0 < theta <= math.pi / 2:
             raise click.UsageError(f"theta {theta} outside (0, pi/2]")
-        program = protocols.build_composite(theta, alpha)
+        try:
+            program = protocols.build_composite(theta, alpha)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
         target = model.zz_phase_gate(theta)
         d = 2
         params = {"theta": theta, "alpha": alpha if alpha is not None else math.sqrt(theta)}
@@ -220,15 +225,14 @@ def markov_cost(gate_name, theta, gate_file, output):
         label = gate_name if gate_name != "u-theta" else f"u-theta({theta})"
     channel = analysis.round_trip_channel(spec)
     fixed = analysis.cesaro_fixed_state(channel)
-    eigs = sorted(float(x) for x in np.linalg.eigvalsh(fixed))
-    choi_min = float(np.linalg.eigvalsh(channel.choi()).min())
+    eigs = np.linalg.eigvalsh(fixed)  # the spectrum von_neumann_entropy takes: fixed is symmetrized
     doc = {
         "command": "markov-cost",
         "gate": label,
-        "fixed_state_eigenvalues": eigs,
-        "cost_ebits": qmath.von_neumann_entropy(fixed),  # analysis.markovianizing_cost(spec)
+        "fixed_state_eigenvalues": [float(x) for x in eigs],
+        "cost_ebits": qmath.shannon_entropy(eigs),  # analysis.markovianizing_cost(spec)
         "channel_trace_preserving": True,
-        "channel_min_choi_eigenvalue": choi_min,
+        "channel_min_choi_eigenvalue": channel.min_choi_eigenvalue,
     }
     _emit_json(doc, _resolve_output(output))
 
@@ -299,20 +303,19 @@ def export_protocol(kind, theta, alpha, phi, gate_name, target, k, output):
     """Dump a protocol program as a JSON document."""
     if kind in ("heralded", "composite") and not 0.0 < theta <= math.pi / 2:
         raise click.UsageError(f"theta {theta} outside (0, pi/2]")
-    if kind == "heralded":
-        program = protocols.build_heralded(theta, alpha if alpha is not None else math.sqrt(theta)).program
-    elif kind == "controlled-phase":
-        program = protocols.build_controlled_phase(phi)
-    elif kind == "composite":
-        program = protocols.build_composite(theta, alpha)
-    elif kind == "clifford":
-        program = protocols.build_clifford(_builtin_gate(gate_name, theta))
-    else:
-        try:
-            spectrum = [float(x) for x in target.split(",")]
-            program = protocols.nielsen_dilution(spectrum, k)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
+    try:
+        if kind == "heralded":
+            program = protocols.build_heralded(theta, alpha if alpha is not None else math.sqrt(theta)).program
+        elif kind == "controlled-phase":
+            program = protocols.build_controlled_phase(phi)
+        elif kind == "composite":
+            program = protocols.build_composite(theta, alpha)
+        elif kind == "clifford":
+            program = protocols.build_clifford(_builtin_gate(gate_name, theta))
+        else:
+            program = protocols.nielsen_dilution([float(x) for x in target.split(",")], k)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     _emit_json(engine.program_to_json(program), _resolve_output(output))
 
 

@@ -469,6 +469,8 @@ def nielsen_dilution(
     on every branch.  Requires the uniform distribution on 2^k points to be
     majorized by the target.
     """
+    if k < 1:
+        raise ValueError(f"k = {k} must be at least 1")
     dim = 2**k
     tgt = qmath.as_distribution(target)
     padded = np.pad(tgt, (0, max(dim - tgt.size, 0)))

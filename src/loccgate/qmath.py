@@ -117,13 +117,12 @@ def _require_hermitian(rho: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-sum(lam * log2 lam) over eigenvalues, clamping lam <= 1e-12 to zero."""
-    w = np.linalg.eigvalsh(_require_hermitian(rho))
-    w = w[w > EIG_CLAMP]
-    return float(-np.sum(w * np.log2(w))) if w.size else 0.0
+    """Shannon entropy (bits) of the eigenvalues of a Hermitian operator."""
+    return shannon_entropy(np.linalg.eigvalsh(_require_hermitian(rho)))
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
+    """-sum(p * log2 p), clamping p <= EIG_CLAMP to zero."""
     w = np.asarray(p, dtype=float)
     w = w[w > EIG_CLAMP]
     return float(-np.sum(w * np.log2(w))) if w.size else 0.0

@@ -22,7 +22,6 @@ from loccgate.analysis import (
     resource_spectrum,
     round_trip_channel,
     success_probability,
-    superoperator_from_map,
     typical_set,
 )
 from loccgate.model import (
@@ -39,6 +38,34 @@ from loccgate.model import (
 
 
 # ---------------------------------------------------------------- channel
+
+
+def superoperator_from_map(apply_fn, d):
+    """Superoperator of a linear map, built one matrix unit at a time."""
+    cols = []
+    for k in range(d):
+        for l in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[k, l] = 1.0
+            cols.append(apply_fn(unit).reshape(-1))
+    return np.stack(cols, axis=1)
+
+
+def apply_channel_to_factor(channel, rho, dims, position):
+    """Apply the channel to one tensor factor of a multipartite operator."""
+    dims = tuple(dims)
+    d = dims[position]
+    if d != channel.d:
+        raise AnalysisError(f"factor dimension {d} != channel dimension {channel.d}")
+    n = len(dims)
+    x = np.asarray(rho, dtype=complex).reshape(dims + dims)
+    x = np.moveaxis(x, (position, n + position), (0, 1))
+    rest = x.shape[2:]
+    s4 = channel.matrix.reshape(d, d, d, d)
+    x = np.einsum("ijkl,kl...->ij...", s4, x)
+    x = np.moveaxis(x.reshape((d, d) + rest), (0, 1), (position, n + position))
+    total = int(np.prod(dims))
+    return x.reshape(total, total)
 
 
 def test_identity_gate_gives_identity_channel(rng):
@@ -71,6 +98,21 @@ def test_channel_validation_rejects_non_tp():
     bad = 0.5 * np.eye(4)
     with pytest.raises(AnalysisError, match="trace"):
         ChannelMatrix(bad, 2)
+
+
+def test_channel_validation_rejects_non_cp():
+    # the transpose map preserves trace, and its Choi matrix (the swap) has eigenvalue -1
+    transpose = superoperator_from_map(lambda t: t.T, 2)
+    with pytest.raises(AnalysisError, match="completely positive"):
+        ChannelMatrix(transpose, 2)
+
+
+@pytest.mark.parametrize("name", ["cnot", "qutrit-cz", "haar0-d4", "haar4-d9"])
+def test_min_choi_eigenvalue_is_the_checked_spectrum_minimum(name):
+    ch = round_trip_channel(named_gates()[name])
+    d = ch.d
+    choi = np.einsum("ijkl->kilj", ch.matrix.reshape(d, d, d, d)).reshape(d * d, d * d)
+    assert ch.min_choi_eigenvalue == np.linalg.eigvalsh((choi + choi.conj().T) / 2).min()
 
 
 def test_superoperator_builder_consistency(rng):
@@ -106,7 +148,7 @@ def test_spectral_and_iterative_cesaro_agree(rng):
         current = np.outer(bell, bell.conj())
         mean = np.zeros_like(current)
         for k in range(1, terms + 1):
-            current = analysis.apply_channel_to_factor(ch, current, (2, 2), 0)
+            current = apply_channel_to_factor(ch, current, (2, 2), 0)
             mean = mean + (current - mean) / k
         return mean
 
@@ -149,7 +191,20 @@ def per_unit_round_trip(gate):
 def per_unit_lifted(ch):
     """The channel on A of (A, RA), built one matrix unit at a time."""
     d = ch.d
-    return superoperator_from_map(lambda rho: analysis.apply_channel_to_factor(ch, rho, (d, d), 0), d * d)
+    return superoperator_from_map(lambda rho: apply_channel_to_factor(ch, rho, (d, d), 0), d * d)
+
+
+def lifted_cesaro_fixed_state(ch):
+    """The Cesaro projection on (A, RA) from one SVD of the d^4 x d^4 lift T - I."""
+    d = ch.d
+    bell = bell_pair(d).vector
+    start = np.outer(bell, bell.conj())
+    left, sing, right_h = np.linalg.svd(per_unit_lifted(ch) - np.eye(d**4))
+    null = sing <= analysis.CESARO_NULL_CUT
+    r = right_h[null].conj().T
+    l_h = left[:, null].conj().T
+    limit = (r @ np.linalg.solve(l_h @ r, l_h) @ start.reshape(-1)).reshape(d * d, d * d)
+    return (limit + limit.conj().T) / 2
 
 
 def bits_equal(a, b):
@@ -178,7 +233,11 @@ def test_batched_round_trip_and_lift_match_per_unit_bits(name):
     gate = named_gates()[name]
     ch = round_trip_channel(gate)
     assert bits_equal(ch.matrix, per_unit_round_trip(gate))
-    assert bits_equal(analysis._lifted(ch), per_unit_lifted(ch))
+    fixed, lifted = cesaro_fixed_state(ch), lifted_cesaro_fixed_state(ch)
+    if name.startswith("haar"):
+        assert np.max(np.abs(fixed - lifted)) <= 1e-15
+    else:
+        assert bits_equal(fixed, lifted)
 
 
 def test_markovianizing_cost_is_one_for_zz_family_to_rounding():
@@ -195,7 +254,7 @@ def test_cesaro_limit_is_fixed_by_the_channel(rng):
     for _ in range(3):
         ch = round_trip_channel(GateSpec(haar_unitary(4, rng)))
         fixed = cesaro_fixed_state(ch)
-        moved = analysis.apply_channel_to_factor(ch, fixed, (2, 2), 0)
+        moved = apply_channel_to_factor(ch, fixed, (2, 2), 0)
         assert np.max(np.abs(moved - fixed)) < 1e-12
         assert abs(np.trace(fixed).real - 1.0) < 1e-12
 

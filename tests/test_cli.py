@@ -288,3 +288,34 @@ def test_output_dir_env_override(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["cost-curve", "--steps", "3", "--output", "sub/curve.csv"])
     assert result.exit_code == 0
     assert (tmp_path / "sub" / "curve.csv").exists()
+
+
+# ---------------------------------------------------------------- domain errors
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "u-theta", "--theta", "0.5", "--alpha", "4"],
+        ["simulate", "u-theta", "--theta", "0.5", "--alpha", "0"],
+        ["simulate", "u-theta", "--theta", "0.5", "--alpha", "nan"],
+        ["export-protocol", "heralded", "--alpha", "4"],
+        ["export-protocol", "composite", "--alpha", "0"],
+        ["export-protocol", "controlled-phase", "--phi", "nan"],
+        ["export-protocol", "controlled-phase", "--phi", "inf"],
+        ["export-protocol", "dilution", "--k", "-1"],
+    ],
+)
+def test_builder_domain_errors_exit_two_with_a_message(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception, so no traceback
+    assert "Error: " in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite_tolerance(runner, bad):
+    result = runner.invoke(main, ["simulate", "u-theta", "--theta", "0.5", "--inputs", "1", "--tolerance", bad])
+    assert result.exit_code == 2
+    assert "tolerance must be finite" in result.output
