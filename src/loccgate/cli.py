@@ -89,7 +89,7 @@ def main() -> None:
 @click.option("--gate", "gate_name", default="cnot",
               type=click.Choice(["cnot", "cz", "swap", "identity", "qutrit-cz"]),
               help="Builtin gate for the clifford protocol.")
-@click.option("--inputs", type=int, default=5, show_default=True,
+@click.option("--inputs", type=click.IntRange(min=1), default=5, show_default=True,
               help="Number of random referee-purified inputs.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tolerance", type=float, default=1e-9, show_default=True,
@@ -130,7 +130,7 @@ def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, o
     gate_ab = model.GateSpec(target.matrix, ("A", "B"))
     tree = engine.run_exhaustive(program, engine.choi_input(program))
     errors = []
-    for _ in range(max(inputs, 1)):
+    for _ in range(inputs):
         layout = SystemLayout([("A", d, ALICE), ("B", d, BOB), ("R", d * d, REFEREE)])
         state = model.random_pure_state(layout, rng)
         errors.append(engine.protocol_error(program, gate_ab, state, tree=tree))
@@ -148,7 +148,7 @@ def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, o
         "round_type": prof.kind,
         "resource_ebits": led.resource_ebits,
         "expected_ebits": led.expected_ebits,
-        "inputs": max(inputs, 1),
+        "inputs": inputs,
         "seed": seed,
         "tolerance": tolerance,
         "passed": bool(worst <= tolerance),
@@ -173,14 +173,18 @@ def cost_curve(theta_min, theta_max, steps, fmt, output):
     thetas = np.linspace(theta_min, theta_max, steps)
     rows = []
     for t in thetas:
-        point = analysis.CostCurvePoint.at(float(t))
+        try:
+            point = analysis.CostCurvePoint.at(float(t))
+            p_alpha_eq_theta = analysis.success_probability(float(t), float(t))
+        except ValueError as exc:  # e.g. theta so small that cos(theta) rounds to 1
+            raise click.UsageError(f"theta {t}: {exc}") from None
         rows.append(
             {
                 "theta": point.theta,
                 "p_theta": point.p_theta,
                 "h_theta": point.h_theta,
                 "e_bar": point.e_bar,
-                "p_alpha_eq_theta": analysis.success_probability(float(t), float(t)),
+                "p_alpha_eq_theta": p_alpha_eq_theta,
             }
         )
     thr = analysis.break_even_theta()

@@ -29,7 +29,7 @@ from .systems import ALICE, BOB, REFEREE, Owner, PureState, SystemLayout
 KRAUS_TOL = 1e-10
 PRUNE_PROB = 1e-12
 NODE_NORM_TOL = 1e-8
-LEAF_PURITY_TOL = 1e-9
+LEAF_PURITY_TOL = qmath.LEAF_PURITY_TOL
 # budget for the leaf probabilities' deviation from 1, and for the total
 # probability mass a run may prune at PRUNE_PROB
 LEAF_SUM_TOL = 1e-9
@@ -490,7 +490,7 @@ def run_exhaustive(
             )
             alice_entropy = _entropy_of_positions(vec, dims, alice_pos)
         try:
-            out_vec = qmath.factor_pure_state(vec, dims, keep_pos, tol=LEAF_PURITY_TOL)
+            out_vec = qmath.factor_pure_state(vec, dims, keep_pos)
         except ValueError as exc:
             raise EngineError(f"at leaf {transcript}: {exc}") from exc
         leaves.append(

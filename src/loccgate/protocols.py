@@ -25,6 +25,7 @@ import numpy as np
 
 from . import analysis, qmath
 from .engine import (
+    PRUNE_PROB,
     EngineError,
     LocalInstrument,
     ProtocolProgram,
@@ -141,7 +142,9 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
     On the success outcome the gate is applied exactly; on failure a
     ZZ-rotation by a different angle is applied instead.  The signed failure
     angle is recovered by fitting the simulated failed branch rather than
-    trusting a sign convention.
+    trusting a sign convention.  At a theta so small that the run prunes
+    the failed branch (below ``engine.PRUNE_PROB``) there is nothing to fit,
+    and the angle is rejected with a ``ValueError``.
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha {alpha} outside (0, pi)")
@@ -173,8 +176,11 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
                 raise EngineError(f"failed branch is not a ZZ rotation (residual {residual:.2e})")
             fitted = angle
             break
-    if fitted is None:
-        raise EngineError("no failure branch found while fitting")
+    if fitted is None:  # the run pruned the failure branch
+        raise ValueError(
+            f"theta {theta!r}, alpha {alpha!r}: the failure branch has probability at most "
+            f"{PRUNE_PROB:g}, so there is no failure angle to fit"
+        )
     return HeraldedProtocol(
         program=program,
         success_prob=analysis.success_probability(theta, alpha),

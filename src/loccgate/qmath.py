@@ -19,6 +19,9 @@ EIG_CLAMP = 1e-12
 HERM_TOL = 1e-10
 SUM_TOL = 1e-10
 PIVOT_TIE_TOL = 1e-12
+# a leaf's kept factors count as pure when their leading Schmidt weight is
+# at least 1 - LEAF_PURITY_TOL
+LEAF_PURITY_TOL = 1e-9
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,7 +246,10 @@ def majorizes(p: Sequence[float], q: Sequence[float], tol: float = SUM_TOL) -> b
 
 
 def factor_pure_state(
-    vec: np.ndarray, dims: Sequence[int], keep_positions: Sequence[int], tol: float = 1e-9
+    vec: np.ndarray,
+    dims: Sequence[int],
+    keep_positions: Sequence[int],
+    tol: float = LEAF_PURITY_TOL,
 ) -> np.ndarray:
     """Split off the pure factor on ``keep_positions``.
 
@@ -254,19 +260,25 @@ def factor_pure_state(
     whose magnitude is within ``PIVOT_TIE_TOL`` of the largest, so float
     noise cannot move it between near-equal amplitudes.
 
-    When k <= rest, the case of every large leaf, the leading left singular
-    vector of the k x rest matrix M is the leading eigenvector of the Gram
-    matrix M M^dagger: one matrix product and a k x k ``eigh`` instead of an
-    SVD of M.  When k > rest, which only small leaves reach (the heralded
-    fit's is 16 x 4), the SVD is kept: the M^dagger M route moves such a
-    leaf by an ulp or two, enough to shift the fitted heralded failure angle
-    and with it the CLI output bytes.
+    With M the k x rest matrix of ``vec`` (rows on the kept factors), a
+    product state is M = a b^T and every column of M is a multiple of a.
+    When k <= rest, the case of every large leaf, the factor is read off
+    the column c holding M's largest-magnitude entry, after one power step
+    u ~ M M^dagger c that damps the other Schmidt components.  The weight
+    |M^dagger u|^2 is a Rayleigh quotient, never above the leading Schmidt
+    weight, so an entangled state is still rejected.  That is an argmax and
+    three products over M, O(k rest), and no decomposition.  When k > rest, which only small
+    leaves reach (the heralded fit's is 16 x 4), the SVD of M is kept: it
+    fixes the bits of the fitted heralded failure angle and with them the
+    CLI output.
     """
     mat, _ = _factor_matrix(vec, dims, keep_positions)
-    k = mat.shape[0]
-    if k <= mat.shape[1]:
-        w, v = np.linalg.eigh(mat @ mat.conj().T)
-        weight, out = w[-1], v[:, -1]
+    if mat.shape[0] <= mat.shape[1]:
+        col = mat[:, int(np.argmax(np.abs(mat))) % mat.shape[1]]
+        out = mat @ (col.conj() @ mat).conj()
+        out /= np.linalg.norm(out)
+        proj = out.conj() @ mat
+        weight = float(np.vdot(proj, proj).real)
     else:
         u, s, _ = np.linalg.svd(mat, full_matrices=False)
         weight, out = s[0] ** 2, u[:, 0]

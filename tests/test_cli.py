@@ -85,6 +85,14 @@ def test_simulate_clifford_cnot(runner):
     assert doc["expected_ebits"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_simulate_rejects_input_count_below_one(runner, count):
+    # a count below 1 is rejected, not clamped to a one-input run
+    result = runner.invoke(main, ["simulate", "clifford", "--gate", "cnot", "--inputs", count])
+    assert result.exit_code == 2, result.output
+    assert "--inputs" in result.output
+
+
 def test_simulate_exit_one_on_impossible_tolerance(runner):
     result = runner.invoke(
         main, ["simulate", "u-theta", "--theta", "0.5", "--inputs", "1", "--tolerance", "-1"]
@@ -304,6 +312,11 @@ def test_output_dir_env_override(runner, tmp_path, monkeypatch):
         ["export-protocol", "controlled-phase", "--phi", "nan"],
         ["export-protocol", "controlled-phase", "--phi", "inf"],
         ["export-protocol", "dilution", "--k", "-1"],
+        # theta so small that the heralded failure branch is pruned
+        ["simulate", "u-theta", "--theta", "1e-17", "--inputs", "1"],
+        ["export-protocol", "heralded", "--theta", "1e-300"],
+        # cos(theta) cos(sqrt(theta)) rounds to 1: the success probability is undefined
+        ["cost-curve", "--theta-min", "1e-300", "--steps", "2"],
     ],
 )
 def test_builder_domain_errors_exit_two_with_a_message(runner, args):

@@ -75,6 +75,20 @@ def test_failure_angle_monotone_in_alpha():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("theta", [1e-17, 1e-300])
+def test_heralded_rejects_angle_whose_failure_branch_is_pruned(theta):
+    # the failed branch falls below engine.PRUNE_PROB: a domain error, not an engine fault
+    alpha = math.sqrt(theta)
+    with pytest.raises(ValueError, match=f"theta {theta!r}, alpha {alpha!r}"):
+        protocols.build_heralded(theta, alpha)
+
+
+def test_heralded_fit_residual_stays_an_engine_error(monkeypatch):
+    monkeypatch.setattr(protocols, "fit_zz_rotation", lambda state: (0.0, 1.0))
+    with pytest.raises(engine.EngineError, match="not a ZZ rotation"):
+        protocols.build_heralded(0.5, 0.7)
+
+
 def test_heralded_round_profile_is_two_alternating():
     h = protocols.build_heralded(0.5, 0.6)
     prof = classify_rounds(h.program)
@@ -382,7 +396,7 @@ def test_dilution_heralded_correction_compose_to_three_rounds():
 
 @pytest.mark.slow
 def test_batch_three_copies_error_within_analytic_bound(rng):
-    # 18-qubit exhaustive tree; takes 22-25 s on a 2-CPU x86 VM
+    # 18-qubit exhaustive tree; batch_error takes about 20 s on a 2-CPU x86 VM
     theta, n, delta = 0.5, 3, 0.7
     plan = protocols.build_batch(theta, n, delta)
     lay = SystemLayout(

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loccgate import qmath
+from loccgate import protocols, qmath
+from loccgate.engine import run_exhaustive
 from loccgate.model import SZ, bell_pair, partial_bell_pair, random_density, random_pure_state
 from loccgate.systems import ALICE, BOB, REFEREE, PureState, SystemLayout
+from test_engine import _svd_factor
 
 
 def _rand_mat(rng, n):
@@ -324,7 +326,7 @@ def test_factor_pure_state_splits_products(rng):
     assert abs(abs(np.vdot(out, u)) - 1.0) < 1e-10
 
 
-@pytest.mark.parametrize("keep", [[0], [0, 1]])  # Gram (k <= rest) and SVD (k > rest) routes
+@pytest.mark.parametrize("keep", [[0], [0, 1]])  # rank-one (k <= rest) and SVD (k > rest) routes
 def test_factor_pure_state_phase_pivot_ignores_near_ties(rng, keep):
     # |u_0| and |u_1| tie up to float noise; the pivot must stay on index 0
     k = 2 ** len(keep)
@@ -346,6 +348,77 @@ def test_factor_pure_state_rejects_entangled():
     vec = bell_pair(2).vector
     with pytest.raises(ValueError, match="entangled"):
         qmath.factor_pure_state(vec, (2, 2), [0])
+
+
+# Magnitudes for random amplitudes: exact zeros and exact ties among generic values.
+_magnitudes = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.01, 1.0))
+
+
+@st.composite
+def _product_states(draw):
+    """(vec, dims, keep): a product of a state on ``keep`` and one on the rest, k <= rest."""
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=5)))
+    order = draw(st.permutations(range(len(dims))))
+    keep = tuple(order[: draw(st.integers(1, len(dims) - 1))])
+    k = math.prod(dims[p] for p in keep)
+    rest = math.prod(dims) // k
+    assume(k <= rest)
+    parts = []
+    for size in (k, rest):
+        mags = np.array(draw(st.lists(_magnitudes, min_size=size, max_size=size)))
+        assume(mags.max() > 0)
+        phases = np.array(draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=size, max_size=size)))
+        part = mags * np.exp(1j * phases)
+        parts.append(part / np.linalg.norm(part))
+    moved = [dims[p] for p in keep] + [d for i, d in enumerate(dims) if i not in keep]
+    fwd = list(keep) + [i for i in range(len(dims)) if i not in keep]
+    psi = np.outer(*parts).reshape(moved).transpose(np.argsort(fwd))
+    return psi.reshape(-1), dims, keep
+
+
+@given(_product_states())
+@settings(max_examples=100, deadline=None)
+def test_factor_pure_state_matches_svd_route_on_products(case):
+    vec, dims, keep = case
+    np.testing.assert_allclose(
+        qmath.factor_pure_state(vec, dims, keep), _svd_factor(vec, dims, list(keep)), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("keep", [[0], [0, 1]])  # rank-one (k <= rest) and SVD (k > rest) routes
+def test_factor_pure_state_purity_tolerance_edges(rng, keep):
+    # sqrt(1 - eps) a (x) b + sqrt(eps) a' (x) b': leading Schmidt weight 1 - eps
+    k = 2 ** len(keep)
+    a = np.linalg.qr(rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2)))[0].T
+    b = np.linalg.qr(rng.normal(size=(8 // k, 2)) + 1j * rng.normal(size=(8 // k, 2)))[0].T
+    tol = qmath.LEAF_PURITY_TOL
+    for eps, accepted in ((tol / 2, True), (2 * tol, False)):
+        vec = math.sqrt(1 - eps) * np.kron(a[0], b[0]) + math.sqrt(eps) * np.kron(a[1], b[1])
+        if accepted:
+            out = qmath.factor_pure_state(vec, (2, 2, 2), keep)
+            assert abs(abs(np.vdot(out, a[0])) - 1.0) < 1e-12
+        else:
+            with pytest.raises(ValueError, match="entangled"):
+                qmath.factor_pure_state(vec, (2, 2, 2), keep)
+
+
+def test_batch_leaves_factor_without_eigh(monkeypatch, rng):
+    # diagnostics off, nothing in the walk or at its 100 leaves diagonalizes
+    plan = protocols.build_batch(0.5, 2, 1.2)
+    initial = random_pure_state(
+        SystemLayout([(f"A{i}", 2, ALICE) for i in (1, 2)] + [(f"B{i}", 2, BOB) for i in (1, 2)]), rng
+    )
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    tree = run_exhaustive(plan.program, initial, leaf_diagnostics=False)
+    assert len(tree.leaves) == 100
+    assert calls == []
 
 
 # ---------------------------------------------------------------- kernel
