@@ -638,6 +638,8 @@ def excess_failure_prob(n: int, delta: float, theta: float) -> float:
 def _log_excess_failure(n: int, delta: float, theta: float) -> float:
     p = success_probability(theta)
     cutoff = n * (p - delta)
+    if cutoff <= 0.0:  # no success count lies below it; also keeps cutoff = -inf out of round()
+        return -math.inf
     k_max = (
         math.ceil(cutoff - 1.0)
         if abs(cutoff - round(cutoff)) > CUTOFF_INTEGER_TOL
@@ -668,6 +670,10 @@ def error_budget(
         if tset.log_complement > -math.inf
         else -math.inf
     )
+    try:
+        hoeffding = math.exp(-2.0 * delta**2 * n)
+    except OverflowError:  # delta**2 beyond the float range: the bound is exp(-inf)
+        hoeffding = 0.0
     return TypicalityReport(
         theta=theta,
         n=n,
@@ -680,7 +686,7 @@ def error_budget(
         dilution_ebits=n * (tset.entropy + delta),
         log_epsilon_n=log_eps_n,
         log_epsilon_prime=log_eps_prime,
-        hoeffding_epsilon_prime=math.exp(-2.0 * delta**2 * n),
+        hoeffding_epsilon_prime=hoeffding,
     )
 
 

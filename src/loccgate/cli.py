@@ -56,38 +56,61 @@ def _emit_csv(header: list[str], rows: list[list], path: Path | None) -> None:
     _emit(buf.getvalue(), path)
 
 
-def _builtin_gate(name: str, theta: float | None):
-    if name == "u-theta":
-        if theta is None:
-            raise click.UsageError("--theta is required for the u-theta gate")
-        if not 0.0 < theta <= math.pi / 2:
-            raise click.UsageError(f"theta {theta} outside (0, pi/2]")
-        return model.zz_phase_gate(theta)
-    if name == "identity":
-        return model.GateSpec(np.eye(4))
-    if name == "cnot":
-        return model.cnot_gate()
-    if name == "cz":
-        mat = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-        return model.GateSpec(mat)
-    if name == "swap":
-        return model.swap_gate()
-    if name == "qutrit-cz":
-        return model.qudit_cz_gate(3)
-    raise click.UsageError(f"unknown builtin gate {name!r}")
+def _angle(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
+    """The gate-angle domain (0, pi/2], checked once for every angle option; rejects nan."""
+    if value is not None and not 0.0 < value <= math.pi / 2:
+        raise click.BadParameter(f"{value} outside (0, pi/2]")
+    return value
 
 
-@click.group()
+# Builtin gates on (A, B); u-theta, the one gate that takes --theta, is built by _builtin_gate.
+_GATES = {
+    "cnot": model.cnot_gate,
+    "cz": lambda: model.cz_gate(("A", "B")),
+    "swap": model.swap_gate,
+    "identity": lambda: model.GateSpec(np.eye(4)),
+    "qutrit-cz": lambda: model.qudit_cz_gate(3),
+}
+
+
+def _builtin_gate(name: str, theta: float | None) -> model.GateSpec:
+    if name in _GATES:
+        return _GATES[name]()
+    if theta is None:
+        raise click.UsageError("--theta is required for the u-theta gate")
+    return model.zz_phase_gate(theta)
+
+
+class _Command(click.Command):
+    """A command whose domain errors exit 2 with their message.
+
+    Builders and ``analysis`` raise ValueError on input outside their domain.
+    EngineError and AnalysisError are invariant failures, not bad input: they
+    pass through, exit 1 and keep their traceback.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+
+
+class _Main(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Entanglement-assisted LOCC gate protocols: simulate and analyze."""
 
 
 @main.command()
 @click.argument("gate", type=click.Choice(["u-theta", "clifford"]))
-@click.option("--theta", type=float, default=None, help="Gate angle in radians, in (0, pi/2].")
+@click.option("--theta", type=float, default=None, callback=_angle,
+              help="Gate angle in radians, in (0, pi/2].")
 @click.option("--alpha", type=float, default=None, help="Resource angle; defaults to sqrt(theta).")
-@click.option("--gate", "gate_name", default="cnot",
-              type=click.Choice(["cnot", "cz", "swap", "identity", "qutrit-cz"]),
+@click.option("--gate", "gate_name", default="cnot", type=click.Choice(list(_GATES)),
               help="Builtin gate for the clifford protocol.")
 @click.option("--inputs", type=click.IntRange(min=1), default=5, show_default=True,
               help="Number of random referee-purified inputs.")
@@ -106,34 +129,23 @@ def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, o
     if not math.isfinite(tolerance):
         raise click.UsageError("tolerance must be finite")
     rng = np.random.default_rng(seed)
+    target = _builtin_gate(gate_name if gate == "clifford" else gate, theta)
     if gate == "u-theta":
-        if theta is None:
-            raise click.UsageError("--theta is required")
-        if not 0.0 < theta <= math.pi / 2:
-            raise click.UsageError(f"theta {theta} outside (0, pi/2]")
-        try:
-            program = protocols.build_composite(theta, alpha)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
-        target = model.zz_phase_gate(theta)
-        d = 2
+        program = protocols.build_composite(theta, alpha)
         params = {"theta": theta, "alpha": alpha if alpha is not None else math.sqrt(theta)}
         label = "u-theta"
     else:
-        spec = _builtin_gate(gate_name, theta)
-        d = spec.local_dim
-        program = protocols.build_clifford(spec)
-        target = spec
+        program = protocols.build_clifford(target)
         params = {"gate": gate_name}
         label = f"clifford:{gate_name}"
+    d = target.local_dim
 
-    gate_ab = model.GateSpec(target.matrix, ("A", "B"))
     tree = engine.run_exhaustive(program, engine.choi_input(program))
     errors = []
     for _ in range(inputs):
         layout = SystemLayout([("A", d, ALICE), ("B", d, BOB), ("R", d * d, REFEREE)])
         state = model.random_pure_state(layout, rng)
-        errors.append(engine.protocol_error(program, gate_ab, state, tree=tree))
+        errors.append(engine.protocol_error(program, target, state, tree=tree))
     led = engine.ledger(program, tree)
     prof = engine.classify_rounds(program)
     worst = max(errors)
@@ -143,7 +155,7 @@ def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, o
         "parameters": params,
         "worst_error": worst,
         "mean_error": float(np.mean(errors)),
-        "choi_error": engine.choi_error(program, gate_ab, tree),
+        "choi_error": engine.choi_error(program, target, tree),
         "round_count": prof.round_count,
         "round_type": prof.kind,
         "resource_ebits": led.resource_ebits,
@@ -159,25 +171,20 @@ def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, o
 
 
 @main.command("cost-curve")
-@click.option("--theta-min", type=float, default=0.01, show_default=True)
-@click.option("--theta-max", type=float, default=math.pi / 2, show_default=True)
-@click.option("--steps", type=int, default=50, show_default=True)
+@click.option("--theta-min", type=float, default=0.01, show_default=True, callback=_angle)
+@click.option("--theta-max", type=float, default=math.pi / 2, show_default=True, callback=_angle)
+@click.option("--steps", type=click.IntRange(min=2), default=50, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv", show_default=True)
 @click.option("--output", default=None)
 def cost_curve(theta_min, theta_max, steps, fmt, output):
     """Average ebit cost per angle, plus the bisected break-even angle."""
-    if not (0.0 < theta_min < theta_max <= math.pi / 2):
-        raise click.UsageError("need 0 < theta-min < theta-max <= pi/2")
-    if steps < 2:
-        raise click.UsageError("need at least 2 grid steps")
+    if not theta_min < theta_max:
+        raise click.UsageError("need theta-min < theta-max")
     thetas = np.linspace(theta_min, theta_max, steps)
     rows = []
     for t in thetas:
-        try:
-            point = analysis.CostCurvePoint.at(float(t))
-            p_alpha_eq_theta = analysis.success_probability(float(t), float(t))
-        except ValueError as exc:  # e.g. theta so small that cos(theta) rounds to 1
-            raise click.UsageError(f"theta {t}: {exc}") from None
+        point = analysis.CostCurvePoint.at(float(t))
+        p_alpha_eq_theta = analysis.success_probability(float(t), float(t))
         rows.append(
             {
                 "theta": point.theta,
@@ -205,9 +212,8 @@ def cost_curve(theta_min, theta_max, steps, fmt, output):
 
 
 @main.command("markov-cost")
-@click.option("--gate", "gate_name", default=None,
-              type=click.Choice(["u-theta", "identity", "cnot", "cz", "swap", "qutrit-cz"]))
-@click.option("--theta", type=float, default=None)
+@click.option("--gate", "gate_name", default=None, type=click.Choice(["u-theta", *_GATES]))
+@click.option("--theta", type=float, default=None, callback=_angle)
 @click.option("--file", "gate_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file with fields re, im: nested lists of a square unitary.")
 @click.option("--output", default=None)
@@ -242,7 +248,7 @@ def markov_cost(gate_name, theta, gate_file, output):
 
 
 @main.command()
-@click.option("--theta", type=float, default=0.5, show_default=True)
+@click.option("--theta", type=float, default=0.5, show_default=True, callback=_angle)
 @click.option("--delta", type=float, default=0.4, show_default=True)
 @click.option("--n-list", "n_list", default="64,256,1024,4096", show_default=True,
               help="Comma-separated block lengths.")
@@ -254,22 +260,14 @@ def typicality(theta, delta, n_list, enumerate_, fmt, output):
     """Typical weight and error decay table over block lengths."""
     if not (delta > 0 and math.isfinite(delta)):
         raise click.UsageError("delta must be positive and finite")
-    if not 0.0 < theta <= math.pi / 2:
-        raise click.UsageError(f"theta {theta} outside (0, pi/2]")
-    try:
-        ns = [int(x) for x in n_list.split(",") if x.strip()]
-    except ValueError:
-        raise click.UsageError(f"bad n-list {n_list!r}") from None
+    ns = [int(x) for x in n_list.split(",") if x.strip()]
     if not ns or any(n < 1 for n in ns):
         raise click.UsageError("n-list must contain positive integers")
     if enumerate_ and any(n > 20 for n in ns):
         raise click.UsageError("--enumerate requires every n <= 20")
     rows = []
     for n in ns:
-        try:
-            report = analysis.error_budget(n, delta, theta)
-        except ValueError as exc:  # e.g. theta so small that cos(theta) rounds to 1
-            raise click.UsageError(f"theta {theta}: {exc}") from None
+        report = analysis.error_budget(n, delta, theta)
         row = {
             "n": n,
             "weight": report.typical_weight,
@@ -294,32 +292,26 @@ def typicality(theta, delta, n_list, enumerate_, fmt, output):
 
 @main.command("export-protocol")
 @click.argument("kind", type=click.Choice(["heralded", "controlled-phase", "composite", "clifford", "dilution"]))
-@click.option("--theta", type=float, default=0.5, show_default=True)
+@click.option("--theta", type=float, default=0.5, show_default=True, callback=_angle)
 @click.option("--alpha", type=float, default=None)
 @click.option("--phi", type=float, default=0.5, show_default=True)
-@click.option("--gate", "gate_name", default="cnot",
-              type=click.Choice(["cnot", "cz", "swap", "identity", "qutrit-cz"]))
+@click.option("--gate", "gate_name", default="cnot", type=click.Choice(list(_GATES)))
 @click.option("--target", default="0.4,0.3,0.2,0.1", show_default=True,
               help="Dilution target spectrum (comma-separated).")
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option("--output", default=None)
 def export_protocol(kind, theta, alpha, phi, gate_name, target, k, output):
     """Dump a protocol program as a JSON document."""
-    if kind in ("heralded", "composite") and not 0.0 < theta <= math.pi / 2:
-        raise click.UsageError(f"theta {theta} outside (0, pi/2]")
-    try:
-        if kind == "heralded":
-            program = protocols.build_heralded(theta, alpha if alpha is not None else math.sqrt(theta)).program
-        elif kind == "controlled-phase":
-            program = protocols.build_controlled_phase(phi)
-        elif kind == "composite":
-            program = protocols.build_composite(theta, alpha)
-        elif kind == "clifford":
-            program = protocols.build_clifford(_builtin_gate(gate_name, theta))
-        else:
-            program = protocols.nielsen_dilution([float(x) for x in target.split(",")], k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    if kind == "heralded":
+        program = protocols.build_heralded(theta, alpha if alpha is not None else math.sqrt(theta)).program
+    elif kind == "controlled-phase":
+        program = protocols.build_controlled_phase(phi)
+    elif kind == "composite":
+        program = protocols.build_composite(theta, alpha)
+    elif kind == "clifford":
+        program = protocols.build_clifford(_GATES[gate_name]())
+    else:
+        program = protocols.nielsen_dilution([float(x) for x in target.split(",")], k)
     _emit_json(engine.program_to_json(program), _resolve_output(output))
 
 

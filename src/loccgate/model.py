@@ -59,7 +59,7 @@ def zz_phase_gate(theta: float, labels: Sequence[str] = ("A", "B")) -> GateSpec:
 
     The family is additive, zz_phase_gate(a) @ zz_phase_gate(b) acts as
     zz_phase_gate(a + b), so arbitrary angles are accepted; the physical
-    input domain (0, pi/2] is enforced only at the CLI boundary.
+    input domain (0, pi/2] is enforced only by the CLI's one angle check, ``cli._angle``.
     """
     if not math.isfinite(theta):
         raise ValueError(f"non-finite angle {theta}")

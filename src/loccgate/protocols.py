@@ -106,9 +106,10 @@ def _heralded_steps(
     theta: float, alpha: float, a: str, b: str, sys_a: str, sys_b: str, prefix: str
 ) -> list[ProtocolStep]:
     """Heralded ZZ-phase steps on the resource pair (a, b); see :func:`build_heralded`."""
-    chi = np.array(
-        [math.cos(theta / 2) / math.cos(alpha / 2), math.sin(theta / 2) / math.sin(alpha / 2)]
-    )
+    c, s = math.cos(theta / 2) / math.cos(alpha / 2), math.sin(theta / 2) / math.sin(alpha / 2)
+    if not math.isfinite(c * c + s * s):  # the herald measurement normalizes (c, s) by its norm
+        raise ValueError(f"alpha {alpha!r} too small: the herald vector's norm overflows")
+    chi = np.array([c, s])
     cz = cz_gate().matrix
     meas_a = f"{prefix}meas_a"
 
@@ -478,6 +479,8 @@ def nielsen_dilution(
     if k < 1:
         raise ValueError(f"k = {k} must be at least 1")
     dim = 2**k
+    a, b = labels
+    layout = SystemLayout([(a, dim, ALICE), (b, dim, BOB)])  # the size cap rejects k >= 7 here
     tgt = qmath.as_distribution(target)
     padded = np.pad(tgt, (0, max(dim - tgt.size, 0)))
     uniform = np.full(dim, 1.0 / dim)
@@ -486,8 +489,6 @@ def nielsen_dilution(
     tgt = np.sort(padded)[::-1]
 
     chain = _mixing_chain(tgt, uniform)
-    a, b = labels
-    layout = SystemLayout([(a, dim, ALICE), (b, dim, BOB)], dim_cap=None)
     steps: list[ProtocolStep] = []
     # protocol direction runs the chain in reverse: spectrum z_{i+1} -> z_i
     specs = [tgt] + [z for (_, _, z) in chain]  # specs[i] reached after undoing i steps

@@ -347,7 +347,7 @@ def test_enumeration_guard():
 
 
 @given(st.integers(1, 12), st.floats(0.05, 1.5))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_typical_weight_combinatorial_equals_enumeration_property(n, delta):
     lam = resource_spectrum(0.73)
     assert typical_set(n, delta, lam).weight == pytest.approx(

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from importlib import resources
@@ -6,8 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from loccgate import engine, model, protocols
+from loccgate import analysis, engine, model, protocols
 from loccgate.cli import main
 from loccgate.model import random_referee_state
 
@@ -250,6 +254,19 @@ def test_typicality_rejects_bad_delta_and_enumeration(runner):
     assert runner.invoke(main, ["typicality", "--n-list", "64", "--enumerate"]).exit_code == 2
 
 
+@pytest.mark.parametrize("delta", ["1e300", "1e308"])
+def test_typicality_huge_delta_prints_rows(runner, delta):
+    # delta**2 and n (p - delta) overflow a float; every sequence is typical
+    result = runner.invoke(main, ["typicality", "--delta", delta, "--n-list", "8,4096"])
+    assert result.exit_code == 0, result.output
+    header, *rows = csv.reader(io.StringIO(result.output))
+    assert len(rows) == 2
+    for row in rows:
+        vals = dict(zip(header, row, strict=True))
+        assert float(vals["epsilon_prime"]) == 0.0
+        assert float(vals["weight"]) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_typicality_rejects_vanishing_theta(runner):
     # cos(theta) cos(sqrt(theta)) rounds to 1: the success probability is undefined
     result = runner.invoke(main, ["typicality", "--theta", "1e-17", "--n-list", "8"])
@@ -317,6 +334,12 @@ def test_output_dir_env_override(runner, tmp_path, monkeypatch):
         ["export-protocol", "heralded", "--theta", "1e-300"],
         # cos(theta) cos(sqrt(theta)) rounds to 1: the success probability is undefined
         ["cost-curve", "--theta-min", "1e-300", "--steps", "2"],
+        # an angle outside (0, pi/2] is rejected even where the command ignores it
+        ["simulate", "clifford", "--gate", "cnot", "--theta", "9"],
+        ["export-protocol", "controlled-phase", "--theta", "9"],
+        # 1/sin(alpha/2) so large that the herald vector's norm overflows
+        ["export-protocol", "heralded", "--alpha", "1e-300"],
+        ["simulate", "u-theta", "--theta", "0.5", "--alpha", "1e-300"],
     ],
 )
 def test_builder_domain_errors_exit_two_with_a_message(runner, args):
@@ -332,3 +355,130 @@ def test_simulate_rejects_non_finite_tolerance(runner, bad):
     result = runner.invoke(main, ["simulate", "u-theta", "--theta", "0.5", "--inputs", "1", "--tolerance", bad])
     assert result.exit_code == 2
     assert "tolerance must be finite" in result.output
+
+
+@pytest.mark.parametrize(
+    "module, name, error, args",
+    [
+        (engine, "run_exhaustive", engine.EngineError, ["simulate", "clifford", "--gate", "cnot"]),
+        (analysis, "cesaro_fixed_state", analysis.AnalysisError, ["markov-cost", "--gate", "cnot"]),
+    ],
+)
+def test_invariant_failures_exit_one_with_their_exception(runner, monkeypatch, module, name, error, args):
+    # a broken invariant is a bug, not bad input: it must not become exit 2
+    def broken(*a, **k):
+        raise error("planted invariant failure")
+
+    monkeypatch.setattr(module, name, broken)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, error)
+
+
+# ---------------------------------------------------------------- fuzzer
+
+
+FUZZ_FLOAT = st.one_of(
+    st.floats(min_value=0.05, max_value=2.0),
+    st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan, 1e-300, 1e300]),
+)
+FUZZ_INTS = [-3, 0, 1, 2, 7, 100]
+# qutrit-cz costs 50-100 ms an invocation; the other gates a few ms
+FUZZ_GATE = st.sampled_from(["cnot", "cz", "swap", "identity", "junk"] * 4 + ["qutrit-cz"])
+
+
+def _options(**opts):
+    """argv for a random subset of the options, each drawn from its strategy."""
+    drawn = [st.none() | strategy.map(lambda v, name=name: [name, str(v)]) for name, strategy in opts.items()]
+    return st.tuples(*drawn).map(lambda parts: [x for part in parts if part for x in part])
+
+
+def _command(name, positional, **opts):
+    return st.tuples(positional, _options(**opts)).map(lambda t: [name, *t[0], *t[1]])
+
+
+FUZZ_ARGV = st.one_of(
+    _command(
+        "simulate",
+        st.sampled_from([["u-theta"], ["clifford"], ["junk"]]),
+        **{"--theta": FUZZ_FLOAT, "--alpha": FUZZ_FLOAT, "--gate": FUZZ_GATE,
+           "--inputs": st.sampled_from([-3, 0, 1, 2]), "--seed": st.sampled_from(FUZZ_INTS),
+           "--tolerance": FUZZ_FLOAT, "--format": st.sampled_from(["json", "junk"])},
+    ),
+    _command(
+        "cost-curve",
+        st.just([]),
+        **{"--theta-min": FUZZ_FLOAT, "--theta-max": FUZZ_FLOAT,
+           "--steps": st.sampled_from([-3, 0, 1, 2, 7, 50]), "--format": st.sampled_from(["json", "csv", "junk"])},
+    ),
+    _command(
+        "markov-cost",
+        st.just([]),
+        **{"--gate": st.just("u-theta") | FUZZ_GATE, "--theta": FUZZ_FLOAT,
+           "--file": st.sampled_from(["@unitary", "@not-unitary", "@not-json", "missing.json"])},
+    ),
+    _command(
+        "typicality",
+        st.sampled_from([[], ["--enumerate"]]),
+        **{"--theta": FUZZ_FLOAT, "--delta": FUZZ_FLOAT,
+           "--n-list": st.lists(st.sampled_from([*FUZZ_INTS, 4096]), max_size=3).map(
+               lambda ns: ",".join(map(str, ns))) | st.sampled_from(["x", ",", "1,,2", "1.5"]),
+           "--format": st.sampled_from(["json", "csv", "junk"])},
+    ),
+    _command(
+        "export-protocol",
+        st.sampled_from([["heralded"], ["controlled-phase"], ["composite"], ["clifford"], ["dilution"], ["junk"]]),
+        **{"--theta": FUZZ_FLOAT, "--alpha": FUZZ_FLOAT, "--phi": FUZZ_FLOAT, "--gate": FUZZ_GATE,
+           "--target": st.sampled_from(["0.4,0.3,0.2,0.1", "0.5,0.5", "1", "0.2,0.2,0.2,0.2,0.2", "nan,1",
+                                        "-1,2", "0,0", "x", ""]),
+           "--k": st.sampled_from(FUZZ_INTS)},
+    ),
+)
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def gate_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gates")
+    docs = {
+        "@unitary": json.dumps({"re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}),
+        "@not-unitary": json.dumps({"re": np.ones((4, 4)).tolist(), "im": np.zeros((4, 4)).tolist()}),
+        "@not-json": "{",
+    }
+    for key, text in docs.items():
+        (root / key[1:]).write_text(text)
+    return {key: str(root / key[1:]) for key in docs}
+
+
+@settings(max_examples=300)
+@given(argv=FUZZ_ARGV)
+@example(argv=["simulate", "u-theta", "--theta", "0.5", "--inputs", "1", "--tolerance", "-1"])
+@example(argv=["simulate", "clifford", "--theta", "nan"])  # nan where the gate ignores the angle
+def test_cli_fuzz_exits_as_documented(gate_files, argv):
+    """Every command exits 0 with parseable output, 2 with a message, or 1
+    only where simulate misses its tolerance; never with a traceback.  An
+    angle outside (0, pi/2], nan included, always exits 2."""
+    argv = [gate_files.get(arg, arg) for arg in argv]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2), result.output
+    angles = [float(argv[i + 1]) for i, arg in enumerate(argv) if arg in ("--theta", "--theta-min", "--theta-max")]
+    if not all(0.0 < angle <= math.pi / 2 for angle in angles):
+        assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    if result.exit_code == 2:
+        assert "Error: " in result.output
+        return
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
+    if argv[0] in ("cost-curve", "typicality") and fmt != "json":
+        header, *rows = csv.reader(io.StringIO(result.stdout))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert result.exit_code == 0
+        return
+    doc = json.loads(result.stdout, parse_constant=_not_json)
+    schema = "protocol.schema.json" if argv[0] == "export-protocol" else "report.schema.json"
+    jsonschema.validate(doc, load_schema(schema))
+    if result.exit_code == 1:
+        assert argv[0] == "simulate" and doc["passed"] is False

@@ -50,7 +50,7 @@ def test_zz_gate_rejects_non_finite():
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_zz_gate_additive(a, b):
     prod = zz_phase_gate(a).matrix @ zz_phase_gate(b).matrix
     assert np.max(np.abs(prod - zz_phase_gate(a + b).matrix)) < 1e-12

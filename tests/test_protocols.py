@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def test_heralded_alone_has_positive_error(rng):
 
 
 @given(st.floats(-2.5, 2.5))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 def test_controlled_phase_exact_on_both_branches(phi):
     prog = protocols.build_controlled_phase(phi)
     rng = np.random.default_rng(99)
@@ -150,7 +151,7 @@ def test_dressing_identity_at_zero():
 
 
 @given(st.floats(-3.0, 3.0))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_dressing_reconstructs_zz_gate(phi):
     d = protocols.local_dressing(phi)
     lhs = np.kron(d.v_a.matrix, d.v_b.matrix) @ protocols.controlled_phase_target(d.controlled_angle).matrix
@@ -265,6 +266,15 @@ def test_dilution_product_target_disentangles():
 def test_dilution_rejects_unreachable_target():
     with pytest.raises(ValueError, match="majorized"):
         protocols.nielsen_dilution([0.2] * 5, 2)
+
+
+@pytest.mark.parametrize("k", [7, 8, 100])
+def test_dilution_rejects_k_beyond_the_size_cap_before_building(k):
+    # the 2^k x 2^k pair exceeds the layout cap: no 2^k-sized array may be built first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        protocols.nielsen_dilution([0.5, 0.5], k)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dilution_entropy_never_exceeds_k(rng):

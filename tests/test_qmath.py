@@ -38,7 +38,7 @@ def test_tensor_index_formula_oracle(rng):
 
 
 @given(st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_tensor_associative(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (_rand_mat(rng, 2) for _ in range(3))
@@ -140,7 +140,7 @@ def test_binary_entropy_values():
 
 
 @given(st.floats(0.0, 1.0))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_binary_entropy_symmetric(x):
     assert qmath.binary_entropy(x) == pytest.approx(qmath.binary_entropy(1.0 - x), abs=1e-12)
 
@@ -294,7 +294,7 @@ def test_majorizes_spec_cases():
 
 
 @given(st.integers(0, 2**31 - 1))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_majorizes_preorder(seed):
     rng = np.random.default_rng(seed)
     dists = [rng.dirichlet(np.ones(4)) for _ in range(3)]
@@ -377,7 +377,7 @@ def _product_states(draw):
 
 
 @given(_product_states())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_factor_pure_state_matches_svd_route_on_products(case):
     vec, dims, keep = case
     np.testing.assert_allclose(
