@@ -40,6 +40,16 @@ WINDOW_SCALE = 1.25
 # kernel at n < 2^13 (the CLI's default typicality rows, every simulated batch
 # plan) slices it instead of evaluating lgam twice per error_budget
 LOG_FACTORIAL_TABLE_SIZE = 2**13
+# numpy's float64 add.reduce sums a contiguous array pairwise, and a node of
+# at most this many entries in one pass (PW_BLOCKSIZE in numpy 2.4's loops)
+PAIRWISE_BLOCK = 128
+# _sparse_pairwise_sum builds a node this short whole: zero-filling and summing
+# 2^13 entries (64 KiB) costs about what the walk's Python steps do
+DENSE_NODE = 2**13
+# a log-pmf window is evaluated this many counts at a time: the temporaries of
+# a block (64 KiB each) stay below glibc's 128 KiB mmap threshold, so they are
+# reused from the heap instead of being mapped and faulted in on every call
+PMF_BLOCK = 2**13
 
 
 class AnalysisError(Exception):
@@ -334,12 +344,13 @@ def _lgam(x: np.ndarray) -> np.ndarray:
     out = (x - 0.5) * np.log(x) - x + _LS2PI
     # positions of the first x >= 1000 and the first x > 1e8
     b1000, b1e8 = np.searchsorted(x, (1000.0, 1e8 + 0.5)).tolist()
-    xs = x[:b1000]
-    p = 1.0 / (xs * xs)
-    poly = _LGAM_A[0]
-    for c in _LGAM_A[1:]:
-        poly = poly * p + c
-    out[:b1000] += poly / xs
+    if b1000:  # only the import-time table reaches x < 1000
+        xs = x[:b1000]
+        p = 1.0 / (xs * xs)
+        poly = _LGAM_A[0]
+        for c in _LGAM_A[1:]:
+            poly = poly * p + c
+        out[:b1000] += poly / xs
     xs = x[b1000:b1e8]
     p = 1.0 / (xs * xs)
     out[b1000:b1e8] += (
@@ -379,28 +390,78 @@ def log_factorials(n: int) -> np.ndarray:
     return np.array(_log_factorial_range(0, n + 1))
 
 
+def _sparse_pairwise_sum(
+    size: int, spans: Sequence[tuple[int, int]], fill: Callable[[np.ndarray, int], None], lo: int = 0
+) -> float:
+    """np.add.reduce of a ``size``-entry float64 array, bit for bit, built only where it is nonzero.
+
+    The array is +0.0 outside the disjoint, nonempty [start, stop) ``spans``
+    and nowhere negative.  ``fill(out, lo)`` writes its entries lo..lo +
+    out.size - 1 into ``out``, which holds zeros; ``lo`` places this node in
+    a larger array, and every span meets the node.  numpy sums a node of n
+    entries in one pass with 8 accumulators when n <= PAIRWISE_BLOCK, and
+    otherwise as node(first h) + node(rest), h = n // 2 rounded down to a
+    multiple of 8.  A node without span entries sums to +0.0, and
+    x + 0.0 == x for x >= 0, so the walk enters only nodes that meet a span,
+    and builds one when it is at most DENSE_NODE entries or twice the span
+    entries it holds: O(span entries + DENSE_NODE) memory, not O(size).
+    """
+    if size > DENSE_NODE and 2 * sum([min(lo + size, stop) - max(lo, start) for start, stop in spans]) < size:
+        h = size // 2
+        h -= h % 8
+        mid = lo + h
+        left = [(start, stop) for start, stop in spans if start < mid]
+        right = [(start, stop) for start, stop in spans if stop > mid]
+        return (_sparse_pairwise_sum(h, left, fill, lo) if left else 0.0) + (
+            _sparse_pairwise_sum(size - h, right, fill, mid) if right else 0.0
+        )
+    out = np.zeros(size)
+    fill(out, lo)
+    return np.add.reduce(out)
+
+
 def _logsumexp_at(size: int, chunks: Sequence[tuple[int, np.ndarray]]) -> float:
-    """logsumexp of a ``size``-term array known only on its chunks.
+    """logsumexp of a ``size``-term array known only on its disjoint chunks.
 
     Each chunk is (offset, values).  Every term outside the chunks lies more
-    than EXP_UNDERFLOW_CUT below the maximum, so its exp(a - a_max) is 0.0:
-    the sum runs over the full zero-filled array, because numpy sums
-    pairwise by position and summing the chunks alone would change the bits.
+    than EXP_UNDERFLOW_CUT below the maximum, so its exp(a - a_max) is 0.0.
+    numpy sums pairwise by position, so the exp terms are summed where they
+    sit in the full array: ``_sparse_pairwise_sum`` gives the zero-filled
+    array's bits, and exp writes straight into its node buffers.
     """
     if size == 0:
         return -math.inf
-    a_max = max([np.maximum.reduce(v) for _, v in chunks])
+    peaks = [np.maximum.reduce(v) for _, v in chunks]
+    a_max = max(peaks)
     if not math.isfinite(a_max):  # all terms -inf, or an inf or nan term
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return float(np.log(sum([np.exp(v).sum() for _, v in chunks])))
-    e = np.zeros(size)
-    m = 0
-    for offset, v in chunks:
-        ties = v == a_max
-        m += np.count_nonzero(ties)
-        seg = np.exp(v - a_max, out=e[offset : offset + v.size])
-        seg[ties] = 0.0
-    s = np.add.reduce(e)
+    m = 0  # ties of the maximum, summed apart; each term is written once
+
+    def put(out: np.ndarray, part: np.ndarray, peak: float) -> None:
+        """exp(part - a_max) into ``out``, ties of the maximum zeroed."""
+        nonlocal m
+        np.exp(part - a_max, out=out)
+        if peak == a_max:
+            ties = part == a_max
+            m += np.count_nonzero(ties)
+            out[ties] = 0.0
+
+    if size <= DENSE_NODE:  # one node, built whole
+        e = np.zeros(size)
+        for (offset, v), peak in zip(chunks, peaks):
+            put(e[offset : offset + v.size], v, peak)
+        s = np.add.reduce(e)
+    else:
+
+        def fill(out: np.ndarray, lo: int) -> None:
+            hi = lo + out.size
+            for (offset, v), peak in zip(chunks, peaks):
+                if offset < hi and lo < offset + v.size:  # slicing clips both stops
+                    dest = out[max(offset - lo, 0) : offset + v.size - lo]
+                    put(dest, v[max(lo - offset, 0) : hi - offset], peak)
+
+        s = _sparse_pairwise_sum(size, [(offset, offset + v.size) for offset, v in chunks], fill)
     if s != 0:
         s = s / m
     return float(np.log1p(s) + np.log(m) + a_max)
@@ -418,7 +479,17 @@ def logsumexp(a: np.ndarray) -> float:
 
 
 def _log_binom_pmf(n: int, p1: float, k0: int, k1: int) -> np.ndarray:
-    """log P(k) of Binomial(n, p1) for k = k0..k1-1."""
+    """log P(k) of Binomial(n, p1) for k = k0..k1-1.
+
+    Each entry depends on its k alone, so a long range is evaluated
+    PMF_BLOCK counts at a time into one output array.
+    """
+    if k1 - k0 > PMF_BLOCK:
+        out = np.empty(k1 - k0)
+        for b0 in range(k0, k1, PMF_BLOCK):
+            b1 = min(b0 + PMF_BLOCK, k1)
+            out[b0 - k0 : b1 - k0] = _log_binom_pmf(n, p1, b0, b1)
+        return out
     log_p1 = math.log(p1) if p1 > 0 else -math.inf
     log_p0 = math.log1p(-p1) if p1 < 1 else -math.inf
     ks = np.arange(k0, k1)
@@ -445,7 +516,9 @@ def _log_binom_sums(
     fall away from it.  Terms are evaluated on a block around c whose ends
     walk outward until each is the segment's end or EXP_UNDERFLOW_CUT below
     the largest such P(c) of the subset; every term beyond then has
-    exp(a - a_max) = 0.0.
+    exp(a - a_max) = 0.0.  Each block goes to ``_logsumexp_at`` at its
+    position in the subset's count-ordered array, which sums it with that
+    array's bits without building the array: memory is O(sqrt(n)), not O(n).
     """
     mode = min(math.floor((n + 1) * p1), n)
     spread = 2.0 * EXP_UNDERFLOW_CUT * n * p1 * (1.0 - p1)
@@ -490,12 +563,8 @@ def _log_binom_sums(
                 b1, step = min(stop, b1 + step), 2 * step
             row[0], values[j] = b0, v
     chunks: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
-    for row, v in zip(rows, values):
-        own, offset = chunks[row[2]], row[5] + row[0] - row[3]  # position of the block's start
-        if own and own[-1][0] + own[-1][1].size == offset:
-            own[-1] = (own[-1][0], np.concatenate((own[-1][1], v)))
-        else:
-            own.append((offset, v))
+    for row, v in zip(rows, values):  # each block at its start's position in its subset
+        chunks[row[2]].append((row[5] + row[0] - row[3], v))
     return [_logsumexp_at(size, own) for size, own in zip(sizes, chunks)]
 
 

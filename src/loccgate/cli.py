@@ -44,8 +44,24 @@ def _emit(text: str, path: Path | None) -> None:
         path.write_text(text)
 
 
+def _non_finite(doc, where: str = "") -> str | None:
+    """Path of the first nan or infinite float in a JSON document, or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else where
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        found = _non_finite(value, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
+        if found is not None:
+            return found
+    return None
+
+
 def _emit_json(doc: dict, path: Path | None) -> None:
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", path)
+    """Strict JSON: a nan or infinite value is a domain error naming its field."""
+    field = _non_finite(doc)
+    if field is not None:
+        raise ValueError(f"{field.lstrip('.')} is not finite, and JSON has no such number")
+    _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", path)
 
 
 def _emit_csv(header: list[str], rows: list[list], path: Path | None) -> None:
@@ -298,7 +314,8 @@ def typicality(theta, delta, n_list, enumerate_, fmt, output):
 @click.option("--gate", "gate_name", default="cnot", type=click.Choice(list(_GATES)))
 @click.option("--target", default="0.4,0.3,0.2,0.1", show_default=True,
               help="Dilution target spectrum (comma-separated).")
-@click.option("--k", type=int, default=2, show_default=True)
+@click.option("--k", type=click.IntRange(1, 6), default=2, show_default=True,
+              help="Ebits of the maximally entangled input; 2^k x 2^k must fit the 4096-dimension cap.")
 @click.option("--output", default=None)
 def export_protocol(kind, theta, alpha, phi, gate_name, target, k, output):
     """Dump a protocol program as a JSON document."""

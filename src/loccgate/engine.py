@@ -33,6 +33,8 @@ LEAF_PURITY_TOL = qmath.LEAF_PURITY_TOL
 # budget for the leaf probabilities' deviation from 1, and for the total
 # probability mass a run may prune at PRUNE_PROB
 LEAF_SUM_TOL = 1e-9
+# trees_equal: leaf probabilities and state entries this close are equal
+TREE_TOL = 1e-10
 
 
 class EngineError(Exception):
@@ -270,7 +272,7 @@ class BranchTree:
         return rho
 
 
-def trees_equal(a: BranchTree, b: BranchTree, tol: float = 1e-10) -> bool:
+def trees_equal(a: BranchTree, b: BranchTree, tol: float = TREE_TOL) -> bool:
     """Same leaf probabilities and states (up to the fixed phase convention)."""
     if len(a.leaves) != len(b.leaves):
         return False

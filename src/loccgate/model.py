@@ -12,6 +12,8 @@ from . import qmath
 from .systems import ALICE, BOB, REFEREE, Owner, PureState, SystemLayout
 
 UNITARITY_TOL = 1e-10
+# a Pauli-pair coefficient of U W U+ this close to modulus 1 names W's image
+CLIFFORD_TOL = 1e-8
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -212,7 +214,7 @@ class NotClifford:
     best_overlap: float
 
 
-def clifford_conjugation_table(gate: GateSpec, tol: float = 1e-8) -> CliffordTable | NotClifford:
+def clifford_conjugation_table(gate: GateSpec, tol: float = CLIFFORD_TOL) -> CliffordTable | NotClifford:
     """Search, for every Pauli pair W, a phased Pauli pair equal to U W U+.
 
     Decomposes each conjugate in the orthogonal Pauli-pair basis; since the

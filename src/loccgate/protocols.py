@@ -56,6 +56,14 @@ from .model import (
 from .systems import ALICE, BOB, REFEREE, Owner, PureState, SystemLayout
 
 FIT_RESIDUAL_TOL = 1e-8
+# fit_zz_rotation: an overlap this small has no usable phase
+FIT_OVERLAP_FLOOR = 1e-12
+# local_dressing: largest entry deviation of the dressed gate from U(phi), up to phase
+DRESSING_TOL = 1e-10
+# _mixing_chain: spectrum coordinates this close are equal
+MIXING_TOL = 1e-12
+# nielsen_dilution: a mixing step whose pair of coordinates differs by less is skipped
+DILUTION_STEP_FLOOR = 1e-15
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / math.sqrt(2)
 X_BASIS = {"plus": PLUS, "minus": MINUS}
@@ -90,14 +98,14 @@ def fit_zz_rotation(state: PureState) -> tuple[float, float]:
     zz = ref.apply_unitary(np.kron(SZ, SZ), ("A", "B"))
     a = ref.overlap(state)
     b = zz.overlap(state)
-    if abs(a) < 1e-12:
+    if abs(a) < FIT_OVERLAP_FLOOR:
         angle = math.pi
     else:
         sin_val = ((-1j) * b * np.conj(a)).real / abs(a)
         angle = 2.0 * math.atan2(sin_val, abs(a))
     recon = math.cos(angle / 2) * ref.vector + 1j * math.sin(angle / 2) * zz.vector
     overlap = np.vdot(recon, state.vector)
-    phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
+    phase = overlap / abs(overlap) if abs(overlap) > FIT_OVERLAP_FLOOR else 1.0
     residual = float(np.linalg.norm(state.vector - phase * recon))
     return angle, residual
 
@@ -317,7 +325,7 @@ def local_dressing(phi: float) -> Dressing:
     inner = np.trace(target.conj().T @ lhs) / 4.0
     phase = float(np.angle(inner))
     dev = float(np.max(np.abs(lhs - np.exp(1j * phase) * target)))
-    if dev > 1e-10:
+    if dev > DRESSING_TOL:
         raise EngineError(f"dressing verification failed (deviation {dev:.2e})")
     return Dressing(v_a, v_b, controlled_angle, phase)
 
@@ -448,10 +456,10 @@ def _mixing_chain(target: np.ndarray, start: np.ndarray) -> list[tuple[int, int,
     y = target.copy()
     for _ in range(len(y) * 2):
         diff = y - start
-        if np.max(np.abs(diff)) <= 1e-12:
+        if np.max(np.abs(diff)) <= MIXING_TOL:
             break
-        j = int(np.max(np.nonzero(diff > 1e-12)[0]))  # largest index with y > x
-        later = np.nonzero(diff[j + 1 :] < -1e-12)[0]
+        j = int(np.max(np.nonzero(diff > MIXING_TOL)[0]))  # largest index with y > x
+        later = np.nonzero(diff[j + 1 :] < -MIXING_TOL)[0]
         if later.size == 0:
             raise ValueError("majorization chain failed; inputs not comparable")
         l = j + 1 + int(later[0])
@@ -496,7 +504,7 @@ def nielsen_dilution(
         j, l, _ = chain[idx]
         lam = specs[idx + 1]  # current (more mixed)
         lam_next = specs[idx]  # next (more spread)
-        if abs(lam_next[j] - lam_next[l]) < 1e-15:
+        if abs(lam_next[j] - lam_next[l]) < DILUTION_STEP_FLOOR:
             continue
         p0 = 0.5 * (1.0 + (lam[j] - lam[l]) / (lam_next[j] - lam_next[l]))
         p1 = 1.0 - p0

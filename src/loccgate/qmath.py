@@ -22,6 +22,8 @@ PIVOT_TIE_TOL = 1e-12
 # a leaf's kept factors count as pure when their leading Schmidt weight is
 # at least 1 - LEAF_PURITY_TOL
 LEAF_PURITY_TOL = 1e-9
+# a conditional mutual information this far below 0 is entropy rounding, read as 0
+CQMI_CLAMP = 1e-8
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,7 +201,7 @@ def cqmi(
         - _subsystem_entropy(rho, layout, r)
         - _subsystem_entropy(rho, layout, p | q | r)
     )
-    if -1e-8 <= val < 0.0:
+    if -CQMI_CLAMP <= val < 0.0:
         return 0.0
     return val
 
@@ -224,7 +226,7 @@ def entanglement_entropy(state: PureState, cut_labels: Iterable[str]) -> float:
 def as_distribution(weights: Sequence[float], tol: float = SUM_TOL) -> np.ndarray:
     """Validate and clean a probability vector (clamp tiny negatives)."""
     w = np.asarray(weights, dtype=float).copy()
-    if np.any(w < -1e-12):
+    if np.any(w < -EIG_CLAMP):  # smaller negatives are rounding, clamped to 0
         raise ValueError(f"negative weight {w.min()} in probability vector")
     w[w < 0] = 0.0
     total = float(w.sum())

@@ -9,9 +9,13 @@ exp over every term.  Each float is compared by ``.hex()``.
 import dataclasses
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loccgate import analysis, qmath
 from loccgate.analysis import resource_spectrum, success_probability
@@ -249,6 +253,85 @@ def test_logsumexp_matches_oracle(size, kind):
         a[:] = -np.inf
     with np.errstate(invalid="ignore"):
         assert analysis.logsumexp(a).hex() == oracle_logsumexp(a).hex()
+
+
+# sizes whose pairwise tree splits, and splits off a multiple of 8, in every way
+SPARSE_SIZES = st.one_of(
+    st.integers(0, 7),
+    st.integers(8, analysis.PAIRWISE_BLOCK),
+    st.just(analysis.PAIRWISE_BLOCK + 1),
+    st.sampled_from([2**k + d for k in range(8, 21) for d in (-1, 0, 1)]),
+    st.just(2**20 + 1),
+)
+
+
+@st.composite
+def sparse_layouts(draw):
+    """(size, spans, seed): 1-3 disjoint spans, their ends at 0, at size, or at and
+    next to the node boundaries of numpy's pairwise tree along one root-to-leaf path."""
+    size = draw(SPARSE_SIZES)
+    marks, lo, hi = {0, size}, 0, size
+    while hi - lo > analysis.PAIRWISE_BLOCK:
+        h = (hi - lo) // 2
+        h -= h % 8
+        marks.add(lo + h)
+        lo, hi = (lo + h, hi) if draw(st.booleans()) else (lo, lo + h)
+    near = sorted({min(max(x + d, 0), size) for x in marks for d in (-1, 0, 1)})
+    k = draw(st.integers(1, 3))
+    ends = draw(st.lists(st.sampled_from(near) | st.integers(0, size), min_size=2 * k, max_size=2 * k))
+    ends.sort()
+    spans = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+    return size, spans, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150)
+@given(layout=sparse_layouts(), dense=st.sampled_from([analysis.PAIRWISE_BLOCK, analysis.DENSE_NODE]))
+@example(layout=(2**20 - 1, [(524200, 524360)], 1), dense=analysis.PAIRWISE_BLOCK)  # spans the root split
+@example(layout=(2**20 + 1, [(0, 3), (2**20 - 2, 2**20 + 1)], 1), dense=analysis.DENSE_NODE)
+def test_sparse_pairwise_sum_has_the_bits_of_add_reduce(layout, dense):
+    """The walk sums exactly as np.add.reduce does over the whole array, and
+    builds no node longer than DENSE_NODE or twice the span entries it holds.
+    A change in numpy's summation order fails here instead of drifting the
+    binomial kernels' bits."""
+    size, spans, seed = layout
+    rng = np.random.default_rng(seed)
+    full = np.zeros(size)
+    for a, b in spans:  # from 1e-300 to 1, most spread over a few decades
+        full[a:b] = 10.0 ** -np.minimum(rng.exponential(rng.choice([0.1, 1.0, 30.0]), b - a), 300.0)
+    built = []
+
+    def fill(out, lo):
+        held = 0
+        for a, b in spans:
+            a, b = max(a, lo), min(b, lo + out.size)
+            if a < b:
+                out[a - lo : b - lo] = full[a:b]
+                held += b - a
+        built.append((out.size, held))
+
+    with mock.patch.object(analysis, "DENSE_NODE", dense):
+        got = analysis._sparse_pairwise_sum(size, spans, fill)
+    assert float(got).hex() == float(np.add.reduce(full)).hex()
+    assert all(n <= dense or n <= 2 * held for n, held in built), built
+
+
+def test_error_budget_memory_does_not_grow_with_n():
+    # the binomial windows hold O(sqrt(n)) terms; no n-length array is built
+    tracemalloc.start()
+    try:
+        analysis.error_budget(2**24, 0.2, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("n, p1", [(30000, 0.3), (2**20, 0.7), (40000, 0.0), (40000, 1.0)])
+def test_log_binom_pmf_blocks_match_the_full_array(n, p1):
+    # a range of several PMF_BLOCK blocks with a ragged end, starting off a block boundary
+    k0, k1 = 5, 5 + 3 * analysis.PMF_BLOCK + 7
+    want = oracle_log_binom_pmf(oracle_log_factorials(n), n, p1)[k0:k1]
+    assert analysis._log_binom_pmf(n, p1, k0, k1).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 11, 12, 998, 999, 8191, 8192, 8193, 30000])

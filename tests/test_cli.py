@@ -267,6 +267,14 @@ def test_typicality_huge_delta_prints_rows(runner, delta):
         assert float(vals["weight"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_typicality_json_rejects_a_non_finite_field(runner):
+    # n (H + delta) overflows to inf, which JSON cannot hold; CSV prints it as inf
+    result = runner.invoke(main, ["typicality", "--delta", "1e308", "--n-list", "4096", "--format", "json"])
+    assert result.exit_code == 2, result.output
+    assert "rows[0].dilution_ebits is not finite" in result.output
+    assert "Infinity" not in result.output
+
+
 def test_typicality_rejects_vanishing_theta(runner):
     # cos(theta) cos(sqrt(theta)) rounds to 1: the success probability is undefined
     result = runner.invoke(main, ["typicality", "--theta", "1e-17", "--n-list", "8"])
@@ -348,6 +356,15 @@ def test_builder_domain_errors_exit_two_with_a_message(runner, args):
     assert isinstance(result.exception, SystemExit)  # no uncaught exception, so no traceback
     assert "Error: " in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("k", ["0", "7"])
+def test_export_dilution_k_outside_one_to_six_names_the_option(runner, k):
+    # 2^k x 2^k must fit the 4096-dimension cap, which no CLI option lifts
+    result = runner.invoke(main, ["export-protocol", "dilution", "--k", k])
+    assert result.exit_code == 2, result.output
+    assert "--k" in result.output
+    assert "dim_cap" not in result.output
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
