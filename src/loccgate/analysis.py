@@ -43,6 +43,9 @@ LOG_FACTORIAL_TABLE_SIZE = 2**13
 # numpy's float64 add.reduce sums a contiguous array pairwise, and a node of
 # at most this many entries in one pass (PW_BLOCKSIZE in numpy 2.4's loops)
 PAIRWISE_BLOCK = 128
+# that pass keeps this many accumulators, so a longer node splits its first
+# half off at a multiple of this many entries
+PAIRWISE_LANES = 8
 # _sparse_pairwise_sum builds a node this short whole: zero-filling and summing
 # 2^13 entries (64 KiB) costs about what the walk's Python steps do
 DENSE_NODE = 2**13
@@ -344,13 +347,12 @@ def _lgam(x: np.ndarray) -> np.ndarray:
     out = (x - 0.5) * np.log(x) - x + _LS2PI
     # positions of the first x >= 1000 and the first x > 1e8
     b1000, b1e8 = np.searchsorted(x, (1000.0, 1e8 + 0.5)).tolist()
-    if b1000:  # only the import-time table reaches x < 1000
-        xs = x[:b1000]
-        p = 1.0 / (xs * xs)
-        poly = _LGAM_A[0]
-        for c in _LGAM_A[1:]:
-            poly = poly * p + c
-        out[:b1000] += poly / xs
+    xs = x[:b1000]
+    p = 1.0 / (xs * xs)
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    out[:b1000] += poly / xs
     xs = x[b1000:b1e8]
     p = 1.0 / (xs * xs)
     out[b1000:b1e8] += (
@@ -399,16 +401,21 @@ def _sparse_pairwise_sum(
     and nowhere negative.  ``fill(out, lo)`` writes its entries lo..lo +
     out.size - 1 into ``out``, which holds zeros; ``lo`` places this node in
     a larger array, and every span meets the node.  numpy sums a node of n
-    entries in one pass with 8 accumulators when n <= PAIRWISE_BLOCK, and
-    otherwise as node(first h) + node(rest), h = n // 2 rounded down to a
-    multiple of 8.  A node without span entries sums to +0.0, and
-    x + 0.0 == x for x >= 0, so the walk enters only nodes that meet a span,
-    and builds one when it is at most DENSE_NODE entries or twice the span
-    entries it holds: O(span entries + DENSE_NODE) memory, not O(size).
+    entries in one pass with PAIRWISE_LANES accumulators when n <=
+    PAIRWISE_BLOCK, and otherwise as node(first h) + node(rest), h = n // 2
+    rounded down to a multiple of PAIRWISE_LANES.  A node without span
+    entries sums to +0.0, and x + 0.0 == x for x >= 0, so the walk enters
+    only nodes that meet a span, and builds one when it is at most
+    max(DENSE_NODE, PAIRWISE_BLOCK) entries (a node numpy sums in one pass
+    is never split) or twice the span entries it holds: O(span entries +
+    DENSE_NODE) memory, not O(size).
     """
-    if size > DENSE_NODE and 2 * sum([min(lo + size, stop) - max(lo, start) for start, stop in spans]) < size:
+    if (
+        size > max(DENSE_NODE, PAIRWISE_BLOCK)
+        and 2 * sum([min(lo + size, stop) - max(lo, start) for start, stop in spans]) < size
+    ):
         h = size // 2
-        h -= h % 8
+        h -= h % PAIRWISE_LANES
         mid = lo + h
         left = [(start, stop) for start, stop in spans if start < mid]
         right = [(start, stop) for start, stop in spans if stop > mid]
@@ -427,7 +434,8 @@ def _logsumexp_at(size: int, chunks: Sequence[tuple[int, np.ndarray]]) -> float:
     than EXP_UNDERFLOW_CUT below the maximum, so its exp(a - a_max) is 0.0.
     numpy sums pairwise by position, so the exp terms are summed where they
     sit in the full array: ``_sparse_pairwise_sum`` gives the zero-filled
-    array's bits, and exp writes straight into its node buffers.
+    array's bits, and exp writes straight into its node buffers.  An array
+    of at most DENSE_NODE terms is one node: one buffer and one reduce.
     """
     if size == 0:
         return -math.inf
@@ -438,30 +446,21 @@ def _logsumexp_at(size: int, chunks: Sequence[tuple[int, np.ndarray]]) -> float:
             return float(np.log(sum([np.exp(v).sum() for _, v in chunks])))
     m = 0  # ties of the maximum, summed apart; each term is written once
 
-    def put(out: np.ndarray, part: np.ndarray, peak: float) -> None:
-        """exp(part - a_max) into ``out``, ties of the maximum zeroed."""
+    def fill(out: np.ndarray, lo: int) -> None:
+        """exp(a - a_max) of terms lo.. into ``out``, ties of the maximum zeroed."""
         nonlocal m
-        np.exp(part - a_max, out=out)
-        if peak == a_max:
-            ties = part == a_max
-            m += np.count_nonzero(ties)
-            out[ties] = 0.0
-
-    if size <= DENSE_NODE:  # one node, built whole
-        e = np.zeros(size)
+        hi = lo + out.size
         for (offset, v), peak in zip(chunks, peaks):
-            put(e[offset : offset + v.size], v, peak)
-        s = np.add.reduce(e)
-    else:
+            if offset < hi and lo < offset + v.size:  # slicing clips both stops
+                part = v[max(lo - offset, 0) : hi - offset]
+                dest = out[max(offset - lo, 0) : offset + v.size - lo]
+                np.exp(part - a_max, out=dest)
+                if peak == a_max:
+                    ties = part == a_max
+                    m += np.count_nonzero(ties)
+                    dest[ties] = 0.0
 
-        def fill(out: np.ndarray, lo: int) -> None:
-            hi = lo + out.size
-            for (offset, v), peak in zip(chunks, peaks):
-                if offset < hi and lo < offset + v.size:  # slicing clips both stops
-                    dest = out[max(offset - lo, 0) : offset + v.size - lo]
-                    put(dest, v[max(lo - offset, 0) : hi - offset], peak)
-
-        s = _sparse_pairwise_sum(size, [(offset, offset + v.size) for offset, v in chunks], fill)
+    s = _sparse_pairwise_sum(size, [(offset, offset + v.size) for offset, v in chunks], fill)
     if s != 0:
         s = s / m
     return float(np.log1p(s) + np.log(m) + a_max)

@@ -273,7 +273,7 @@ def sparse_layouts(draw):
     marks, lo, hi = {0, size}, 0, size
     while hi - lo > analysis.PAIRWISE_BLOCK:
         h = (hi - lo) // 2
-        h -= h % 8
+        h -= h % analysis.PAIRWISE_LANES
         marks.add(lo + h)
         lo, hi = (lo + h, hi) if draw(st.booleans()) else (lo, lo + h)
     near = sorted({min(max(x + d, 0), size) for x in marks for d in (-1, 0, 1)})
@@ -285,12 +285,14 @@ def sparse_layouts(draw):
 
 
 @settings(max_examples=150)
-@given(layout=sparse_layouts(), dense=st.sampled_from([analysis.PAIRWISE_BLOCK, analysis.DENSE_NODE]))
+@given(layout=sparse_layouts(), dense=st.sampled_from([8, analysis.PAIRWISE_BLOCK, analysis.DENSE_NODE]))
 @example(layout=(2**20 - 1, [(524200, 524360)], 1), dense=analysis.PAIRWISE_BLOCK)  # spans the root split
 @example(layout=(2**20 + 1, [(0, 3), (2**20 - 2, 2**20 + 1)], 1), dense=analysis.DENSE_NODE)
+@example(layout=(2**10 + 1, [(3, 4), (1020, 1022)], 1), dense=8)  # never splits a one-pass node
 def test_sparse_pairwise_sum_has_the_bits_of_add_reduce(layout, dense):
     """The walk sums exactly as np.add.reduce does over the whole array, and
-    builds no node longer than DENSE_NODE or twice the span entries it holds.
+    builds no node longer than DENSE_NODE (PAIRWISE_BLOCK if that is longer)
+    or twice the span entries it holds.
     A change in numpy's summation order fails here instead of drifting the
     binomial kernels' bits."""
     size, spans, seed = layout
@@ -312,7 +314,8 @@ def test_sparse_pairwise_sum_has_the_bits_of_add_reduce(layout, dense):
     with mock.patch.object(analysis, "DENSE_NODE", dense):
         got = analysis._sparse_pairwise_sum(size, spans, fill)
     assert float(got).hex() == float(np.add.reduce(full)).hex()
-    assert all(n <= dense or n <= 2 * held for n, held in built), built
+    whole = max(dense, analysis.PAIRWISE_BLOCK)
+    assert all(n <= whole or n <= 2 * held for n, held in built), built
 
 
 def test_error_budget_memory_does_not_grow_with_n():
