@@ -347,12 +347,13 @@ def _lgam(x: np.ndarray) -> np.ndarray:
     out = (x - 0.5) * np.log(x) - x + _LS2PI
     # positions of the first x >= 1000 and the first x > 1e8
     b1000, b1e8 = np.searchsorted(x, (1000.0, 1e8 + 0.5)).tolist()
-    xs = x[:b1000]
-    p = 1.0 / (xs * xs)
-    poly = _LGAM_A[0]
-    for c in _LGAM_A[1:]:
-        poly = poly * p + c
-    out[:b1000] += poly / xs
+    if b1000:  # empty on every call above the log-factorial table
+        xs = x[:b1000]
+        p = 1.0 / (xs * xs)
+        poly = _LGAM_A[0]
+        for c in _LGAM_A[1:]:
+            poly = poly * p + c
+        out[:b1000] += poly / xs
     xs = x[b1000:b1e8]
     p = 1.0 / (xs * xs)
     out[b1000:b1e8] += (
@@ -690,17 +691,6 @@ class TypicalityReport:
     log_epsilon_n: float  # natural logs, finite even when the floats underflow
     log_epsilon_prime: float
     hoeffding_epsilon_prime: float
-
-
-def projection_error(n: int, delta: float, theta: float) -> float:
-    """Exact trace distance 2 sqrt(1 - w) between the projected and ideal resources."""
-    tset = typical_set(n, delta, resource_spectrum(theta))
-    return 2.0 * math.sqrt(max(tset.complement, 0.0))
-
-
-def excess_failure_prob(n: int, delta: float, theta: float) -> float:
-    """Exact lower binomial tail: fewer than n (p - delta) heralded successes."""
-    return math.exp(_log_excess_failure(n, delta, theta))
 
 
 def _log_excess_failure(n: int, delta: float, theta: float) -> float:

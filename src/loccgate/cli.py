@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import analysis, engine, model, protocols, qmath
-from .systems import ALICE, BOB, REFEREE, SystemLayout
+from .systems import ALICE, BOB, DEFAULT_DIM_CAP, REFEREE, SystemLayout
 
 
 def _fmt(x: float) -> str:
@@ -87,6 +87,10 @@ _GATES = {
     "identity": lambda: model.GateSpec(np.eye(4)),
     "qutrit-cz": lambda: model.qudit_cz_gate(3),
 }
+
+
+# the largest k with 2^k x 2^k <= DEFAULT_DIM_CAP, the size cap no CLI option lifts
+_DILUTION_MAX_K = (DEFAULT_DIM_CAP.bit_length() - 1) // 2
 
 
 def _builtin_gate(name: str, theta: float | None) -> model.GateSpec:
@@ -157,9 +161,9 @@ def simulate(ctx, gate, theta, alpha, gate_name, inputs, seed, tolerance, fmt, o
     d = target.local_dim
 
     tree = engine.run_exhaustive(program, engine.choi_input(program))
+    layout = SystemLayout([("A", d, ALICE), ("B", d, BOB), ("R", d * d, REFEREE)])
     errors = []
     for _ in range(inputs):
-        layout = SystemLayout([("A", d, ALICE), ("B", d, BOB), ("R", d * d, REFEREE)])
         state = model.random_pure_state(layout, rng)
         errors.append(engine.protocol_error(program, target, state, tree=tree))
     led = engine.ledger(program, tree)
@@ -211,19 +215,19 @@ def cost_curve(theta_min, theta_max, steps, fmt, output):
             }
         )
     thr = analysis.break_even_theta()
-    threshold = None
+    thr_point = threshold = None
     if thr is not None:
-        threshold = {"theta": thr, "e_bar": analysis.CostCurvePoint.at(thr).e_bar}
+        thr_point = analysis.CostCurvePoint.at(thr)
+        threshold = {"theta": thr, "e_bar": thr_point.e_bar}
     path = _resolve_output(output)
     if fmt == "json":
         _emit_json({"command": "cost-curve", "rows": rows, "threshold": threshold}, path)
     else:
         header = ["theta", "p_theta", "h_theta", "e_bar", "p_alpha_eq_theta", "is_threshold"]
         table = [[r["theta"], r["p_theta"], r["h_theta"], r["e_bar"], r["p_alpha_eq_theta"], 0] for r in rows]
-        if threshold is not None:
-            point = analysis.CostCurvePoint.at(threshold["theta"])
-            table.append([point.theta, point.p_theta, point.h_theta, point.e_bar,
-                          analysis.success_probability(point.theta, point.theta), 1])
+        if thr_point is not None:
+            table.append([thr_point.theta, thr_point.p_theta, thr_point.h_theta, thr_point.e_bar,
+                          analysis.success_probability(thr_point.theta, thr_point.theta), 1])
         _emit_csv(header, table, path)
 
 
@@ -314,8 +318,8 @@ def typicality(theta, delta, n_list, enumerate_, fmt, output):
 @click.option("--gate", "gate_name", default="cnot", type=click.Choice(list(_GATES)))
 @click.option("--target", default="0.4,0.3,0.2,0.1", show_default=True,
               help="Dilution target spectrum (comma-separated).")
-@click.option("--k", type=click.IntRange(1, 6), default=2, show_default=True,
-              help="Ebits of the maximally entangled input; 2^k x 2^k must fit the 4096-dimension cap.")
+@click.option("--k", type=click.IntRange(1, _DILUTION_MAX_K), default=2, show_default=True,
+              help=f"Ebits of the maximally entangled input; 2^k x 2^k must fit the {DEFAULT_DIM_CAP}-dimension cap.")
 @click.option("--output", default=None)
 def export_protocol(kind, theta, alpha, phi, gate_name, target, k, output):
     """Dump a protocol program as a JSON document."""

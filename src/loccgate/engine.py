@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import qmath
-from .model import GateSpec
+from .model import UNITARITY_TOL, GateSpec
 from .systems import ALICE, BOB, REFEREE, Owner, PureState, SystemLayout
 
-KRAUS_TOL = 1e-10
+# largest entry of sum_k K_k^dagger K_k - I; for one branch that is the unitarity deviation
+KRAUS_TOL = UNITARITY_TOL
 PRUNE_PROB = 1e-12
 NODE_NORM_TOL = 1e-8
 LEAF_PURITY_TOL = qmath.LEAF_PURITY_TOL
@@ -262,14 +263,6 @@ class BranchTree:
 
     def total_probability(self) -> float:
         return float(sum(leaf.probability for leaf in self.leaves))
-
-    def average_output(self) -> np.ndarray:
-        """Transcript-averaged density operator on the output labels."""
-        rho = None
-        for leaf in self.leaves:
-            contrib = leaf.probability * leaf.state.density()
-            rho = contrib if rho is None else rho + contrib
-        return rho
 
 
 def trees_equal(a: BranchTree, b: BranchTree, tol: float = TREE_TOL) -> bool:
@@ -610,9 +603,7 @@ def classify_rounds(program: ProtocolProgram) -> RoundProfile:
         else:
             rounds.append(direction)
     kind = "other"
-    if not rounds:
-        kind = "other"
-    elif rounds == ["both"]:
+    if rounds == ["both"]:
         kind = "d"
     elif all(r != "both" for r in rounds):
         alternating = all(rounds[i] != rounds[i + 1] for i in range(len(rounds) - 1))
@@ -666,18 +657,7 @@ def serialize_simultaneous(program: ProtocolProgram) -> ProtocolProgram:
     violation = validate_program(program)
     if violation is not None:
         raise EngineError(f"messages not independent: {violation}")
-    steps = [
-        ProtocolStep(
-            name=s.name,
-            party=s.party,
-            instrument=s.instrument,
-            instrument_fn=s.instrument_fn,
-            condition_on=s.condition_on,
-            sends_message=s.sends_message,
-            simultaneous_with_prev=False,
-        )
-        for s in program.steps
-    ]
+    steps = [replace(s, simultaneous_with_prev=False) for s in program.steps]
     return ProtocolProgram(
         layout=program.layout,
         resources=program.resources,
@@ -965,27 +945,18 @@ def _program_from_json(doc: dict) -> ProtocolProgram:
     steps = []
     for sdoc in doc["steps"]:
         condition_on = tuple(sdoc["condition_on"])
-        if "instrument" in sdoc:
-            steps.append(
-                ProtocolStep(
-                    name=sdoc["name"],
-                    party=Owner(sdoc["party"]),
-                    instrument=_instrument_from_json(sdoc["instrument"]),
-                    sends_message=sdoc["sends_message"],
-                    simultaneous_with_prev=sdoc["simultaneous_with_prev"],
-                )
+        fixed = "instrument" in sdoc  # a fixed step's condition_on is ignored
+        steps.append(
+            ProtocolStep(
+                name=sdoc["name"],
+                party=Owner(sdoc["party"]),
+                instrument=_instrument_from_json(sdoc["instrument"]) if fixed else None,
+                instrument_fn=None if fixed else _case_fn(sdoc["cases"], condition_on),
+                condition_on=() if fixed else condition_on,
+                sends_message=sdoc["sends_message"],
+                simultaneous_with_prev=sdoc["simultaneous_with_prev"],
             )
-        else:
-            steps.append(
-                ProtocolStep(
-                    name=sdoc["name"],
-                    party=Owner(sdoc["party"]),
-                    instrument_fn=_case_fn(sdoc["cases"], condition_on),
-                    condition_on=condition_on,
-                    sends_message=sdoc["sends_message"],
-                    simultaneous_with_prev=sdoc["simultaneous_with_prev"],
-                )
-            )
+        )
     return ProtocolProgram(
         layout=layout,
         resources=resources,

@@ -52,9 +52,6 @@ class GateSpec:
             raise ValueError("gate is not bipartite on two equal dimensions of at least 2")
         return d
 
-    def adjoint(self) -> "GateSpec":
-        return GateSpec(self.matrix.conj().T, self.labels)
-
 
 def zz_phase_gate(theta: float, labels: Sequence[str] = ("A", "B")) -> GateSpec:
     """cos(theta/2) I (x) I + i sin(theta/2) Z (x) Z.
@@ -146,18 +143,6 @@ def partial_bell_pair(alpha: float, labels: Sequence[str] = ("a", "b")) -> PureS
     layout = SystemLayout([(labels[0], 2, ALICE), (labels[1], 2, BOB)])
     vec = np.array([math.cos(alpha / 2), 0.0, 0.0, 1j * math.sin(alpha / 2)], dtype=complex)
     return PureState(layout, vec)
-
-
-def inverse_choi_state(gate: GateSpec) -> PureState:
-    """Adjoint of the gate applied to halves of two maximally entangled pairs.
-
-    Layout (A, B, RA, RB) with RA, RB referee-held; the gate acts on (A, B).
-    """
-    d = gate.local_dim
-    a_ra = bell_pair(d, labels=("A", "RA"), owners=(ALICE, REFEREE))
-    b_rb = bell_pair(d, labels=("B", "RB"), owners=(BOB, REFEREE))
-    psi = a_ra.tensor(b_rb).permuted(("A", "B", "RA", "RB"))
-    return psi.apply_unitary(gate.matrix.conj().T, ("A", "B"))
 
 
 def choi_resource_state(gate: GateSpec) -> PureState:

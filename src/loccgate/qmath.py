@@ -26,11 +26,6 @@ LEAF_PURITY_TOL = 1e-9
 CQMI_CLAMP = 1e-8
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in declared factor order."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 @functools.lru_cache(maxsize=1024)
 def _factor_plan(
     dims: tuple[int, ...], positions: tuple[int, ...]
@@ -156,32 +151,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Tr |rho - sigma|: the sum of absolute eigenvalues of the difference."""
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
-    w = np.linalg.eigvalsh(_require_hermitian(rho - sigma))
-    return float(np.sum(np.abs(w)))
-
-
 def _subsystem_entropy(rho: np.ndarray, layout: SystemLayout, labels: Iterable[str]) -> float:
     return von_neumann_entropy(partial_trace(rho, layout, labels))
-
-
-def mutual_information(
-    rho: np.ndarray, layout: SystemLayout, part_p: Iterable[str], part_q: Iterable[str]
-) -> float:
-    """I(P:Q) = S(P) + S(Q) - S(PQ) in bits."""
-    p, q = set(part_p), set(part_q)
-    if p & q:
-        raise ValueError(f"overlapping label sets {sorted(p & q)}")
-    return (
-        _subsystem_entropy(rho, layout, p)
-        + _subsystem_entropy(rho, layout, q)
-        - _subsystem_entropy(rho, layout, p | q)
-    )
 
 
 def cqmi(
@@ -226,6 +197,8 @@ def entanglement_entropy(state: PureState, cut_labels: Iterable[str]) -> float:
 def as_distribution(weights: Sequence[float], tol: float = SUM_TOL) -> np.ndarray:
     """Validate and clean a probability vector (clamp tiny negatives)."""
     w = np.asarray(weights, dtype=float).copy()
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"non-finite weights {w[~np.isfinite(w)].tolist()} in probability vector")
     if np.any(w < -EIG_CLAMP):  # smaller negatives are rounding, clamped to 0
         raise ValueError(f"negative weight {w.min()} in probability vector")
     w[w < 0] = 0.0

@@ -112,16 +112,6 @@ class SystemLayout:
     def owned(self, owner: Owner) -> tuple[str, ...]:
         return tuple(f.label for f in self.factors if f.owner is owner)
 
-    def restrict(self, labels: Iterable[str]) -> "SystemLayout":
-        """Sub-layout of the given labels, in this layout's order."""
-        keep = set(labels)
-        missing = keep - set(self.labels)
-        if missing:
-            raise KeyError(f"unknown labels {sorted(missing)}")
-        return SystemLayout(
-            [f for f in self.factors if f.label in keep], dim_cap=None
-        )
-
     def concat(self, other: "SystemLayout", *, dim_cap: int | None = DEFAULT_DIM_CAP) -> "SystemLayout":
         return SystemLayout(self.factors + other.factors, dim_cap=dim_cap)
 
@@ -160,18 +150,6 @@ class PureState:
 
     def density(self) -> np.ndarray:
         return np.outer(self.vector, self.vector.conj())
-
-    def reduced(self, labels: Sequence[str]) -> np.ndarray:
-        """Reduced density operator on the given labels (in layout order)."""
-        keep = [i for i, f in enumerate(self.layout.factors) if f.label in set(labels)]
-        missing = set(labels) - set(self.layout.labels)
-        if missing:
-            raise KeyError(f"unknown labels {sorted(missing)}")
-        psi = self.vector.reshape(self.dims)
-        psi = np.moveaxis(psi, keep, range(len(keep)))
-        k = int(math.prod(self.dims[i] for i in keep))
-        mat = psi.reshape(k, -1)
-        return mat @ mat.conj().T
 
     def apply_unitary(self, matrix: np.ndarray, labels: Sequence[str]) -> "PureState":
         from .qmath import apply_on_factors

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from loccgate import analysis, qmath
 from loccgate.analysis import (
     AnalysisError,
@@ -14,11 +15,9 @@ from loccgate.analysis import (
     cesaro_fixed_state,
     enumerate_typical_weight,
     error_budget,
-    excess_failure_prob,
     expected_ebits,
     log_linear_fit,
     markovianizing_cost,
-    projection_error,
     resource_spectrum,
     round_trip_channel,
     success_probability,
@@ -27,7 +26,6 @@ from loccgate.analysis import (
 from loccgate.model import (
     GateSpec,
     SZ,
-    bell_pair,
     cnot_gate,
     haar_unitary,
     qudit_cz_gate,
@@ -38,34 +36,6 @@ from loccgate.model import (
 
 
 # ---------------------------------------------------------------- channel
-
-
-def superoperator_from_map(apply_fn, d):
-    """Superoperator of a linear map, built one matrix unit at a time."""
-    cols = []
-    for k in range(d):
-        for l in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[k, l] = 1.0
-            cols.append(apply_fn(unit).reshape(-1))
-    return np.stack(cols, axis=1)
-
-
-def apply_channel_to_factor(channel, rho, dims, position):
-    """Apply the channel to one tensor factor of a multipartite operator."""
-    dims = tuple(dims)
-    d = dims[position]
-    if d != channel.d:
-        raise AnalysisError(f"factor dimension {d} != channel dimension {channel.d}")
-    n = len(dims)
-    x = np.asarray(rho, dtype=complex).reshape(dims + dims)
-    x = np.moveaxis(x, (position, n + position), (0, 1))
-    rest = x.shape[2:]
-    s4 = channel.matrix.reshape(d, d, d, d)
-    x = np.einsum("ijkl,kl...->ij...", s4, x)
-    x = np.moveaxis(x.reshape((d, d) + rest), (0, 1), (position, n + position))
-    total = int(np.prod(dims))
-    return x.reshape(total, total)
 
 
 def test_identity_gate_gives_identity_channel(rng):
@@ -102,7 +72,7 @@ def test_channel_validation_rejects_non_tp():
 
 def test_channel_validation_rejects_non_cp():
     # the transpose map preserves trace, and its Choi matrix (the swap) has eigenvalue -1
-    transpose = superoperator_from_map(lambda t: t.T, 2)
+    transpose = oracles.superoperator_from_map(lambda t: t.T, 2)
     with pytest.raises(AnalysisError, match="completely positive"):
         ChannelMatrix(transpose, 2)
 
@@ -118,7 +88,7 @@ def test_min_choi_eigenvalue_is_the_checked_spectrum_minimum(name):
 def test_superoperator_builder_consistency(rng):
     # conjugation by a unitary, built from its action, applied via the matrix
     u = haar_unitary(2, rng)
-    mat = superoperator_from_map(lambda t: u @ t @ u.conj().T, 2)
+    mat = oracles.superoperator_from_map(lambda t: u @ t @ u.conj().T, 2)
     ch = ChannelMatrix(mat, 2)
     tau = random_density(2, rng)
     np.testing.assert_allclose(ch.apply(tau), u @ tau @ u.conj().T, atol=1e-12)
@@ -148,7 +118,7 @@ def test_spectral_and_iterative_cesaro_agree(rng):
         current = np.outer(bell, bell.conj())
         mean = np.zeros_like(current)
         for k in range(1, terms + 1):
-            current = apply_channel_to_factor(ch, current, (2, 2), 0)
+            current = oracles.apply_channel_to_factor(ch, current, (2, 2), 0)
             mean = mean + (current - mean) / k
         return mean
 
@@ -166,45 +136,6 @@ def test_markovianizing_cost_is_one_for_zz_family(theta):
 
 def test_markovianizing_cost_identity_is_zero():
     assert markovianizing_cost(GateSpec(np.eye(4))) == pytest.approx(0.0, abs=1e-8)
-
-
-def per_unit_round_trip(gate):
-    """The round-trip superoperator built one matrix unit at a time, with the
-    dense conjugation of (A, B) by the gate."""
-    d = gate.local_dim
-    u = gate.matrix
-    bell = bell_pair(d).vector
-    phi = np.outer(bell, bell.conj())
-    eye_b = np.eye(d, dtype=complex) / d
-
-    def apply_fn(tau):
-        joint = u.conj().T @ np.kron(tau, eye_b) @ u
-        on_a = np.einsum("aibi->ab", joint.reshape(d, d, d, d))
-        x = np.kron(on_a, phi).reshape(d * d, d, d * d, d)
-        x = np.einsum("ab,bmcn,cd->amdn", u, x, u.conj().T).reshape((d,) * 6)
-        x = np.moveaxis(x, (0, 3), (0, 1)).reshape(d, d, d * d, d * d)
-        return np.einsum("abii->ab", x)
-
-    return superoperator_from_map(apply_fn, d)
-
-
-def per_unit_lifted(ch):
-    """The channel on A of (A, RA), built one matrix unit at a time."""
-    d = ch.d
-    return superoperator_from_map(lambda rho: apply_channel_to_factor(ch, rho, (d, d), 0), d * d)
-
-
-def lifted_cesaro_fixed_state(ch):
-    """The Cesaro projection on (A, RA) from one SVD of the d^4 x d^4 lift T - I."""
-    d = ch.d
-    bell = bell_pair(d).vector
-    start = np.outer(bell, bell.conj())
-    left, sing, right_h = np.linalg.svd(per_unit_lifted(ch) - np.eye(d**4))
-    null = sing <= analysis.CESARO_NULL_CUT
-    r = right_h[null].conj().T
-    l_h = left[:, null].conj().T
-    limit = (r @ np.linalg.solve(l_h @ r, l_h) @ start.reshape(-1)).reshape(d * d, d * d)
-    return (limit + limit.conj().T) / 2
 
 
 def bits_equal(a, b):
@@ -232,8 +163,8 @@ def named_gates():
 def test_batched_round_trip_and_lift_match_per_unit_bits(name):
     gate = named_gates()[name]
     ch = round_trip_channel(gate)
-    assert bits_equal(ch.matrix, per_unit_round_trip(gate))
-    fixed, lifted = cesaro_fixed_state(ch), lifted_cesaro_fixed_state(ch)
+    assert bits_equal(ch.matrix, oracles.per_unit_round_trip(gate))
+    fixed, lifted = cesaro_fixed_state(ch), oracles.lifted_cesaro_fixed_state(ch)
     if name.startswith("haar"):
         assert np.max(np.abs(fixed - lifted)) <= 1e-15
     else:
@@ -254,7 +185,7 @@ def test_cesaro_limit_is_fixed_by_the_channel(rng):
     for _ in range(3):
         ch = round_trip_channel(GateSpec(haar_unitary(4, rng)))
         fixed = cesaro_fixed_state(ch)
-        moved = apply_channel_to_factor(ch, fixed, (2, 2), 0)
+        moved = oracles.apply_channel_to_factor(ch, fixed, (2, 2), 0)
         assert np.max(np.abs(moved - fixed)) < 1e-12
         assert abs(np.trace(fixed).real - 1.0) < 1e-12
 
@@ -360,14 +291,14 @@ def test_typical_weight_combinatorial_equals_enumeration_property(n, delta):
 
 def test_projection_error_vanishes_with_wide_window():
     # delta wide enough that every sequence is typical
-    assert projection_error(4, 5.0, 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert error_budget(4, 5.0, 0.5).epsilon_n == pytest.approx(0.0, abs=1e-12)
 
 
 def test_excess_failure_single_copy():
     theta = 0.5
     p = success_probability(theta)
-    assert excess_failure_prob(1, p + 0.1, theta) == pytest.approx(0.0)
-    assert excess_failure_prob(1, p / 2, theta) == pytest.approx(1 - p, abs=1e-12)
+    assert error_budget(1, p + 0.1, theta).epsilon_prime == pytest.approx(0.0)
+    assert error_budget(1, p / 2, theta).epsilon_prime == pytest.approx(1 - p, abs=1e-12)
 
 
 def test_error_budget_takes_the_callers_typical_set():

@@ -1,9 +1,9 @@
 """Windowed binomial kernels against a full-array oracle, bit for bit.
 
 ``typical_set``, ``_log_excess_failure`` and ``logsumexp`` evaluate log-pmf
-terms only where exp(a - a_max) can be nonzero.  The oracle below is the
-full-array form they replace: every log-factorial, every log-pmf term and
-exp over every term.  Each float is compared by ``.hex()``.
+terms only where exp(a - a_max) can be nonzero.  The ``oracle_*`` kernels in
+``oracles`` are the full-array form they replace: every log-factorial, every
+log-pmf term and exp over every term.  Each float is compared by ``.hex()``.
 """
 
 import dataclasses
@@ -17,119 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loccgate import analysis, qmath
+import oracles
+from loccgate import analysis
 from loccgate.analysis import resource_spectrum, success_probability
-
-# --------------------------------------------------------------------------
-# oracle: the full-array kernels
-
-
-def oracle_log_factorials(n):
-    x = np.arange(1.0, n + 2.0)
-    out = (x - 0.5) * np.log(x) - x + 0.91893853320467274178
-    out[:12] = np.array([math.log(float(math.factorial(k))) for k in range(12)])[: n + 1]
-    xs = x[12:999]
-    p = 1.0 / (xs * xs)
-    poly = 8.11614167470508450300e-4
-    for c in (-5.95061904284301438324e-4, 7.93650340457716943945e-4, -2.77777777730099687205e-3, 8.33333333333331927722e-2):
-        poly = poly * p + c
-    out[12:999] += poly / xs
-    xs = x[999 : 10**8]
-    p = 1.0 / (xs * xs)
-    out[999 : 10**8] += (
-        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
-    ) / xs
-    return out
-
-
-def oracle_logsumexp(a):
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max()
-        ties = a == a_max
-        m = np.float64(np.count_nonzero(ties))
-        e = np.exp(a - a_max)
-        e[ties] = 0.0
-        s = e.sum()
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return float(out)
-
-
-def oracle_log_binom_pmf(lf, k_max, p1):
-    n = lf.size - 1
-    log_p1 = math.log(p1) if p1 > 0 else -math.inf
-    log_p0 = math.log1p(-p1) if p1 < 1 else -math.inf
-    ks = np.arange(k_max + 1)
-    out = lf[n] - lf[: k_max + 1] - lf[n - k_max :][::-1]
-    out += ks * log_p1 if p1 > 0 else np.where(ks == 0, 0.0, -math.inf)
-    out += (n - ks) * log_p0 if p1 < 1 else np.where(ks == n, 0.0, -math.inf)
-    return out
-
-
-def oracle_typical_set(n, delta, probs, lf=None):
-    lam = qmath.as_distribution(probs)
-    lam0, lam1 = float(lam[0]), float(lam[1])
-    entropy = qmath.shannon_entropy(lam)
-    ks = np.arange(n + 1)
-    if lam1 in (0.0, 1.0):
-        log2_prob = np.where(ks == (n if lam1 == 1.0 else 0), 0.0, -np.inf)
-    else:
-        log2_prob = (n - ks) * math.log2(lam0) + ks * math.log2(lam1)
-    typical = (log2_prob >= -n * (entropy + delta) - 1e-12) & (log2_prob <= -n * (entropy - delta) + 1e-12)
-    lf = oracle_log_factorials(n) if lf is None else lf
-    log_pmf = oracle_log_binom_pmf(lf, n, lam1)
-    log_weight = oracle_logsumexp(log_pmf[typical])
-    log_complement = oracle_logsumexp(log_pmf[~typical])
-    return {
-        "entropy": entropy,
-        "typical_counts": tuple(ks[typical].tolist()),
-        "weight": float(math.exp(log_weight)) if log_weight > -math.inf else 0.0,
-        "complement": float(math.exp(log_complement)) if log_complement > -math.inf else 0.0,
-        "log_weight": log_weight,
-        "log_complement": log_complement,
-    }
-
-
-def oracle_log_excess_failure(n, delta, theta, lf):
-    p = success_probability(theta)
-    cutoff = n * (p - delta)
-    k_max = math.ceil(cutoff - 1.0) if abs(cutoff - round(cutoff)) > 1e-9 else int(round(cutoff)) - 1
-    k_max = min(k_max, n)
-    if k_max < 0:
-        return -math.inf
-    return oracle_logsumexp(oracle_log_binom_pmf(lf, k_max, p))
-
-
-def oracle_error_budget(n, delta, theta):
-    lf = oracle_log_factorials(n)
-    tset = oracle_typical_set(n, delta, resource_spectrum(theta), lf)
-    log_eps_prime = oracle_log_excess_failure(n, delta, theta, lf)
-    eps_prime = math.exp(log_eps_prime) if log_eps_prime > -math.inf else 0.0
-    eps_n = 2.0 * math.sqrt(max(tset["complement"], 0.0))
-    log_eps_n = math.log(2.0) + 0.5 * tset["log_complement"] if tset["log_complement"] > -math.inf else -math.inf
-    return {
-        "theta": theta,
-        "n": n,
-        "delta": delta,
-        "entropy": tset["entropy"],
-        "typical_weight": tset["weight"],
-        "epsilon_n": eps_n,
-        "epsilon_prime": eps_prime,
-        "total_error": eps_n + 2.0 * eps_prime,
-        "dilution_ebits": n * (tset["entropy"] + delta),
-        "log_epsilon_n": log_eps_n,
-        "log_epsilon_prime": log_eps_prime,
-        "hoeffding_epsilon_prime": math.exp(-2.0 * delta**2 * n),
-    }
-
-
-# --------------------------------------------------------------------------
 
 
 def bits(x):
@@ -160,14 +50,9 @@ def budget_grid():
 @pytest.mark.parametrize("n, delta, theta", budget_grid())
 def test_error_budget_matches_full_array_oracle(n, delta, theta):
     got = dataclasses.asdict(analysis.error_budget(n, delta, theta))
-    assert {k: bits(v) for k, v in got.items()} == {k: bits(v) for k, v in oracle_error_budget(n, delta, theta).items()}
+    assert {k: bits(v) for k, v in got.items()} == {k: bits(v) for k, v in oracles.oracle_error_budget(n, delta, theta).items()}
     probs = resource_spectrum(theta)
-    assert typical_set_bits(analysis.typical_set(n, delta, probs)) == typical_set_bits(oracle_typical_set(n, delta, probs))
-    lf = oracle_log_factorials(n)
-    tail = oracle_log_excess_failure(n, delta, theta, lf)
-    assert analysis.excess_failure_prob(n, delta, theta).hex() == math.exp(tail).hex()
-    complement = oracle_typical_set(n, delta, probs, lf)["complement"]
-    assert analysis.projection_error(n, delta, theta).hex() == (2.0 * math.sqrt(max(complement, 0.0))).hex()
+    assert typical_set_bits(analysis.typical_set(n, delta, probs)) == typical_set_bits(oracles.oracle_typical_set(n, delta, probs))
 
 
 WALK_CASES = [
@@ -184,7 +69,7 @@ def test_walk_alone_finds_every_window(monkeypatch, n, delta, theta):
     # blocks start 17 counts wide, so the walk must reach each cut by itself
     monkeypatch.setattr(analysis, "WINDOW_SCALE", 0.0)
     got = dataclasses.asdict(analysis.error_budget(n, delta, theta))
-    assert {k: bits(v) for k, v in got.items()} == {k: bits(v) for k, v in oracle_error_budget(n, delta, theta).items()}
+    assert {k: bits(v) for k, v in got.items()} == {k: bits(v) for k, v in oracles.oracle_error_budget(n, delta, theta).items()}
 
 
 EDGE_TYPICAL = {
@@ -207,7 +92,7 @@ EDGE_TYPICAL = {
 
 @pytest.mark.parametrize("n, delta, probs", EDGE_TYPICAL.values(), ids=EDGE_TYPICAL.keys())
 def test_typical_set_edge_cases_match_oracle(n, delta, probs):
-    assert typical_set_bits(analysis.typical_set(n, delta, probs)) == typical_set_bits(oracle_typical_set(n, delta, probs))
+    assert typical_set_bits(analysis.typical_set(n, delta, probs)) == typical_set_bits(oracles.oracle_typical_set(n, delta, probs))
 
 
 def test_edge_cases_cover_what_they_name():
@@ -230,7 +115,7 @@ EDGE_TAIL = {
 
 @pytest.mark.parametrize("n, delta, theta", EDGE_TAIL.values(), ids=EDGE_TAIL.keys())
 def test_excess_failure_edge_cases_match_oracle(n, delta, theta):
-    want = oracle_log_excess_failure(n, delta, theta, oracle_log_factorials(n))
+    want = oracles.oracle_log_excess_failure(n, delta, theta, oracles.oracle_log_factorials(n))
     assert analysis._log_excess_failure(n, delta, theta).hex() == want.hex()
 
 
@@ -252,7 +137,7 @@ def test_logsumexp_matches_oracle(size, kind):
     elif kind == "all -inf":
         a[:] = -np.inf
     with np.errstate(invalid="ignore"):
-        assert analysis.logsumexp(a).hex() == oracle_logsumexp(a).hex()
+        assert analysis.logsumexp(a).hex() == oracles.oracle_logsumexp(a).hex()
 
 
 # sizes whose pairwise tree splits, and splits off a multiple of 8, in every way
@@ -333,13 +218,13 @@ def test_error_budget_memory_does_not_grow_with_n():
 def test_log_binom_pmf_blocks_match_the_full_array(n, p1):
     # a range of several PMF_BLOCK blocks with a ragged end, starting off a block boundary
     k0, k1 = 5, 5 + 3 * analysis.PMF_BLOCK + 7
-    want = oracle_log_binom_pmf(oracle_log_factorials(n), n, p1)[k0:k1]
+    want = oracles.oracle_log_binom_pmf(oracles.oracle_log_factorials(n), n, p1)[k0:k1]
     assert analysis._log_binom_pmf(n, p1, k0, k1).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 11, 12, 998, 999, 8191, 8192, 8193, 30000])
 def test_log_factorials_match_full_table(n):
-    assert np.array_equal(analysis.log_factorials(n), oracle_log_factorials(n))
+    assert np.array_equal(analysis.log_factorials(n), oracles.oracle_log_factorials(n))
 
 
 @pytest.mark.parametrize("n", [10, 64, 1000])

@@ -367,6 +367,12 @@ def test_export_dilution_k_outside_one_to_six_names_the_option(runner, k):
     assert "dim_cap" not in result.output
 
 
+def test_export_dilution_rejects_a_non_finite_target(runner):
+    result = runner.invoke(main, ["export-protocol", "dilution", "--target", "nan,1", "--k", "1"])
+    assert result.exit_code == 2, result.output
+    assert "non-finite weights [nan]" in result.output
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_simulate_rejects_non_finite_tolerance(runner, bad):
     result = runner.invoke(main, ["simulate", "u-theta", "--theta", "0.5", "--inputs", "1", "--tolerance", bad])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import oracles
 from loccgate import engine, protocols, qmath
 from loccgate.cli import main
 from loccgate.engine import (
@@ -204,7 +205,7 @@ def test_leaf_probabilities_sum_to_one(rng):
     ]
     tree = run_exhaustive(ProtocolProgram(lay, steps=steps), random_pure_state(lay, rng))
     assert tree.total_probability() == pytest.approx(1.0, abs=1e-9)
-    rho = tree.average_output()
+    rho = oracles.average_output(tree)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
 
 
@@ -569,54 +570,6 @@ def test_json_export_is_deterministic():
 # ---------------------------------------------------------------- oracle
 
 
-def _svd_factor(vec, dims, keep):
-    psi = np.moveaxis(vec.reshape(dims), keep, range(len(keep)))
-    mat = psi.reshape(math.prod(dims[p] for p in keep), -1)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    assert s[0] ** 2 >= 1.0 - engine.LEAF_PURITY_TOL
-    out = u[:, 0]
-    mags = np.abs(out)
-    pivot = out[int(np.argmax(mags >= mags.max() - qmath.PIVOT_TIE_TOL))]
-    return out * (abs(pivot) / pivot)
-
-
-def reference_tree(program, initial=None):
-    """Recursive walk with resolve + validate_on at every node and SVD leaves."""
-    sim_layout, vec0 = engine._build_initial(program, initial)
-    dims = sim_layout.dims
-    keep = [i for i, f in enumerate(sim_layout.factors) if f.label not in program.consumed]
-    out_layout = SystemLayout([sim_layout.factors[i] for i in keep], dim_cap=None)
-    res = [
-        (sim_layout.positions(r.layout.labels),
-         [j for j, f in enumerate(r.layout.factors) if f.owner is ALICE])
-        for r in program.resources
-    ]
-    leaves = []
-
-    def walk(idx, vec, prob, transcript):
-        if idx == len(program.steps):
-            remaining = tuple(engine._residual_entanglement(vec, dims, p, a) for p, a in res)
-            state = PureState(out_layout, _svd_factor(vec, dims, keep))
-            leaves.append(engine.Leaf(transcript, prob, state, remaining, None))
-            return
-        step = program.steps[idx]
-        inst = step.resolve(dict(transcript))
-        inst.validate_on(sim_layout)
-        pos = sim_layout.positions(inst.labels)
-        for outcome, kraus in inst.branches:
-            here = transcript + ((step.name, outcome),)
-            if len(inst.branches) == 1 and engine._is_identity(kraus):
-                walk(idx + 1, vec, prob, here)
-                continue
-            child = qmath.apply_on_factors(vec, dims, pos, kraus)
-            p = float(np.vdot(child, child).real)
-            if p > engine.PRUNE_PROB:
-                walk(idx + 1, child / math.sqrt(p), prob * p, here)
-
-    walk(0, vec0, 1.0, ())
-    return engine.BranchTree(tuple(leaves), 0.0)
-
-
 ORACLE_BUILDERS = {
     "heralded": lambda: protocols.build_heralded(0.5, 0.7).program,
     "composite": lambda: protocols.build_composite(0.4),
@@ -638,7 +591,7 @@ def test_engine_matches_reference_walk(builder, rng):
     if inputs:
         initial = random_pure_state(SystemLayout(inputs + [("R", 2, REFEREE)], dim_cap=None), rng)
     tree = run_exhaustive(program, initial)
-    ref = reference_tree(program, initial)
+    ref = oracles.reference_tree(program, initial)
     assert trees_equal(tree, ref, tol=1e-10)
     assert [l.transcript for l in tree.leaves] == [l.transcript for l in ref.leaves]
     assert ledger(program, tree) == ledger(program, ref)
@@ -759,16 +712,6 @@ def test_pruned_mass_over_budget_raises_at_its_step(rng):
 # ---------------------------------------------------------------- channel reduction
 
 
-def direct_protocol_error(program, target, initial):
-    """The error from a run on ``initial`` itself: 1 - sum_t p_t |<U psi|out_t>|^2."""
-    tree = run_exhaustive(program, initial, leaf_diagnostics=False)
-    expected = initial.apply_unitary(target.matrix, target.labels)
-    fid = 0.0
-    for leaf in tree.leaves:
-        fid += leaf.probability * abs(expected.overlap(leaf.state.renamed(program.renames))) ** 2
-    return max(0.0, 1.0 - fid)
-
-
 def _exported_composite():
     result = CliRunner().invoke(main, ["export-protocol", "composite", "--theta", "0.5"])
     assert result.exit_code == 0, result.output
@@ -812,19 +755,20 @@ def test_reduced_error_matches_direct_run(case, rng):
     ]
     for i, layout in enumerate(layouts):
         inp = random_pure_state(layout, rng)
-        direct = direct_protocol_error(program, target, inp)
+        direct = oracles.direct_protocol_error(program, target, inp)
         assert abs(protocol_error(program, target, inp, tree=tree) - direct) <= 1e-12
         if i == 0:  # without a tree, protocol_error makes the Choi-input run itself
             assert abs(protocol_error(program, target, inp) - direct) <= 1e-12
     choi_err = engine.choi_error(program, target, tree)
-    assert abs(choi_err - direct_protocol_error(program, target, choi)) <= 1e-12
+    assert abs(choi_err - oracles.direct_protocol_error(program, target, choi)) <= 1e-12
 
 
 def test_choi_input_is_maximally_entangled_with_a_fresh_referee():
     program = protocols.build_clifford(qudit_cz_gate(3))
     choi = engine.choi_input(program)
     assert choi.layout.labels == ("A", "B", "R") and choi.dims == (3, 3, 9)
-    assert np.allclose(choi.reduced(["A", "B"]), np.eye(9) / 9, atol=1e-15)
+    rho = oracles._moveaxis_reduced_density(choi.vector, choi.dims, choi.layout.positions(["A", "B"]))
+    assert np.allclose(rho, np.eye(9) / 9, atol=1e-15)
     taken = ProtocolProgram(SystemLayout([("R", 2, ALICE), ("a", 2, ALICE)]), resources=())
     assert engine.choi_input(taken).layout.labels == ("R", "a", "R_")
     assert engine.choi_input(protocols.nielsen_dilution([0.5, 0.5], 1)) is None

@@ -1,15 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loccgate import protocols, qmath
+import oracles
+from loccgate import analysis, protocols, qmath
 from loccgate.engine import run_exhaustive
 from loccgate.model import SZ, bell_pair, partial_bell_pair, random_density, random_pure_state
 from loccgate.systems import ALICE, BOB, REFEREE, PureState, SystemLayout
-from test_engine import _svd_factor
 
 
 def _rand_mat(rng, n):
@@ -20,16 +21,16 @@ def _rand_mat(rng, n):
 
 
 def test_tensor_identity_case():
-    np.testing.assert_array_equal(qmath.tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+    np.testing.assert_array_equal(oracles.tensor_product(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_tensor_sz_sz_diagonal():
-    np.testing.assert_allclose(qmath.tensor_product(SZ, SZ), np.diag([1, -1, -1, 1]))
+    np.testing.assert_allclose(oracles.tensor_product(SZ, SZ), np.diag([1, -1, -1, 1]))
 
 
 def test_tensor_index_formula_oracle(rng):
     a, b = _rand_mat(rng, 2), _rand_mat(rng, 2)
-    out = qmath.tensor_product(a, b)
+    out = oracles.tensor_product(a, b)
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -42,8 +43,8 @@ def test_tensor_index_formula_oracle(rng):
 def test_tensor_associative(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (_rand_mat(rng, 2) for _ in range(3))
-    left = qmath.tensor_product(qmath.tensor_product(a, b), c)
-    right = qmath.tensor_product(a, qmath.tensor_product(b, c))
+    left = oracles.tensor_product(oracles.tensor_product(a, b), c)
+    right = oracles.tensor_product(a, oracles.tensor_product(b, c))
     assert np.max(np.abs(left - right)) < 1e-12
 
 
@@ -103,7 +104,7 @@ def test_entropy_pure_projector(rng):
 def test_entropy_resource_pair_matches_binary_entropy():
     alpha = 1.1
     st_ = partial_bell_pair(alpha)
-    rho = st_.reduced(["a"])
+    rho = oracles._moveaxis_reduced_density(st_.vector, st_.dims, st_.layout.positions(["a"]))
     assert qmath.von_neumann_entropy(rho) == pytest.approx(
         qmath.binary_entropy(math.cos(alpha / 2) ** 2), abs=1e-10
     )
@@ -181,10 +182,10 @@ def test_fidelity_dimension_mismatch():
 
 def test_trace_distance_cases(rng):
     rho = random_density(3, rng)
-    assert qmath.trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
+    assert oracles.trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)
-    assert qmath.trace_distance(zero, one) == pytest.approx(2.0)
+    assert oracles.trace_distance(zero, one) == pytest.approx(2.0)
 
 
 def test_trace_distance_pure_formula(rng):
@@ -192,19 +193,19 @@ def test_trace_distance_pure_formula(rng):
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    got = qmath.trace_distance(np.outer(u, u.conj()), np.outer(v, v.conj()))
+    got = oracles.trace_distance(np.outer(u, u.conj()), np.outer(v, v.conj()))
     assert got == pytest.approx(2 * math.sqrt(1 - abs(np.vdot(u, v)) ** 2), abs=1e-9)
 
 
 def test_trace_distance_triangle(rng):
     a, b, c = (random_density(4, rng) for _ in range(3))
-    assert qmath.trace_distance(a, c) <= qmath.trace_distance(a, b) + qmath.trace_distance(b, c) + 1e-10
+    assert oracles.trace_distance(a, c) <= oracles.trace_distance(a, b) + oracles.trace_distance(b, c) + 1e-10
 
 
 def test_fuchs_van_de_graaf(rng):
     for _ in range(10):
         a, b = random_density(3, rng), random_density(3, rng)
-        assert 1 - math.sqrt(qmath.fidelity(a, b)) <= 0.5 * qmath.trace_distance(a, b) + 1e-9
+        assert 1 - math.sqrt(qmath.fidelity(a, b)) <= 0.5 * oracles.trace_distance(a, b) + 1e-9
 
 
 # ---------------------------------------------------------------- correlations
@@ -213,12 +214,12 @@ def test_fuchs_van_de_graaf(rng):
 def test_mutual_information_product(rng):
     lay = SystemLayout([("A", 2, ALICE), ("B", 2, BOB)])
     rho = np.kron(random_density(2, rng), random_density(2, rng))
-    assert qmath.mutual_information(rho, lay, ["A"], ["B"]) == pytest.approx(0.0, abs=1e-8)
+    assert oracles.mutual_information(rho, lay, ["A"], ["B"]) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_mutual_information_bell_pair():
     st_ = bell_pair(2)
-    assert qmath.mutual_information(st_.density(), st_.layout, ["a"], ["b"]) == pytest.approx(2.0)
+    assert oracles.mutual_information(st_.density(), st_.layout, ["a"], ["b"]) == pytest.approx(2.0)
 
 
 def test_mutual_information_classical_correlation():
@@ -226,13 +227,13 @@ def test_mutual_information_classical_correlation():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 0.5
     rho[3, 3] = 0.5
-    assert qmath.mutual_information(rho, lay, ["A"], ["B"]) == pytest.approx(1.0)
+    assert oracles.mutual_information(rho, lay, ["A"], ["B"]) == pytest.approx(1.0)
 
 
 def test_mutual_information_overlap_rejected():
     lay = SystemLayout([("A", 2, ALICE), ("B", 2, BOB)])
     with pytest.raises(ValueError):
-        qmath.mutual_information(np.eye(4) / 4, lay, ["A"], ["A"])
+        oracles.mutual_information(np.eye(4) / 4, lay, ["A"], ["A"])
 
 
 def test_cqmi_product_case(rng):
@@ -314,6 +315,15 @@ def test_as_distribution_clamps_and_validates():
         qmath.as_distribution([0.9, 0.2, -0.1])
 
 
+def test_as_distribution_rejects_non_finite_weights():
+    # nan - 1 compares False with the sum tolerance, so nan must be caught before it
+    for weights, named in (([math.nan, 0.5], "[nan]"), ([0.5, math.inf, -math.inf], "[inf, -inf]")):
+        with pytest.raises(ValueError, match=f"non-finite weights {re.escape(named)}"):
+            qmath.as_distribution(weights)
+    with pytest.raises(ValueError, match="non-finite weights"):
+        analysis.typical_set(4, 0.1, [math.nan, math.nan])
+
+
 # ---------------------------------------------------------------- factoring
 
 
@@ -381,7 +391,7 @@ def _product_states(draw):
 def test_factor_pure_state_matches_svd_route_on_products(case):
     vec, dims, keep = case
     np.testing.assert_allclose(
-        qmath.factor_pure_state(vec, dims, keep), _svd_factor(vec, dims, list(keep)), rtol=0, atol=1e-12
+        qmath.factor_pure_state(vec, dims, keep), oracles._svd_factor(vec, dims, list(keep)), rtol=0, atol=1e-12
     )
 
 
@@ -424,22 +434,6 @@ def test_batch_leaves_factor_without_eigh(monkeypatch, rng):
 # ---------------------------------------------------------------- kernel
 
 
-def _moveaxis_kernel(vec, dims, positions, op):
-    """The kernel as it was before permutation plans: the bit-level oracle."""
-    positions = list(positions)
-    k = math.prod(dims[p] for p in positions)
-    psi = np.moveaxis(np.asarray(vec).reshape(dims), positions, range(len(positions)))
-    moved_shape = psi.shape
-    psi = (op @ psi.reshape(k, -1)).reshape(moved_shape)
-    return np.moveaxis(psi, range(len(positions)), positions).reshape(-1)
-
-
-def _moveaxis_reduced_density(vec, dims, keep):
-    psi = np.moveaxis(np.asarray(vec).reshape(dims), list(keep), range(len(keep)))
-    mat = psi.reshape(math.prod(dims[p] for p in keep), -1)
-    return mat @ mat.conj().T
-
-
 def _kernel_cases(n_factors, rng):
     """(dims, positions) with 1-3 positions: identity, adjacent and non-adjacent."""
     dims = tuple(int(d) for d in rng.choice([2, 3], size=n_factors))
@@ -463,10 +457,10 @@ def test_apply_on_factors_bit_identical_to_moveaxis_kernel(n_factors):
         u, v = (rng.normal(size=k) + 1j * rng.normal(size=k) for _ in range(2))
         for op in (_rand_mat(rng, k), np.outer(u, v.conj())):  # dense and rank one
             got = qmath.apply_on_factors(vec, dims, positions, op)
-            want = _moveaxis_kernel(vec, dims, positions, op)
+            want = oracles._moveaxis_kernel(vec, dims, positions, op)
             assert np.array_equal(_bits(got), _bits(want)), (dims, positions)
         got = qmath.reduced_density(vec, dims, positions)
-        assert np.array_equal(_bits(got), _bits(_moveaxis_reduced_density(vec, dims, positions)))
+        assert np.array_equal(_bits(got), _bits(oracles._moveaxis_reduced_density(vec, dims, positions)))
 
 
 @pytest.mark.parametrize("positions", [(0,), (1, 0), (2,)])
