@@ -15,6 +15,7 @@ by their party.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -414,23 +415,18 @@ def _check_initial(program: ProtocolProgram, initial: PureState) -> None:
         raise EngineError("initial state overlaps resource labels")
 
 
-def _build_initial(
-    program: ProtocolProgram, initial: PureState | None
-) -> tuple[SystemLayout, np.ndarray]:
-    if initial is None:
-        if program.input_labels:
-            raise EngineError(f"program expects input factors {sorted(program.input_labels)}")
-        state: PureState | None = None
-        for res in program.resources:
-            state = res if state is None else state.tensor(res)
-        if state is None:
-            raise EngineError("nothing to simulate: no inputs and no resources")
-        return state.layout, state.vector.copy()
-    _check_initial(program, initial)
-    state = initial
-    for res in program.resources:
-        state = state.tensor(res)
-    return state.layout, state.vector.copy()
+def _detach_bra(kraus: np.ndarray, dims: Sequence[int], i: int) -> np.ndarray | None:
+    """<v| when the range of ``kraus`` on its i-th factor is the line through v, else None.
+
+    ``kraus`` acts on factors of dimensions ``dims``; its output is then
+    v (x) (something on the other factors) on every input.  The rank is
+    counted as ``np.linalg.matrix_rank`` counts it, from one SVD.
+    """
+    mat = np.moveaxis(kraus.reshape(*dims, -1), i, 0).reshape(dims[i], -1)
+    u, s, _ = np.linalg.svd(mat)
+    if np.count_nonzero(s > s[0] * max(mat.shape) * np.finfo(s.dtype).eps) != 1:
+        return None
+    return u[:, 0].conj()
 
 
 def run_exhaustive(
@@ -441,51 +437,91 @@ def run_exhaustive(
 ) -> BranchTree:
     """Follow every instrument branch; leaves carry exact post-selected states.
 
-    ``leaf_diagnostics=False`` skips the entropy bookkeeping needed by the
-    ledger and the monotonicity check, per leaf and for the initial state;
-    large batched runs use it when only output states matter.
-
     The program is compiled once per call (:func:`compile_program`): every
     step is resolved on every combination of the outcomes it reads, and
     every conditioned instrument is checked with ``validate_on`` before the
     walk starts.  Each node then looks its instrument up in that table.
+
+    A node holds a dense core over the factors alive at it.  With
+    ``leaf_diagnostics=True`` that is every factor: the initial state and
+    all resources are tensored together at the start and nothing leaves,
+    because the ledger's residual entanglement and the Alice-side entropies
+    read the joint state, per leaf and initially.  With
+    ``leaf_diagnostics=False`` (output-only runs: large batched runs and
+    :func:`protocol_error` without a tree) the core holds only live factors.
+    A resource with a kept factor is tensored in at the start, any other at
+    the first non-identity compiled entry that touches one of its factors;
+    a consumed factor is contracted out after a Kraus operator whose range
+    on it is one-dimensional, at the last step whose non-identity entries
+    touch it.  Both are decided once, from the compiled tables.  Leaves then
+    agree with the full-state walk to rounding (``trees_equal``), not bit
+    for bit, and carry no diagnostics.
     """
     violation = validate_program(program)
     if violation is not None:
         raise EngineError(f"invalid program: {violation}")
-    sim_layout, vec0 = _build_initial(program, initial)
-    dims = sim_layout.dims
-    alice_pos = tuple(i for i, f in enumerate(sim_layout.factors) if f.owner is ALICE)
+    if initial is None:
+        if program.input_labels:
+            raise EngineError(f"program expects input factors {sorted(program.input_labels)}")
+        if not program.resources:
+            raise EngineError("nothing to simulate: no inputs and no resources")
+        sim_layout, core = SystemLayout((), dim_cap=None), None
+    else:
+        _check_initial(program, initial)
+        sim_layout, core = initial.layout, initial.vector
+    core_pos = tuple(range(len(sim_layout)))
     res_pos = []
-    res_alice_local = []
     for res in program.resources:
-        res_pos.append(tuple(sim_layout.positions(res.layout.labels)))
-        res_alice_local.append(
-            [j for j, f in enumerate(res.layout.factors) if f.owner is ALICE]
-        )
-    keep_pos = tuple(
-        i for i, f in enumerate(sim_layout.factors) if f.label not in program.consumed
-    )
-    out_layout = SystemLayout(
-        [sim_layout.factors[i] for i in keep_pos], dim_cap=None
+        res_pos.append(tuple(range(len(sim_layout), len(sim_layout) + len(res.layout))))
+        sim_layout = sim_layout.concat(res.layout, dim_cap=None)
+    sim_dims = sim_layout.dims
+    consumed = {i for i, f in enumerate(sim_layout.factors) if f.label in program.consumed}
+    keep_pos = tuple(i for i in range(len(sim_dims)) if i not in consumed)
+    out_layout = SystemLayout([sim_layout.factors[i] for i in keep_pos], dim_cap=None)
+    for r, res in enumerate(program.resources):
+        if leaf_diagnostics or not consumed.issuperset(res_pos[r]):
+            core = res.vector if core is None else np.outer(core, res.vector).reshape(-1)
+            core_pos += res_pos[r]
+    if core is None:  # every resource waits for its first use
+        core = np.ones(1, dtype=complex)
+
+    alice_pos = tuple(i for i, f in enumerate(sim_layout.factors) if f.owner is ALICE)
+    res_alice_local = [
+        [j for j, f in enumerate(res.layout.factors) if f.owner is ALICE]
+        for res in program.resources
+    ]
+    initial_alice_entropy = (
+        _entropy_of_positions(core, sim_dims, alice_pos) if leaf_diagnostics else None
     )
 
-    initial_alice_entropy = (
-        _entropy_of_positions(vec0, dims, alice_pos) if leaf_diagnostics else None
-    )
+    views: dict = {}
+
+    def view(core_pos: tuple, positions: tuple) -> tuple[tuple, tuple, tuple]:
+        """For a core over ``core_pos``: its dims, the indices of ``positions``, and the other positions."""
+        key = (core_pos, positions)
+        hit = views.get(key)
+        if hit is None:
+            hit = views[key] = (
+                tuple(sim_dims[p] for p in core_pos),
+                tuple(core_pos.index(p) for p in positions),
+                tuple(p for p in core_pos if p not in positions),
+            )
+        return hit
+
     leaves: list[Leaf] = []
 
-    def finalize(vec: np.ndarray, prob: float, transcript: tuple) -> None:
+    def finalize(vec: np.ndarray, core_pos: tuple, prob: float, transcript: tuple) -> None:
+        dims, keep, _ = view(core_pos, keep_pos)
         remaining = None
         alice_entropy = None
-        if leaf_diagnostics:
+        if leaf_diagnostics:  # the core is the full state, in layout order
             remaining = tuple(
                 _residual_entanglement(vec, dims, pos, alice_local)
                 for pos, alice_local in zip(res_pos, res_alice_local)
             )
             alice_entropy = _entropy_of_positions(vec, dims, alice_pos)
         try:
-            out_vec = qmath.factor_pure_state(vec, dims, keep_pos)
+            out_vec = qmath.factor_pure_state(vec, dims, keep)
         except ValueError as exc:
             raise EngineError(f"at leaf {transcript}: {exc}") from exc
         leaves.append(
@@ -498,39 +534,85 @@ def run_exhaustive(
             )
         )
 
+    tables = [
+        {
+            key: (
+                inst,
+                tuple(sim_layout.positions(inst.labels)),
+                len(inst.branches) == 1 and _is_identity(inst.branches[0][1]),
+            )
+            for key, inst in table.items()
+        }
+        for table in compile_program(program)[0]
+    ]
+    # the last step at which a non-identity entry touches each factor
+    last_use = {
+        p: idx
+        for idx, table in enumerate(tables)
+        for _, positions, identity in table.values()
+        if not identity
+        for p in positions
+    }
+    resource_of = {p: r for r, pos in enumerate(res_pos) for p in pos}
     # Every step appends exactly one transcript entry, so the value of a
     # condition is read at the index of the step it names.
     step_index = {step.name: idx for idx, step in enumerate(program.steps)}
     plan = []
-    for step, table in zip(program.steps, compile_program(program)[0]):
+    for idx, (step, table) in enumerate(zip(program.steps, tables)):
         entries = {}
-        for key, inst in table.items():
-            identity = len(inst.branches) == 1 and _is_identity(inst.branches[0][1])
-            entries[key] = (inst, tuple(sim_layout.positions(inst.labels)), identity)
+        for key, (inst, positions, identity) in table.items():
+            # attach: (resource, one factor of it this entry touches);
+            # cuts: per branch, the consumed factors it leaves on one line
+            # at their last use, and the bra that contracts them out
+            attach: tuple = ()
+            cuts: list = [None] * len(inst.branches)
+            if not (leaf_diagnostics or identity):
+                attach = tuple({resource_of[p]: p for p in positions if p in resource_of}.items())
+                ends = [i for i, p in enumerate(positions) if p in consumed and last_use[p] == idx]
+                dims = tuple(sim_dims[p] for p in positions)
+                for b, (_, kraus) in enumerate(inst.branches):
+                    bras = {positions[i]: _detach_bra(kraus, dims, i) for i in ends}
+                    bras = {p: bra for p, bra in bras.items() if bra is not None}
+                    if bras:
+                        cuts[b] = (tuple(bras), functools.reduce(np.kron, bras.values()))
+            entries[key] = (inst, positions, identity, attach, tuple(cuts))
         plan.append((step.name, tuple(step_index[k] for k in step.condition_on), entries))
 
     n_steps = len(program.steps)
     pruned_mass = 0.0
-    # Depth-first walk over an explicit stack.  A node's vector is released
+    # Depth-first walk over an explicit stack.  A node's core is released
     # when the next pop rebinds ``vec``, before any child is expanded; a
     # child leaves the stack when its subtree starts.  Children are pushed in
     # reverse so that leaves come out in branch order.
-    stack: list[tuple[int, np.ndarray, float, tuple]] = [(0, vec0, 1.0, ())]
-    del vec0
+    stack: list[tuple[int, np.ndarray, tuple, float, tuple]] = [(0, core, core_pos, 1.0, ())]
+    del core
     while stack:
-        step_idx, vec, prob, transcript = stack.pop()
+        step_idx, vec, core_pos, prob, transcript = stack.pop()
         if step_idx == n_steps:
-            finalize(vec, prob, transcript)
+            finalize(vec, core_pos, prob, transcript)
             continue
         name, condition_idx, entries = plan[step_idx]
-        inst, positions, identity = entries[tuple(transcript[j][1] for j in condition_idx)]
+        inst, positions, identity, attach, cuts = entries[
+            tuple(transcript[j][1] for j in condition_idx)
+        ]
         if identity:
-            stack.append((step_idx + 1, vec, prob, transcript + ((name, inst.branches[0][0]),)))
+            stack.append((step_idx + 1, vec, core_pos, prob, transcript + ((name, inst.branches[0][0]),)))
             continue
+        for r, p in attach:
+            # a factor leaves the core only after its last use, so one this
+            # entry touches is missing exactly when its resource is not attached
+            if p not in core_pos:
+                vec = np.outer(vec, program.resources[r].vector).reshape(-1)
+                core_pos += res_pos[r]
+        dims, where, _ = view(core_pos, positions)
         branch_total = 0.0
         children = []
-        for outcome, kraus in inst.branches:
-            child = qmath.apply_on_factors(vec, dims, positions, kraus)
+        for (outcome, kraus), cut in zip(inst.branches, cuts):
+            child = qmath.apply_on_factors(vec, dims, where, kraus)
+            child_pos = core_pos
+            if cut is not None:
+                _, gone, child_pos = view(core_pos, cut[0])
+                child = qmath.contract_factors(child, dims, gone, cut[1])
             p = float(np.vdot(child, child).real)
             branch_total += p
             if p <= PRUNE_PROB:
@@ -542,7 +624,7 @@ def run_exhaustive(
                     )
                 continue
             qmath.divide_by_real(child, math.sqrt(p))
-            children.append((step_idx + 1, child, prob * p, transcript + ((name, outcome),)))
+            children.append((step_idx + 1, child, child_pos, prob * p, transcript + ((name, outcome),)))
         if abs(branch_total - 1.0) > NODE_NORM_TOL:
             raise EngineError(f"norm drift {branch_total - 1.0:.3e} at step {name!r}")
         stack.extend(reversed(children))
@@ -945,14 +1027,14 @@ def _program_from_json(doc: dict) -> ProtocolProgram:
     steps = []
     for sdoc in doc["steps"]:
         condition_on = tuple(sdoc["condition_on"])
-        fixed = "instrument" in sdoc  # a fixed step's condition_on is ignored
+        fixed = "instrument" in sdoc  # ProtocolStep rejects a fixed step with conditions
         steps.append(
             ProtocolStep(
                 name=sdoc["name"],
                 party=Owner(sdoc["party"]),
                 instrument=_instrument_from_json(sdoc["instrument"]) if fixed else None,
                 instrument_fn=None if fixed else _case_fn(sdoc["cases"], condition_on),
-                condition_on=() if fixed else condition_on,
+                condition_on=condition_on,
                 sends_message=sdoc["sends_message"],
                 simultaneous_with_prev=sdoc["simultaneous_with_prev"],
             )

@@ -176,7 +176,8 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
         .tensor(bell_pair(2, ("B", "RB"), (BOB, REFEREE)))
         .permuted(("A", "B", "RA", "RB"))
     )
-    tree = run_exhaustive(program, probe, leaf_diagnostics=False)
+    # the full-state walk: its bits fix the fitted angle and, through it, the CLI output
+    tree = run_exhaustive(program, probe, leaf_diagnostics=True)
     fitted = None
     for leaf in tree.leaves:
         if dict(leaf.transcript)["h_meas_b"] == "failure":

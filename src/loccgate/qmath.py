@@ -72,6 +72,19 @@ def apply_on_factors(
     return out.reshape(moved).transpose(inv).reshape(-1)
 
 
+def contract_factors(
+    vec: np.ndarray, dims: Sequence[int], positions: Sequence[int], bra: np.ndarray
+) -> np.ndarray:
+    """<bra| on the listed tensor positions of a flat state vector.
+
+    ``bra`` is ordered as the Kronecker product over ``positions`` in the
+    order given.  Returns the flat vector over the other positions, in their
+    order; no normalization is performed.
+    """
+    mat, _ = _factor_matrix(vec, dims, positions)
+    return bra @ mat
+
+
 def reduced_density(vec: np.ndarray, dims: Sequence[int], keep_positions: Sequence[int]) -> np.ndarray:
     """Reduced density operator of a pure state on the kept positions."""
     mat, _ = _factor_matrix(vec, dims, keep_positions)
@@ -237,7 +250,10 @@ def factor_pure_state(
 
     With M the k x rest matrix of ``vec`` (rows on the kept factors), a
     product state is M = a b^T and every column of M is a multiple of a.
-    When k <= rest, the case of every large leaf, the factor is read off
+    When rest = 1, ``vec`` holds the kept factors alone (a leaf of a
+    program that consumes nothing, or of a run without diagnostics that
+    contracted every consumed factor out): only the phase and the norm are
+    fixed.  When k <= rest, the factor is read off
     the column c holding M's largest-magnitude entry, after one power step
     u ~ M M^dagger c that damps the other Schmidt components.  The weight
     |M^dagger u|^2 is a Rayleigh quotient, never above the leading Schmidt
@@ -248,7 +264,9 @@ def factor_pure_state(
     CLI output.
     """
     mat, _ = _factor_matrix(vec, dims, keep_positions)
-    if mat.shape[0] <= mat.shape[1]:
+    if mat.shape[1] == 1:  # nothing else to split off
+        out, weight = mat[:, 0], 1.0
+    elif mat.shape[0] <= mat.shape[1]:
         col = mat[:, int(np.argmax(np.abs(mat))) % mat.shape[1]]
         out = mat @ (col.conj() @ mat).conj()
         out /= np.linalg.norm(out)

@@ -35,8 +35,17 @@ def _svd_factor(vec, dims, keep):
 
 
 def reference_tree(program, initial=None):
-    """Judges `engine.run_exhaustive`: a recursive walk, resolve + validate_on per node, SVD leaves."""
-    sim_layout, vec0 = engine._build_initial(program, initial)
+    """Judges `engine.run_exhaustive`: a recursive full-state walk, resolve + validate_on per node, SVD leaves.
+
+    The initial state and every resource are tensored together at the start,
+    and ``pruned_mass`` sums the path probabilities of the dropped branches.
+    """
+    state = initial
+    if state is not None:
+        engine._check_initial(program, initial)
+    for res in program.resources:
+        state = res if state is None else state.tensor(res)
+    sim_layout, vec0 = state.layout, state.vector
     dims = sim_layout.dims
     keep = [i for i, f in enumerate(sim_layout.factors) if f.label not in program.consumed]
     out_layout = SystemLayout([sim_layout.factors[i] for i in keep], dim_cap=None)
@@ -46,6 +55,7 @@ def reference_tree(program, initial=None):
         for r in program.resources
     ]
     leaves = []
+    pruned = [0.0]
 
     def walk(idx, vec, prob, transcript):
         if idx == len(program.steps):
@@ -66,9 +76,11 @@ def reference_tree(program, initial=None):
             p = float(np.vdot(child, child).real)
             if p > engine.PRUNE_PROB:
                 walk(idx + 1, child / math.sqrt(p), prob * p, here)
+            else:
+                pruned[0] += prob * p
 
     walk(0, vec0, 1.0, ())
-    return engine.BranchTree(tuple(leaves), 0.0)
+    return engine.BranchTree(tuple(leaves), 0.0, pruned[0])
 
 
 def direct_protocol_error(program, target, initial):

@@ -302,6 +302,19 @@ def test_export_protocol_validates_against_schema(runner, args):
     jsonschema.validate(doc, load_schema("protocol.schema.json"))
 
 
+def test_fixed_step_with_conditions_is_rejected_by_schema_and_loader(runner):
+    result = runner.invoke(main, ["export-protocol", "controlled-phase"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    (step,) = [s for s in doc["steps"] if s["name"] == "c_cnot"]
+    assert "instrument" in step and step["condition_on"] == []
+    step["condition_on"] = ["nope-step"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, load_schema("protocol.schema.json"))
+    with pytest.raises(engine.EngineError, match="step 'c_cnot': fixed instrument cannot declare conditions"):
+        engine.program_from_json(doc)
+
+
 def test_exported_composite_is_runnable_golden(runner, tmp_path, rng):
     path = tmp_path / "composite.json"
     args = ["export-protocol", "composite", "--theta", "0.5", "--output", str(path)]

@@ -585,11 +585,7 @@ ORACLE_BUILDERS = {
 
 @pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
 def test_engine_matches_reference_walk(builder, rng):
-    program = ORACLE_BUILDERS[builder]()
-    inputs = [program.layout.factor(lb) for lb in program.input_labels]
-    initial = None
-    if inputs:
-        initial = random_pure_state(SystemLayout(inputs + [("R", 2, REFEREE)], dim_cap=None), rng)
+    program, initial = _oracle_case(builder, rng)
     tree = run_exhaustive(program, initial)
     ref = oracles.reference_tree(program, initial)
     assert trees_equal(tree, ref, tol=1e-10)
@@ -597,25 +593,162 @@ def test_engine_matches_reference_walk(builder, rng):
     assert ledger(program, tree) == ledger(program, ref)
 
 
-@pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
-def test_leaf_diagnostics_leave_states_alone(builder, rng):
+def _oracle_case(builder, rng):
+    """A builder's program and a random state on its inputs and a referee qubit (None without inputs)."""
     program = ORACLE_BUILDERS[builder]()
     inputs = [program.layout.factor(lb) for lb in program.input_labels]
-    initial = None
-    if inputs:
-        initial = random_pure_state(SystemLayout(inputs + [("R", 2, REFEREE)], dim_cap=None), rng)
+    if not inputs:
+        return program, None
+    return program, random_pure_state(SystemLayout(inputs + [("R", 2, REFEREE)], dim_cap=None), rng)
+
+
+@pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
+def test_block_route_matches_reference_walk(builder, rng):
+    program, initial = _oracle_case(builder, rng)
+    tree = run_exhaustive(program, initial, leaf_diagnostics=False)
+    ref = oracles.reference_tree(program, initial)
+    assert trees_equal(tree, ref, tol=engine.TREE_TOL)
+    assert [l.transcript for l in tree.leaves] == [l.transcript for l in ref.leaves]
+    assert tree.pruned_mass == pytest.approx(ref.pruned_mass, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
+def test_leaf_diagnostics_leave_states_alone(builder, rng):
+    """The two settings walk different node states, and agree to rounding."""
+    program, initial = _oracle_case(builder, rng)
     on = run_exhaustive(program, initial)
     off = run_exhaustive(program, initial, leaf_diagnostics=False)
+    assert trees_equal(on, off, tol=engine.TREE_TOL)
     assert [l.transcript for l in on.leaves] == [l.transcript for l in off.leaves]
-    for a, b in zip(on.leaves, off.leaves):
-        assert a.probability.hex() == b.probability.hex()
-        assert a.state.layout.labels == b.state.layout.labels
-        assert np.array_equal(a.state.vector.view(np.uint64), b.state.vector.view(np.uint64))
-        assert b.resource_remaining is None and b.alice_side_entropy is None
+    for leaf in off.leaves:
+        assert leaf.resource_remaining is None and leaf.alice_side_entropy is None
     assert on.initial_alice_side_entropy is not None
     assert off.initial_alice_side_entropy is None
     with pytest.raises(EngineError, match="without leaf diagnostics"):
         engine.entanglement_monotonicity_gap(off)
+
+
+@pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
+def test_diagnostics_run_keeps_the_full_state_probability_bits(builder, rng):
+    """With diagnostics on, the walk is the full-state walk: leaf probabilities equal the oracle's bit for bit."""
+    program, initial = _oracle_case(builder, rng)
+    on = run_exhaustive(program, initial)
+    ref = oracles.reference_tree(program, initial)
+    assert [l.probability.hex() for l in on.leaves] == [l.probability.hex() for l in ref.leaves]
+
+
+# ---------------------------------------------------------------- block route
+
+
+@pytest.fixture
+def kernel_sizes(monkeypatch):
+    """Entry count of the state each ``qmath.apply_on_factors`` call sees, in call order."""
+    sizes = []
+    apply = qmath.apply_on_factors
+
+    def counted(vec, *args):
+        sizes.append(np.size(vec))
+        return apply(vec, *args)
+
+    monkeypatch.setattr(qmath, "apply_on_factors", counted)
+    return sizes
+
+
+Z_BASIS = {"zero": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])}
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+
+
+def _bell_program(steps, consumed=("a", "b")):
+    """Inputs A (Alice) and B (Bob), a Bell pair on (a, b), and the given steps."""
+    lay = qubit_layout(("A", ALICE), ("B", BOB), ("a", ALICE), ("b", BOB))
+    return ProtocolProgram(lay, resources=(bell_pair(2, ("a", "b")),), steps=steps, consumed=consumed)
+
+
+def _run_block_route(program, rng, kernel_sizes):
+    """The run without diagnostics and its kernel sizes, after checking it against the reference walk."""
+    initial = random_pure_state(qubit_layout(("A", ALICE), ("B", BOB), ("R", REFEREE)), rng)
+    kernel_sizes.clear()
+    tree = run_exhaustive(program, initial, leaf_diagnostics=False)
+    sizes = list(kernel_sizes)
+    ref = oracles.reference_tree(program, initial)
+    assert trees_equal(tree, ref, tol=engine.TREE_TOL)
+    assert [l.transcript for l in tree.leaves] == [l.transcript for l in ref.leaves]
+    return tree, sizes
+
+
+def test_block_route_gated_skip_entries_attach_nothing(rng, kernel_sizes):
+    steps = [
+        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("A",), Z_BASIS), sends_message=True),
+        ProtocolStep(
+            "g", BOB, condition_on=("m",),
+            instrument_fn=lambda v: unitary_instrument(BOB, ("b",), SZ) if v["m"] == "one"
+            else engine.identity_instrument(BOB, ("b",), 2),
+        ),
+        ProtocolStep("h", BOB, instrument=unitary_instrument(BOB, ("B",), HADAMARD)),
+    ]
+    _, sizes = _run_block_route(_bell_program(steps), rng, kernel_sizes)
+    # m on A, B and R: two branches; on "zero" g skips and h sees no pair;
+    # on "one" g attaches the pair, and h sees it
+    assert sizes == [8, 8, 8, 32, 32]
+
+
+def test_block_route_rank_one_kraus_before_the_last_use_does_not_detach(rng, kernel_sizes):
+    steps = [
+        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("a",), Z_BASIS), sends_message=True),
+        ProtocolStep("x", ALICE, instrument=unitary_instrument(ALICE, ("a",), HADAMARD)),
+        ProtocolStep("h", BOB, instrument=unitary_instrument(BOB, ("B",), HADAMARD)),
+    ]
+    _, sizes = _run_block_route(_bell_program(steps), rng, kernel_sizes)
+    # m attaches the pair; a stays through x, its last use (a unitary), and h
+    assert sizes == [32] * 6
+    _, sizes = _run_block_route(_bell_program([steps[0], steps[2]]), rng, kernel_sizes)
+    # without x, m is a's last use and detaches it on both branches
+    assert sizes == [32, 32, 16, 16]
+
+
+def test_block_route_attaches_a_resource_with_a_kept_factor_at_the_start(rng, kernel_sizes):
+    steps = [
+        ProtocolStep("h", ALICE, instrument=unitary_instrument(ALICE, ("A",), HADAMARD)),
+        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("a",), Z_BASIS)),
+    ]
+    tree, sizes = _run_block_route(_bell_program(steps, consumed=("a",)), rng, kernel_sizes)
+    assert sizes == [32, 32, 32]
+    assert all(leaf.state.layout.labels == ("A", "B", "R", "b") for leaf in tree.leaves)
+
+
+def test_block_route_never_attaches_an_untouched_resource(rng, kernel_sizes):
+    steps = [
+        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("A",), Z_BASIS), sends_message=True),
+        ProtocolStep("h", BOB, instrument=unitary_instrument(BOB, ("B",), HADAMARD)),
+    ]
+    tree, sizes = _run_block_route(_bell_program(steps), rng, kernel_sizes)
+    assert sizes == [8, 8, 8, 8]
+    assert all(leaf.state.layout.labels == ("A", "B", "R") for leaf in tree.leaves)
+
+
+def test_block_route_detaches_after_a_rank_one_kraus_that_is_no_projector(rng, kernel_sizes):
+    # reset a to |0>: K_0 = |0><0| and K_1 = |0><1|, each on (a, A) with a unitary on A
+    reset = [("was0", np.outer([1.0, 0.0], [1.0, 0.0])), ("was1", np.outer([1.0, 0.0], [0.0, 1.0]))]
+    steps = [
+        ProtocolStep(
+            "r", ALICE, sends_message=True,
+            instrument=LocalInstrument(ALICE, ("a", "A"), [(o, np.kron(k, HADAMARD)) for o, k in reset]),
+        ),
+        ProtocolStep("h", BOB, instrument=unitary_instrument(BOB, ("B",), HADAMARD)),
+    ]
+    _, sizes = _run_block_route(_bell_program(steps, consumed=("a",)), rng, kernel_sizes)
+    # the pair (b kept) is there from the start; a leaves after r on both branches
+    assert sizes == [32, 32, 16, 16]
+
+
+@pytest.mark.parametrize("n, largest", [(1, 2**4), (2, 2**8)])
+def test_batch_block_route_peak_size(n, largest, rng, kernel_sizes):
+    plan = protocols.build_batch(0.5, n, {1: 2.6, 2: 1.2}[n])
+    lay = SystemLayout([(f"A{i}", 2, ALICE) for i in range(1, n + 1)] + [(f"B{i}", 2, BOB) for i in range(1, n + 1)])
+    inp = random_pure_state(lay, rng)
+    kernel_sizes.clear()  # build_batch's heralded fit runs the full-state walk
+    protocols.batch_error(plan, inp)
+    assert max(kernel_sizes) == largest
 
 
 # ---------------------------------------------------------------- resolution cache
