@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -58,7 +59,15 @@ class CausalityViolation:
 
 @dataclass(frozen=True, init=False)
 class LocalInstrument:
-    """Kraus branches applied by one party to factors it owns."""
+    """Kraus branches applied by one party to factors it owns.
+
+    Immutable, so one instrument may be shared by many steps and programs.
+    What depends on the Kraus operators alone is worked out once per
+    instrument: its completeness deviation and whether it is one identity
+    branch when it is built, its detach bras (:func:`_cuts`) on first use.
+    ``validate_on`` still checks labels, owners and shapes against the
+    layout on every call.
+    """
 
     party: Owner
     labels: tuple[str, ...]
@@ -78,6 +87,9 @@ class LocalInstrument:
         object.__setattr__(self, "party", party)
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "branches", tuple(frozen))
+        object.__setattr__(self, "_deviation", _completeness_deviation(frozen))
+        object.__setattr__(self, "_identity", len(frozen) == 1 and _is_identity(frozen[0][1]))
+        object.__setattr__(self, "_cuts", {})
 
     @property
     def outcomes(self) -> tuple[str, ...]:
@@ -95,16 +107,31 @@ class LocalInstrument:
                     f"instrument of {self.party.value} acts on {lb!r} owned by {f.owner.value}"
                 )
             dim *= f.dim
-        total = np.zeros((dim, dim), dtype=complex)
         for outcome, kraus in self.branches:
             if kraus.shape != (dim, dim):
                 raise EngineError(
                     f"branch {outcome!r} has shape {kraus.shape}, expected {(dim, dim)}"
                 )
-            total += kraus.conj().T @ kraus
-        dev = float(np.max(np.abs(total - np.eye(dim))))
-        if dev > KRAUS_TOL:
-            raise EngineError(f"Kraus completeness violated (deviation {dev:.3e})")
+        if self._deviation > KRAUS_TOL:
+            raise EngineError(f"Kraus completeness violated (deviation {self._deviation:.3e})")
+
+
+def _completeness_deviation(branches: Sequence[tuple[str, np.ndarray]]) -> float | None:
+    """Largest entry of sum_k K_k^dagger K_k - I; None unless every K_k has one square shape.
+
+    No branches deviate by 1, as from any identity.  Without one square
+    shape ``validate_on`` fails on a branch's shape before it reads this.
+    """
+    shapes = {kraus.shape for _, kraus in branches}
+    if not shapes:
+        return 1.0
+    shape = shapes.pop()
+    if shapes or len(shape) != 2 or shape[0] != shape[1]:
+        return None
+    total = np.zeros(shape, dtype=complex)
+    for _, kraus in branches:
+        total += kraus.conj().T @ kraus
+    return float(np.max(np.abs(total - np.eye(shape[0]))))
 
 
 def unitary_instrument(party: Owner, labels: Sequence[str], matrix: np.ndarray) -> LocalInstrument:
@@ -112,7 +139,15 @@ def unitary_instrument(party: Owner, labels: Sequence[str], matrix: np.ndarray) 
 
 
 def identity_instrument(party: Owner, labels: Sequence[str], dim: int) -> LocalInstrument:
-    """The instrument of a step that does nothing on this branch; its outcome is "skip"."""
+    """The instrument of a step that does nothing on this branch; its outcome is "skip".
+
+    One instance per (party, labels, dim) is built and shared.
+    """
+    return _identity_instrument(party, tuple(labels), dim)
+
+
+@functools.lru_cache(maxsize=1024)
+def _identity_instrument(party: Owner, labels: tuple[str, ...], dim: int) -> LocalInstrument:
     return LocalInstrument(party, labels, [("skip", np.eye(dim, dtype=complex))])
 
 
@@ -142,8 +177,8 @@ class ProtocolStep:
     An ``instrument_fn`` must be a pure function of the values of its
     ``condition_on`` steps, and must accept every combination of their
     outcome alphabets, reachable or not: :func:`compile_program` calls it
-    once per combination, on each ``run_exhaustive`` and each
-    ``program_to_json`` call.
+    once per combination, once per program, and every later run or export
+    of that program reads the instruments it returned then.
     """
 
     name: str
@@ -179,6 +214,9 @@ class ProtocolProgram:
     ``output_renames`` maps surviving labels to the logical systems they
     stand for (used when the output lives on different factors than the
     input, as in teleportation-style protocols).
+
+    A program is immutable, so it is validated and compiled once: it keeps
+    the results of :func:`validate_program` and :func:`compile_program`.
     """
 
     layout: SystemLayout
@@ -217,6 +255,8 @@ class ProtocolProgram:
         unknown = self.consumed - set(layout.labels)
         if unknown:
             raise EngineError(f"consumed labels {sorted(unknown)} not in layout")
+        # validate_program's result and compile_program's tables, kept after first use
+        object.__setattr__(self, "_memo", {})
 
     @property
     def resource_labels(self) -> frozenset[str]:
@@ -330,7 +370,17 @@ def _direction(party: Owner) -> str:
 
 
 def validate_program(program: ProtocolProgram) -> CausalityViolation | None:
-    """Check transcript causality, ownership, and simultaneity declarations."""
+    """Check transcript causality, ownership, and simultaneity declarations.
+
+    The result is kept on the program, so only the first call checks.
+    """
+    memo = program._memo
+    if "violation" not in memo:
+        memo["violation"] = _first_violation(program)
+    return memo["violation"]
+
+
+def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
     by_name: dict[str, int] = {}
     visible: dict[Owner, set[str]] = {ALICE: set(), BOB: set()}
     last_msg: int | None = None
@@ -383,32 +433,44 @@ def validate_program(program: ProtocolProgram) -> CausalityViolation | None:
 
 def compile_program(
     program: ProtocolProgram,
-) -> tuple[list[dict[tuple[str, ...], LocalInstrument]], dict[str, tuple[str, ...]]]:
+) -> tuple[tuple[Mapping[tuple[str, ...], LocalInstrument], ...], Mapping[str, tuple[str, ...]]]:
     """Resolve every step on every combination of the outcomes it reads.
 
     Returns one table per step, from the values of its ``condition_on``
     steps (in that order, keys in ``itertools.product`` order over their
     alphabets) to its instrument, where a fixed step has the one key ();
     and each step's outcome alphabet, in first-resolved order.  Every
-    conditioned instrument is checked with ``validate_on`` against the
-    program layout; fixed ones are :func:`validate_program`'s to check.
+    distinct conditioned instrument is checked once with ``validate_on``
+    against the program layout; fixed ones are :func:`validate_program`'s
+    to check.  The program keeps the read-only result, so each
+    ``instrument_fn`` runs once per combination per program, however many
+    runs and exports follow.
     """
-    tables: list[dict[tuple[str, ...], LocalInstrument]] = []
+    memo = program._memo
+    if "compiled" not in memo:
+        memo["compiled"] = _compile(program)
+    return memo["compiled"]
+
+
+def _compile(program: ProtocolProgram):
+    tables = []
     alphabets: dict[str, tuple[str, ...]] = {}
+    checked: set[int] = set()  # ids of the conditioned instruments held in ``tables``
     for step in program.steps:
         table = {}
         for combo in itertools.product(*(alphabets[k] for k in step.condition_on)):
             condition = dict(zip(step.condition_on, combo))
             inst = table[combo] = step.resolve(condition)
-            if step.instrument is None:
+            if step.instrument is None and id(inst) not in checked:
                 try:
                     inst.validate_on(program.layout)
                 except EngineError as exc:
                     raise EngineError(f"step {step.name!r} on {condition}: {exc}") from None
-        tables.append(table)
+                checked.add(id(inst))
+        tables.append(MappingProxyType(table))
         outcomes = (o for inst in table.values() for o in inst.outcomes)
         alphabets[step.name] = tuple(dict.fromkeys(outcomes))
-    return tables, alphabets
+    return tuple(tables), MappingProxyType(alphabets)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +497,32 @@ def _check_initial(program: ProtocolProgram, initial: PureState) -> None:
         raise EngineError("initial state overlaps resource labels")
 
 
+def _cuts(inst: LocalInstrument, dims: tuple, ends: tuple) -> tuple:
+    """Per branch of ``inst``, the factors in ``ends`` its range leaves on one line, and their bra.
+
+    ``dims`` are the dimensions of the instrument's factors and ``ends``
+    indices into them.  A branch's entry is None when it leaves none of
+    them on a line, else (those indices, the Kronecker product of their
+    :func:`_detach_bra` bras in that order).  Worked out once per
+    instrument and (dims, ends), and kept on the instrument.
+    """
+    key = (dims, ends)
+    hit = inst._cuts.get(key)
+    if hit is None:
+        cuts = []
+        for _, kraus in inst.branches:
+            bras = {i: _detach_bra(kraus, dims, i) for i in ends}
+            bras = {i: bra for i, bra in bras.items() if bra is not None}
+            if not bras:
+                cuts.append(None)
+                continue
+            bra = functools.reduce(np.kron, bras.values())
+            bra.setflags(write=False)
+            cuts.append((tuple(bras), bra))
+        hit = inst._cuts[key] = tuple(cuts)
+    return hit
+
+
 def _detach_bra(kraus: np.ndarray, dims: Sequence[int], i: int) -> np.ndarray | None:
     """<v| when the range of ``kraus`` on its i-th factor is the line through v, else None.
 
@@ -457,10 +545,11 @@ def run_exhaustive(
 ) -> BranchTree:
     """Follow every instrument branch; leaves carry exact post-selected states.
 
-    The program is compiled once per call (:func:`compile_program`): every
-    step is resolved on every combination of the outcomes it reads, and
-    every conditioned instrument is checked with ``validate_on`` before the
-    walk starts.  Each node then looks its instrument up in that table.
+    The program is validated and compiled once, on its first run or
+    export, and keeps both results (:func:`compile_program`): every step
+    is resolved on every combination of the outcomes it reads, and every
+    conditioned instrument is checked with ``validate_on`` before any walk
+    starts.  Each node then looks its instrument up in those tables.
 
     A node holds a dense core over the factors alive at it.  With
     ``leaf_diagnostics=True`` that is every factor: the initial state and
@@ -598,48 +687,44 @@ def _walk(
             )
         )
 
-    tables = [
-        {
-            key: (
-                inst,
-                tuple(sim_layout.positions(inst.labels)),
-                len(inst.branches) == 1 and _is_identity(inst.branches[0][1]),
-            )
-            for key, inst in table.items()
-        }
-        for table in compile_program(program)[0]
+    tables = compile_program(program)[0]
+    # per step, its distinct instruments (a table may hold one many times) and their positions
+    placed = [
+        {id(inst): (inst, tuple(sim_layout.positions(inst.labels))) for inst in table.values()}
+        for table in tables
     ]
     # the last step at which a non-identity entry touches each factor
     last_use = {
         p: idx
-        for idx, table in enumerate(tables)
-        for _, positions, identity in table.values()
-        if not identity
+        for idx, step_insts in enumerate(placed)
+        for inst, positions in step_insts.values()
+        if not inst._identity
         for p in positions
     }
     resource_of = {p: r for r, pos in enumerate(res_pos) for p in pos}
+
     # Every step appends exactly one transcript entry, so the value of a
     # condition is read at the index of the step it names.
     step_index = {step.name: idx for idx, step in enumerate(program.steps)}
     plan = []
     for idx, (step, table) in enumerate(zip(program.steps, tables)):
-        entries = {}
-        for key, (inst, positions, identity) in table.items():
-            # attach: (resource, one factor of it this entry touches);
+        made = {}
+        for key, (inst, positions) in placed[idx].items():
+            # attach: (resource, one factor of it this instrument touches);
             # cuts: per branch, the consumed factors it leaves on one line
             # at their last use, and the bra that contracts them out
             attach: tuple = ()
-            cuts: list = [None] * len(inst.branches)
-            if not (leaf_diagnostics or identity):
+            cuts: tuple = (None,) * len(inst.branches)
+            if not (leaf_diagnostics or inst._identity):
                 attach = tuple({resource_of[p]: p for p in positions if p in resource_of}.items())
-                ends = [i for i, p in enumerate(positions) if p in consumed and last_use[p] == idx]
-                dims = tuple(sim_dims[p] for p in positions)
-                for b, (_, kraus) in enumerate(inst.branches):
-                    bras = {positions[i]: _detach_bra(kraus, dims, i) for i in ends}
-                    bras = {p: bra for p, bra in bras.items() if bra is not None}
-                    if bras:
-                        cuts[b] = (tuple(bras), functools.reduce(np.kron, bras.values()))
-            entries[key] = (inst, positions, identity, attach, tuple(cuts))
+                ends = tuple(i for i, p in enumerate(positions) if p in consumed and last_use[p] == idx)
+                if ends:
+                    cuts = tuple(
+                        None if cut is None else (tuple(positions[i] for i in cut[0]), cut[1])
+                        for cut in _cuts(inst, tuple(sim_dims[p] for p in positions), ends)
+                    )
+            made[key] = (inst, positions, inst._identity, attach, cuts)
+        entries = {key: made[id(inst)] for key, inst in table.items()}
         plan.append((step.name, tuple(step_index[k] for k in step.condition_on), entries))
 
     n_steps = len(program.steps)

@@ -19,6 +19,19 @@ I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+P0 = np.diag([1.0, 0.0]).astype(complex)  # |0><0|
+P1 = np.diag([0.0, 1.0]).astype(complex)  # |1><1|
+# two-qubit gate matrices, built once; the first factor is the left Kronecker factor
+I4 = np.kron(I2, I2)
+ZZ = np.kron(SZ, SZ)
+_P0_I = np.kron(P0, I2)
+CZ = _P0_I + np.kron(P1, SZ)
+CNOT = _P0_I + np.kron(P1, SX)
+CNOT_TARGET_FIRST = np.kron(I2, P0) + np.kron(SX, P1)
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+for _m in (I2, SX, SY, SZ, P0, P1, I4, ZZ, _P0_I, CZ, CNOT, CNOT_TARGET_FIRST, SWAP):
+    _m.setflags(write=False)
+del _m
 
 
 @dataclass(frozen=True, init=False)
@@ -62,40 +75,26 @@ def zz_phase_gate(theta: float, labels: Sequence[str] = ("A", "B")) -> GateSpec:
     """
     if not math.isfinite(theta):
         raise ValueError(f"non-finite angle {theta}")
-    mat = math.cos(theta / 2) * np.kron(I2, I2) + 1j * math.sin(theta / 2) * np.kron(SZ, SZ)
-    return GateSpec(mat, labels)
+    return GateSpec(math.cos(theta / 2) * I4 + 1j * math.sin(theta / 2) * ZZ, labels)
 
 
 def cz_gate(labels: Sequence[str] = ("a", "A")) -> GateSpec:
     """|0><0| (x) I + |1><1| (x) Z, first factor as control."""
-    mat = np.kron(np.diag([1.0, 0.0]).astype(complex), I2) + np.kron(
-        np.diag([0.0, 1.0]).astype(complex), SZ
-    )
-    return GateSpec(mat, labels)
+    return GateSpec(CZ, labels)
 
 
 def cnot_gate(labels: Sequence[str] = ("A", "B")) -> GateSpec:
     """|0><0| (x) I + |1><1| (x) X, first factor as control."""
-    mat = np.kron(np.diag([1.0, 0.0]).astype(complex), I2) + np.kron(
-        np.diag([0.0, 1.0]).astype(complex), SX
-    )
-    return GateSpec(mat, labels)
+    return GateSpec(CNOT, labels)
 
 
 def cnot_target_first_gate(labels: Sequence[str] = ("b", "B")) -> GateSpec:
     """I (x) |0><0| + X (x) |1><1|: second factor controls, first is flipped."""
-    mat = np.kron(I2, np.diag([1.0, 0.0]).astype(complex)) + np.kron(
-        SX, np.diag([0.0, 1.0]).astype(complex)
-    )
-    return GateSpec(mat, labels)
+    return GateSpec(CNOT_TARGET_FIRST, labels)
 
 
 def swap_gate(labels: Sequence[str] = ("A", "B")) -> GateSpec:
-    mat = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            mat[2 * j + i, 2 * i + j] = 1.0
-    return GateSpec(mat, labels)
+    return GateSpec(SWAP, labels)
 
 
 def controlled_z_rotation_gate(phi: float, labels: Sequence[str] = ("a", "A")) -> GateSpec:
@@ -103,10 +102,7 @@ def controlled_z_rotation_gate(phi: float, labels: Sequence[str] = ("a", "A")) -
     if not math.isfinite(phi):
         raise ValueError(f"non-finite angle {phi}")
     expz = np.diag(np.exp(1j * phi * np.array([1.0, -1.0])))
-    mat = np.kron(np.diag([1.0, 0.0]).astype(complex), I2) + np.kron(
-        np.diag([0.0, 1.0]).astype(complex), expz
-    )
-    return GateSpec(mat, labels)
+    return GateSpec(_P0_I + np.kron(P1, expz), labels)
 
 
 def z_rotation(phi: float) -> np.ndarray:

@@ -17,6 +17,7 @@ derived quantities) for:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -38,16 +39,20 @@ from .engine import (
     validate_program,
 )
 from .model import (
+    CNOT_TARGET_FIRST,
+    CZ,
+    I2,
+    P0,
+    P1,
     SX,
     SZ,
+    ZZ,
     CliffordTable,
     GateSpec,
     NotClifford,
     bell_pair,
     clifford_conjugation_table,
-    cnot_target_first_gate,
     controlled_z_rotation_gate,
-    cz_gate,
     choi_resource_state,
     partial_bell_pair,
     weyl_operator,
@@ -68,10 +73,26 @@ DILUTION_STEP_FLOOR = 1e-15
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / math.sqrt(2)
 X_BASIS = {"plus": PLUS, "minus": MINUS}
+Z_BASIS = {"zero": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])}
+# the angle-independent instruments of the builders, by name: unitaries and measurements
+_SHARED_UNITARIES = {"I": I2, "X": SX, "Z": SZ, "cz": CZ, "cnot": CNOT_TARGET_FIRST}
+_SHARED_MEASUREMENTS = {"meas_x": X_BASIS, "meas_z": Z_BASIS}
 
 # Reads transcript outcomes; returns the (Alice, Bob) systems a gated step
 # acts on, or None where it idles.
 Route = Callable[[Mapping[str, str]], tuple[str, str] | None]
+
+
+@functools.lru_cache(maxsize=1024)
+def _shared(party: Owner, labels: tuple[str, ...], name: str) -> LocalInstrument:
+    """The angle-independent instrument ``name`` on ``labels``, built once and shared by every program.
+
+    ``name`` is a key of ``_SHARED_UNITARIES`` (a one-outcome unitary) or of
+    ``_SHARED_MEASUREMENTS`` (a projective measurement in that basis).
+    """
+    if name in _SHARED_MEASUREMENTS:
+        return projective_instrument(party, labels, _SHARED_MEASUREMENTS[name])
+    return unitary_instrument(party, labels, _SHARED_UNITARIES[name])
 
 
 def failure_angle(theta: float, alpha: float) -> float:
@@ -96,7 +117,7 @@ def fit_zz_rotation(state: PureState) -> tuple[float, float]:
         .tensor(bell_pair(2, ("B", "RB"), (BOB, REFEREE)))
         .permuted(state.layout.labels)
     )
-    zz = ref.apply_unitary(np.kron(SZ, SZ), ("A", "B"))
+    zz = ref.apply_unitary(ZZ, ("A", "B"))
     a = ref.overlap(state)
     b = zz.overlap(state)
     if abs(a) < FIT_OVERLAP_FLOOR:
@@ -119,18 +140,17 @@ def _heralded_steps(
     if not math.isfinite(c * c + s * s):  # the herald measurement normalizes (c, s) by its norm
         raise ValueError(f"alpha {alpha!r} too small: the herald vector's norm overflows")
     chi = np.array([c, s])
-    cz = cz_gate().matrix
     meas_a = f"{prefix}meas_a"
 
     def fix_b(visible: Mapping[str, str]) -> LocalInstrument:
-        return unitary_instrument(BOB, (b,), np.eye(2, dtype=complex) if visible[meas_a] == "plus" else SZ)
+        return _shared(BOB, (b,), "I" if visible[meas_a] == "plus" else "Z")
 
     herald = {"success": chi, "failure": np.array([chi[1], -chi[0]])}
     return [
-        ProtocolStep(f"{prefix}cz_a", ALICE, instrument=unitary_instrument(ALICE, (a, sys_a), cz)),
-        ProtocolStep(meas_a, ALICE, instrument=projective_instrument(ALICE, (a,), X_BASIS), sends_message=True),
+        ProtocolStep(f"{prefix}cz_a", ALICE, instrument=_shared(ALICE, (a, sys_a), "cz")),
+        ProtocolStep(meas_a, ALICE, instrument=_shared(ALICE, (a,), "meas_x"), sends_message=True),
         ProtocolStep(f"{prefix}fix_b", BOB, instrument_fn=fix_b, condition_on=(meas_a,)),
-        ProtocolStep(f"{prefix}cz_b", BOB, instrument=unitary_instrument(BOB, (b, sys_b), cz)),
+        ProtocolStep(f"{prefix}cz_b", BOB, instrument=_shared(BOB, (b, sys_b), "cz")),
         ProtocolStep(
             f"{prefix}meas_b", BOB, instrument=projective_instrument(BOB, (b,), herald), sends_message=True
         ),
@@ -201,9 +221,7 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
 
 def controlled_phase_target(phi: float) -> GateSpec:
     """I (x) |0><0| + exp(i phi Z) (x) |1><1| on (A, B): B controls A."""
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    return GateSpec(np.kron(np.eye(2, dtype=complex), p0) + np.kron(z_rotation(phi), p1))
+    return GateSpec(np.kron(I2, P0) + np.kron(z_rotation(phi), P1))
 
 
 def _gated(
@@ -224,14 +242,19 @@ def _gated(
     instrument from the visible outcomes and those systems.  An idle step is
     a one-outcome identity on ``idle_label`` that still sends its message, so
     the round profile does not depend on the branch.  A step that reads no
-    outcome gets a fixed instrument.
+    outcome gets a fixed instrument.  ``build`` reads only the ``reads``
+    outcomes, so the step builds each distinct instrument once.
     """
+    built: dict = {}
 
     def resolve(visible: Mapping[str, str]) -> LocalInstrument:
         systems = route(visible)
         if systems is None:
             return identity_instrument(party, (idle_label,), 2)
-        return build(visible, *systems)
+        key = (systems, *(visible[k] for k in reads))
+        if key not in built:
+            built[key] = build(visible, *systems)
+        return built[key]
 
     condition_on = (*route_on, *reads)
     if not condition_on:
@@ -251,27 +274,25 @@ def _controlled_phase_steps(
     system and measures a in the X basis; Bob undoes the phase kick-back.
     See :func:`_gated` for ``route`` and ``route_on``.
     """
-    cnot = cnot_target_first_gate().matrix
     rot = controlled_z_rotation_gate(phi).matrix
-    z_basis = {"zero": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])}
     meas_b, meas_a = f"{prefix}meas_b", f"{prefix}meas_a"
 
     def fix_a(visible: Mapping[str, str], _sys_a: str, _sys_b: str) -> LocalInstrument:
-        return unitary_instrument(ALICE, (a,), SX if visible[meas_b] == "one" else np.eye(2, dtype=complex))
+        return _shared(ALICE, (a,), "X" if visible[meas_b] == "one" else "I")
 
     def fix_b(visible: Mapping[str, str], _sys_a: str, sys_b: str) -> LocalInstrument:
-        return unitary_instrument(BOB, (sys_b,), SZ if visible[meas_a] == "minus" else np.eye(2, dtype=complex))
+        return _shared(BOB, (sys_b,), "Z" if visible[meas_a] == "minus" else "I")
 
     return [
         _gated(f"{prefix}cnot", BOB, b, route, route_on,
-               lambda _v, _sa, sys_b: unitary_instrument(BOB, (b, sys_b), cnot)),
+               lambda _v, _sa, sys_b: _shared(BOB, (b, sys_b), "cnot")),
         _gated(meas_b, BOB, b, route, route_on,
-               lambda *_: projective_instrument(BOB, (b,), z_basis), sends_message=True),
+               lambda *_: _shared(BOB, (b,), "meas_z"), sends_message=True),
         _gated(f"{prefix}fix_a", ALICE, a, route, route_on, fix_a, reads=(meas_b,)),
         _gated(f"{prefix}rot", ALICE, a, route, route_on,
                lambda _v, sys_a, _sb: unitary_instrument(ALICE, (a, sys_a), rot)),
         _gated(meas_a, ALICE, a, route, route_on,
-               lambda *_: projective_instrument(ALICE, (a,), X_BASIS), sends_message=True),
+               lambda *_: _shared(ALICE, (a,), "meas_x"), sends_message=True),
         _gated(f"{prefix}fix_B", BOB, b, route, route_on, fix_b, reads=(meas_a,)),
     ]
 

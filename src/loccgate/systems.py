@@ -60,16 +60,24 @@ def _as_factor(spec) -> Factor:
 
 @dataclass(frozen=True, init=False)
 class SystemLayout:
-    """Ordered tensor factors; order fixes the flattening convention."""
+    """Ordered tensor factors; order fixes the flattening convention.
+
+    ``labels`` and ``dims`` are tuples built once, with a label-to-position
+    map that ``index``, ``positions`` and ``in`` read.
+    """
 
     factors: tuple[Factor, ...]
 
     def __init__(self, factors: Iterable, *, dim_cap: int | None = DEFAULT_DIM_CAP):
-        object.__setattr__(self, "factors", tuple(_as_factor(f) for f in factors))
-        labels = self.labels
-        if len(set(labels)) != len(labels):
+        factors = tuple(_as_factor(f) for f in factors)
+        labels = tuple(f.label for f in factors)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", tuple(f.dim for f in factors))
+        object.__setattr__(self, "_index", {lb: i for i, lb in enumerate(labels)})
+        if len(self._index) != len(labels):
             raise ValueError(f"duplicate labels in layout: {labels}")
-        for f in self.factors:
+        for f in factors:
             if f.dim < 2:
                 raise ValueError(f"factor {f.label!r} has dimension {f.dim} < 2")
         if dim_cap is not None and self.dim > dim_cap:
@@ -79,14 +87,6 @@ class SystemLayout:
             )
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(f.label for f in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.dim for f in self.factors)
-
-    @property
     def dim(self) -> int:
         return int(math.prod(self.dims))
 
@@ -94,12 +94,15 @@ class SystemLayout:
         return len(self.factors)
 
     def __contains__(self, label: str) -> bool:
-        return label in self.labels
+        try:
+            return label in self._index
+        except TypeError:  # an unhashable label names no factor
+            return False
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):
             raise KeyError(f"unknown label {label!r}; layout has {self.labels}") from None
 
     def factor(self, label: str) -> Factor:

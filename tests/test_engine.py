@@ -65,6 +65,33 @@ def test_instrument_requires_completeness():
         inst.validate_on(lay)
 
 
+def test_incomplete_instrument_raises_on_every_validate_on():
+    """The deviation is worked out once, when the instrument is built; the check still runs on every call."""
+    inst = LocalInstrument(ALICE, ("A",), [("only", np.diag([1.0, 0.5]))])
+    for lay in (qubit_layout(("A", ALICE)), qubit_layout(("B", BOB), ("A", ALICE)), qubit_layout(("A", ALICE))):
+        with pytest.raises(EngineError, match=r"completeness violated \(deviation 7\.500e-01\)"):
+            inst.validate_on(lay)
+
+
+def test_instrument_checks_shapes_before_completeness():
+    inst = LocalInstrument(ALICE, ("A",), [("x", np.eye(2)), ("y", np.zeros((4, 4)))])
+    with pytest.raises(EngineError, match="branch 'y' has shape"):
+        inst.validate_on(qubit_layout(("A", ALICE)))
+    with pytest.raises(EngineError, match="completeness"):
+        LocalInstrument(ALICE, ("A",), []).validate_on(qubit_layout(("A", ALICE)))
+
+
+def test_shared_identity_still_checks_its_owner_on_each_layout():
+    idle = engine.identity_instrument(ALICE, ("a",), 2)
+    assert engine.identity_instrument(ALICE, ["a"], 2) is idle
+    assert engine.identity_instrument(BOB, ("a",), 2) is not idle
+    idle.validate_on(qubit_layout(("a", ALICE)))
+    for _ in range(2):
+        with pytest.raises(EngineError, match="owned by bob"):
+            idle.validate_on(qubit_layout(("a", BOB)))
+    idle.validate_on(qubit_layout(("a", ALICE)))
+
+
 def test_instrument_rejects_foreign_factor():
     lay = qubit_layout(("A", ALICE), ("B", BOB))
     inst = unitary_instrument(ALICE, ("B",), np.eye(2))
@@ -559,6 +586,23 @@ def test_compiled_tables_cover_every_transcript(builder):
             assert tuple(seen[k] for k in step.condition_on) in table
 
 
+def test_program_keeps_its_validation_and_compiled_tables():
+    prog = protocols.build_batch(0.5, 1, 2.6).program
+    assert validate_program(prog) is None
+    tables, alphabets = engine.compile_program(prog)
+    assert engine.compile_program(prog) == (tables, alphabets)
+    assert engine.compile_program(prog)[0] is tables
+    with pytest.raises(TypeError):
+        tables[0][()] = None
+    with pytest.raises(TypeError):
+        alphabets["new"] = ()
+    bad = ProtocolProgram(qubit_layout(("A", ALICE)), steps=[
+        ProtocolStep("u", ALICE, instrument=LocalInstrument(ALICE, ("A",), [("half", 0.5 * np.eye(2))]))
+    ])
+    assert validate_program(bad) is validate_program(bad)
+    assert "completeness" in validate_program(bad).reason
+
+
 def test_json_export_is_deterministic():
     lay = qubit_layout(("A", ALICE))
     prog = ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, instrument=unitary_instrument(ALICE, ("A",), SZ))])
@@ -848,8 +892,9 @@ def test_conditioned_instrument_breaking_completeness_raises(rng):
         return unitary_instrument(BOB, ("B",), np.eye(2))
 
     prog, lay = _fix_program(fn)
-    with pytest.raises(EngineError, match="completeness"):
-        run_exhaustive(prog, random_pure_state(lay, rng))
+    for _ in range(2):  # a failed compile is not kept
+        with pytest.raises(EngineError, match="completeness"):
+            run_exhaustive(prog, random_pure_state(lay, rng))
 
 
 def test_conditioned_instrument_is_checked_before_the_walk(rng, monkeypatch):
@@ -883,10 +928,9 @@ def test_instrument_fn_runs_once_per_condition_values(rng):
     prog, lay = _fix_program(fn)
     tree = run_exhaustive(prog, random_pure_state(lay, rng))
     assert len(tree.leaves) == 4  # each condition value reached twice
-    assert sorted(c["ma"] for c in calls) == ["m", "p"]
-    calls.clear()
-    run_exhaustive(prog, random_pure_state(lay, rng))
-    assert len(calls) == 2  # the cache lives for one run
+    run_exhaustive(prog, random_pure_state(lay, rng), leaf_diagnostics=False)
+    program_to_json(prog)
+    assert sorted(c["ma"] for c in calls) == ["m", "p"]  # the tables live as long as the program
 
 
 # ---------------------------------------------------------------- pruning

@@ -378,6 +378,49 @@ def test_build_batch_reuses_its_typical_set(monkeypatch):
     assert len(calls) == 1  # the plan's own, handed on to error_budget
 
 
+def _step_instruments(program):
+    """Step name -> {id: instrument} over its compiled table."""
+    tables = engine.compile_program(program)[0]
+    return {step.name: {id(i): i for i in table.values()} for step, table in zip(program.steps, tables)}
+
+
+def _angle_dependent(name):
+    """The herald measurement, the controlled rotation and the dressing depend on theta."""
+    return name.endswith(("_rot", "_dress")) or (name.startswith("s") and name.endswith("_meas_b"))
+
+
+def test_batch_programs_share_exactly_the_angle_independent_instruments():
+    first, second = (protocols.build_batch(theta, 2, 1.2).program for theta in (0.5, 0.9))
+    a, b = _step_instruments(first), _step_instruments(second)
+    assert a.keys() == b.keys()
+    assert sum(map(_angle_dependent, a)) == 2 + 2 * 2  # two heralds; rot and dress in two slots
+    for name in a:
+        if not _angle_dependent(name):
+            assert a[name].keys() == b[name].keys(), name
+            continue
+        active = {k for k, inst in a[name].items() if inst.outcomes != ("skip",)}
+        assert active and active.isdisjoint(b[name]), name
+    cz = first.steps[0].instrument
+    assert first.steps[0].name == "s1_cz_a" and second.steps[0].instrument is cz
+    with pytest.raises(engine.EngineError, match="owned by bob"):
+        cz.validate_on(SystemLayout([("a1", 2, BOB), ("A1", 2, ALICE)]))
+    # each distinct active instrument of a gated step is built once: slot 0's
+    # rotation acts on the first failed copy, A1 or A2, over three active entries
+    rot = engine.compile_program(first)[0][[s.name for s in first.steps].index("p0_rot")]
+    assert sum(inst.outcomes != ("skip",) for inst in rot.values()) == 3
+    assert len({id(i) for i in rot.values() if i.outcomes != ("skip",)}) == 2
+
+
+def test_instruments_hold_read_only_kraus_operators():
+    program = protocols.build_batch(0.5, 2, 1.2).program
+    for instruments in _step_instruments(program).values():
+        for inst in instruments.values():
+            for _, kraus in inst.branches:
+                assert not kraus.flags.writeable
+                with pytest.raises(ValueError):
+                    kraus[0, 0] = 2.0
+
+
 def test_batch_program_passes_validation():
     plan = protocols.build_batch(0.5, 2, 1.2)
     assert engine.validate_program(plan.program) is None

@@ -34,6 +34,19 @@ def test_layout_lookups():
         lay.index("nope")
 
 
+def test_layout_label_map_keeps_lookup_values_and_messages():
+    lay = SystemLayout([("A", 2, ALICE), ("B", 3, BOB)])
+    assert lay.labels == ("A", "B") and lay.labels is lay.labels
+    assert "B" in lay and "C" not in lay and ["A"] not in lay
+    assert [lay.index(lb) for lb in lay.labels] == [0, 1]
+    for bad in ("C", ["A"]):
+        with pytest.raises(KeyError) as info:
+            lay.positions(["A", bad])
+        assert info.value.args[0] == f"unknown label {bad!r}; layout has ('A', 'B')"
+    assert lay == SystemLayout([("A", 2, ALICE), ("B", 3, BOB)])
+    assert hash(lay) == hash(SystemLayout([("A", 2, ALICE), ("B", 3, BOB)]))
+
+
 def test_state_norm_enforced():
     lay = SystemLayout([("A", 2, ALICE)])
     with pytest.raises(ValueError, match="norm"):
