@@ -57,11 +57,12 @@ class CausalityViolation:
     reason: str
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class LocalInstrument:
     """Kraus branches applied by one party to factors it owns.
 
-    Immutable, so one instrument may be shared by many steps and programs.
+    Immutable, so one instrument may be shared by many steps and programs;
+    ``==`` and ``hash`` go by identity, so instruments key dicts and sets.
     What depends on the Kraus operators alone is worked out once per
     instrument: its completeness deviation and whether it is one identity
     branch when it is built, its detach bras (:func:`_cuts`) on first use.
@@ -166,9 +167,11 @@ def projective_instrument(
 InstrumentFn = Callable[[Mapping[str, str]], LocalInstrument]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolStep:
     """One local instrument, optionally transcript-conditioned and broadcast.
+
+    ``==`` and ``hash`` go by identity, as for :class:`LocalInstrument`.
 
     ``simultaneous_with_prev`` declares that this message is exchanged in the
     same round as the nearest preceding message step, which must go in the
@@ -206,7 +209,7 @@ class ProtocolStep:
         return inst
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ProtocolProgram:
     """Layout, pre-shared resources, ordered steps, and end-of-protocol bookkeeping.
 
@@ -217,6 +220,7 @@ class ProtocolProgram:
 
     A program is immutable, so it is validated and compiled once: it keeps
     the results of :func:`validate_program` and :func:`compile_program`.
+    ``==`` and ``hash`` go by identity, as for :class:`LocalInstrument`.
     """
 
     layout: SystemLayout
@@ -274,15 +278,15 @@ class ProtocolProgram:
 
 @dataclass(frozen=True)
 class Leaf:
-    """One exhaustive-simulation branch.
+    """One branch of :func:`run_exhaustive`, or one merged group of :func:`output_mixture`.
 
     ``resource_remaining`` holds, per declared resource, the entanglement (in
     ebits, across the resource's own Alice|Bob split) still present in those
     factors at the end of the branch; zero when the factors end up mixed or
     correlated with anything else.  ``alice_side_entropy`` is the entropy of
     the branch state reduced onto all Alice-owned factors, recorded before
-    consumed factors are discarded.  Both are None when the tree was run
-    without diagnostics.
+    consumed factors are discarded.  Both are None on the leaves of an
+    :class:`OutputMixture`, whose walk never holds the full state.
     """
 
     transcript: tuple[tuple[str, str], ...]
@@ -294,16 +298,16 @@ class Leaf:
 
 @dataclass(frozen=True)
 class BranchTree:
-    """Leaves of one exhaustive run.
+    """Leaves of one :func:`run_exhaustive` run, one per transcript, each with its diagnostics.
 
     ``pruned_mass`` is the probability of the branches dropped at
     ``PRUNE_PROB``: the sum of their path probabilities.
-    ``initial_alice_side_entropy`` is None when the tree was run without
-    leaf diagnostics.
+    ``initial_alice_side_entropy`` is the entropy of the initial joint state
+    reduced onto all Alice-owned factors.
     """
 
     leaves: tuple[Leaf, ...]
-    initial_alice_side_entropy: float | None
+    initial_alice_side_entropy: float
     pruned_mass: float = 0.0
 
     def total_probability(self) -> float:
@@ -455,18 +459,18 @@ def compile_program(
 def _compile(program: ProtocolProgram):
     tables = []
     alphabets: dict[str, tuple[str, ...]] = {}
-    checked: set[int] = set()  # ids of the conditioned instruments held in ``tables``
+    checked: set[LocalInstrument] = set()  # the conditioned instruments held in ``tables``
     for step in program.steps:
         table = {}
         for combo in itertools.product(*(alphabets[k] for k in step.condition_on)):
             condition = dict(zip(step.condition_on, combo))
             inst = table[combo] = step.resolve(condition)
-            if step.instrument is None and id(inst) not in checked:
+            if step.instrument is None and inst not in checked:
                 try:
                     inst.validate_on(program.layout)
                 except EngineError as exc:
                     raise EngineError(f"step {step.name!r} on {condition}: {exc}") from None
-                checked.add(id(inst))
+                checked.add(inst)
         tables.append(MappingProxyType(table))
         outcomes = (o for inst in table.values() for o in inst.outcomes)
         alphabets[step.name] = tuple(dict.fromkeys(outcomes))
@@ -537,13 +541,8 @@ def _detach_bra(kraus: np.ndarray, dims: Sequence[int], i: int) -> np.ndarray | 
     return u[:, 0].conj()
 
 
-def run_exhaustive(
-    program: ProtocolProgram,
-    initial: PureState | None = None,
-    *,
-    leaf_diagnostics: bool = True,
-) -> BranchTree:
-    """Follow every instrument branch; leaves carry exact post-selected states.
+def run_exhaustive(program: ProtocolProgram, initial: PureState | None = None) -> BranchTree:
+    """Follow every instrument branch; leaves carry exact post-selected states and diagnostics.
 
     The program is validated and compiled once, on its first run or
     export, and keeps both results (:func:`compile_program`): every step
@@ -551,64 +550,58 @@ def run_exhaustive(
     conditioned instrument is checked with ``validate_on`` before any walk
     starts.  Each node then looks its instrument up in those tables.
 
-    A node holds a dense core over the factors alive at it.  With
-    ``leaf_diagnostics=True`` that is every factor: the initial state and
-    all resources are tensored together at the start and nothing leaves,
+    A node holds the joint state of every factor: the initial state and all
+    resources are tensored together at the start and nothing leaves,
     because the ledger's residual entanglement and the Alice-side entropies
-    read the joint state, per leaf and initially.  With
-    ``leaf_diagnostics=False`` the core holds only live factors.
-    A resource with a kept factor is tensored in at the start, any other at
-    the first non-identity compiled entry that touches one of its factors;
-    a consumed factor is contracted out after a Kraus operator whose range
-    on it is one-dimensional, at the last step whose non-identity entries
-    touch it.  Both are decided once, from the compiled tables.  Leaves then
-    agree with the full-state walk to rounding (``trees_equal``), not bit
-    for bit, and carry no diagnostics.
-
-    The walk is depth first, one subtree at a time, so a run holds one
-    path of cores and their pending siblings, never a whole level.  It
-    keeps one leaf per transcript, in branch order, which the ledger,
-    :func:`trees_equal` and per-transcript reports read.  A reduction over
-    the output ensemble alone takes :func:`output_mixture` instead, which
-    walks the same block states a level at a time and merges branches.
+    read the joint state, per leaf and initially.  The walk is depth first,
+    one subtree at a time, so a run holds one path of states and their
+    pending siblings, never a whole level.  It keeps one leaf per
+    transcript, in branch order, which the ledger, :func:`trees_equal` and
+    per-transcript reports read.  A reduction over the output ensemble
+    alone takes :func:`output_mixture` instead.
     """
-    leaves, initial_alice_entropy, pruned_mass, _, _ = _walk(
-        program, initial, leaf_diagnostics, merge=False
-    )
+    leaves, initial_alice_entropy, pruned_mass, _, _ = _walk(program, initial, merge=False)
     return BranchTree(leaves, initial_alice_entropy, pruned_mass)
 
 
 def output_mixture(program: ProtocolProgram, initial: PureState | None = None) -> OutputMixture:
     """The output ensemble of ``program`` on ``initial``, with indistinguishable branches merged.
 
-    The walk is that of ``run_exhaustive(..., leaf_diagnostics=False)``
-    made level by level.  After each step, a node that no later step can
-    tell apart from an earlier node of its level (:func:`_merge_level`)
-    is merged into it, so one subtree is walked with the summed
-    probability.  In channel terms, proportional Kraus operators become
-    one, and sum_t K_t rho K_t^dagger does not change.  Every node still
-    passes the norm-drift and pruning checks, and the leaves the leaf-sum
-    check.
+    Compiled as for :func:`run_exhaustive`, but a node holds a dense core
+    over its live factors only.  A resource with a kept factor is tensored
+    in at the start, any other at the first non-identity compiled entry
+    that touches one of its factors; a consumed factor is contracted out
+    after a Kraus operator whose range on it is one-dimensional, at the
+    last step whose non-identity entries touch it.  Both are decided once,
+    from the compiled tables.  Leaves carry no diagnostics.
+
+    The walk goes level by level.  After each step, a node that no later
+    step can tell apart from an earlier node of its level
+    (:func:`_merge_level`) is merged into it, so one subtree is walked with
+    the summed probability.  In channel terms, proportional Kraus operators
+    become one, and sum_t K_t rho K_t^dagger does not change.  Every node
+    still passes the norm-drift and pruning checks, and the leaves the
+    leaf-sum check.
 
     Each leaf stands for a group: its first transcript and state, with the
     group's summed probability.  A reduction that reads only probabilities
     and states, such as an averaged output or a channel, equals the one
-    over :func:`run_exhaustive`'s tree up to the merges: one merge of mass
-    p moves a leaf-averaged fidelity by at most 2 p sqrt(dim) ``MERGE_TOL``,
-    dim being the merged core's size.
+    over :func:`run_exhaustive`'s tree to rounding and up to the merges: one
+    merge of mass p moves a leaf-averaged fidelity by at most
+    2 p sqrt(dim) ``MERGE_TOL``, dim being the merged core's size.
     """
-    leaves, _, pruned_mass, merged_nodes, merge_distance = _walk(program, initial, False, merge=True)
+    leaves, _, pruned_mass, merged_nodes, merge_distance = _walk(program, initial, merge=True)
     return OutputMixture(leaves, pruned_mass, merged_nodes, merge_distance)
 
 
 def _walk(
-    program: ProtocolProgram, initial: PureState | None, leaf_diagnostics: bool, merge: bool
+    program: ProtocolProgram, initial: PureState | None, merge: bool
 ) -> tuple[tuple[Leaf, ...], float | None, float, int, float]:
-    """The walk of :func:`run_exhaustive`, and with ``merge`` that of :func:`output_mixture`.
+    """The full-state walk of :func:`run_exhaustive`, or with ``merge`` that of :func:`output_mixture`.
 
-    Returns the leaves, the initial Alice-side entropy (None without
-    diagnostics), the pruned mass, the number of nodes merged and the
-    largest merge distance.
+    Returns the leaves, the initial Alice-side entropy (None with
+    ``merge``), the pruned mass, the number of nodes merged and the largest
+    merge distance.
     """
     violation = validate_program(program)
     if violation is not None:
@@ -632,7 +625,7 @@ def _walk(
     keep_pos = tuple(i for i in range(len(sim_dims)) if i not in consumed)
     out_layout = SystemLayout([sim_layout.factors[i] for i in keep_pos], dim_cap=None)
     for r, res in enumerate(program.resources):
-        if leaf_diagnostics or not consumed.issuperset(res_pos[r]):
+        if not merge or not consumed.issuperset(res_pos[r]):
             core = res.vector if core is None else np.outer(core, res.vector).reshape(-1)
             core_pos += res_pos[r]
     if core is None:  # every resource waits for its first use
@@ -643,9 +636,7 @@ def _walk(
         [j for j, f in enumerate(res.layout.factors) if f.owner is ALICE]
         for res in program.resources
     ]
-    initial_alice_entropy = (
-        _entropy_of_positions(core, sim_dims, alice_pos) if leaf_diagnostics else None
-    )
+    initial_alice_entropy = None if merge else _entropy_of_positions(core, sim_dims, alice_pos)
 
     views: dict = {}
 
@@ -667,7 +658,7 @@ def _walk(
         dims, keep, _ = view(core_pos, keep_pos)
         remaining = None
         alice_entropy = None
-        if leaf_diagnostics:  # the core is the full state, in layout order
+        if not merge:  # the core is the full state, in layout order
             remaining = tuple(
                 _residual_entanglement(vec, dims, pos, alice_local)
                 for pos, alice_local in zip(res_pos, res_alice_local)
@@ -690,14 +681,14 @@ def _walk(
     tables = compile_program(program)[0]
     # per step, its distinct instruments (a table may hold one many times) and their positions
     placed = [
-        {id(inst): (inst, tuple(sim_layout.positions(inst.labels))) for inst in table.values()}
+        {inst: tuple(sim_layout.positions(inst.labels)) for inst in table.values()}
         for table in tables
     ]
     # the last step at which a non-identity entry touches each factor
     last_use = {
         p: idx
         for idx, step_insts in enumerate(placed)
-        for inst, positions in step_insts.values()
+        for inst, positions in step_insts.items()
         if not inst._identity
         for p in positions
     }
@@ -709,13 +700,13 @@ def _walk(
     plan = []
     for idx, (step, table) in enumerate(zip(program.steps, tables)):
         made = {}
-        for key, (inst, positions) in placed[idx].items():
+        for inst, positions in placed[idx].items():
             # attach: (resource, one factor of it this instrument touches);
             # cuts: per branch, the consumed factors it leaves on one line
             # at their last use, and the bra that contracts them out
             attach: tuple = ()
             cuts: tuple = (None,) * len(inst.branches)
-            if not (leaf_diagnostics or inst._identity):
+            if merge and not inst._identity:
                 attach = tuple({resource_of[p]: p for p in positions if p in resource_of}.items())
                 ends = tuple(i for i, p in enumerate(positions) if p in consumed and last_use[p] == idx)
                 if ends:
@@ -723,8 +714,8 @@ def _walk(
                         None if cut is None else (tuple(positions[i] for i in cut[0]), cut[1])
                         for cut in _cuts(inst, tuple(sim_dims[p] for p in positions), ends)
                     )
-            made[key] = (inst, positions, inst._identity, attach, cuts)
-        entries = {key: made[id(inst)] for key, inst in table.items()}
+            made[inst] = (inst, positions, inst._identity, attach, cuts)
+        entries = {key: made[inst] for key, inst in table.items()}
         plan.append((step.name, tuple(step_index[k] for k in step.condition_on), entries))
 
     n_steps = len(program.steps)
@@ -738,7 +729,8 @@ def _walk(
     # leaves come out in branch order, a child leaves the stack when its
     # subtree starts, and a node's core is released when the loop over the
     # next popped list rebinds ``vec``, before any child is expanded.  With
-    # ``merge`` a level's children are merged and pushed as one list.
+    # ``merge`` a level's children are merged and pushed as one list, so
+    # the walk goes level by level.
     stack: list[tuple[int, list]] = [(0, [(core, core_pos, 1.0, ())])]
     del core
     while stack:
@@ -978,7 +970,7 @@ def ledger(program: ProtocolProgram, tree: BranchTree) -> EntanglementLedger:
     expected = 0.0
     for leaf in tree.leaves:
         if leaf.resource_remaining is None:
-            raise EngineError("tree was simulated without leaf diagnostics")
+            raise EngineError("leaves without leaf diagnostics (output_mixture makes none)")
         cost = sum(
             max(e0 - rem, 0.0) for e0, rem in zip(initial, leaf.resource_remaining)
         )
@@ -1106,7 +1098,7 @@ def entanglement_monotonicity_gap(tree: BranchTree) -> float:
     pure-state entanglement over measurement branches can only shrink it.
     """
     if any(l.alice_side_entropy is None for l in tree.leaves):
-        raise EngineError("tree was simulated without leaf diagnostics")
+        raise EngineError("leaves without leaf diagnostics (output_mixture makes none)")
     final = sum(l.probability * l.alice_side_entropy for l in tree.leaves)
     return float(tree.initial_alice_side_entropy - final)
 

@@ -88,11 +88,6 @@ def cnot_gate(labels: Sequence[str] = ("A", "B")) -> GateSpec:
     return GateSpec(CNOT, labels)
 
 
-def cnot_target_first_gate(labels: Sequence[str] = ("b", "B")) -> GateSpec:
-    """I (x) |0><0| + X (x) |1><1|: second factor controls, first is flipped."""
-    return GateSpec(CNOT_TARGET_FIRST, labels)
-
-
 def swap_gate(labels: Sequence[str] = ("A", "B")) -> GateSpec:
     return GateSpec(SWAP, labels)
 

@@ -198,7 +198,7 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
         .permuted(("A", "B", "RA", "RB"))
     )
     # the full-state walk: its bits fix the fitted angle and, through it, the CLI output
-    tree = run_exhaustive(program, probe, leaf_diagnostics=True)
+    tree = run_exhaustive(program, probe)
     fitted = None
     for leaf in tree.leaves:
         if dict(leaf.transcript)["h_meas_b"] == "failure":
@@ -423,17 +423,22 @@ def build_clifford(gate: GateSpec, table: CliffordTable | None = None) -> Protoc
                 basis[f"{p},{q}"] = np.kron(mat, np.eye(d)) @ bell
         return basis
 
+    @functools.cache
+    def weyl_fix(party: Owner, label: str, u: int, v: int) -> LocalInstrument:
+        """W(u, v)^dagger on ``label``, built once per correction value."""
+        return unitary_instrument(party, (label,), weyl_operator(d, u, v).conj().T)
+
     def fix_at(visible: Mapping[str, str]) -> LocalInstrument:
         p, q = map(int, visible["cl_meas_a"].split(","))
         r, s = map(int, visible["cl_meas_b"].split(","))
         pp, qp, _, _, _ = table.lookup(p, q, r, s)
-        return unitary_instrument(ALICE, ("At",), weyl_operator(d, pp, qp).conj().T)
+        return weyl_fix(ALICE, "At", pp, qp)
 
     def fix_bt(visible: Mapping[str, str]) -> LocalInstrument:
         p, q = map(int, visible["cl_meas_a"].split(","))
         r, s = map(int, visible["cl_meas_b"].split(","))
         _, _, rp, sp, _ = table.lookup(p, q, r, s)
-        return unitary_instrument(BOB, ("Bt",), weyl_operator(d, rp, sp).conj().T)
+        return weyl_fix(BOB, "Bt", rp, sp)
 
     steps = [
         ProtocolStep(

@@ -251,7 +251,7 @@ def factor_pure_state(
     With M the k x rest matrix of ``vec`` (rows on the kept factors), a
     product state is M = a b^T and every column of M is a multiple of a.
     When rest = 1, ``vec`` holds the kept factors alone (a leaf of a
-    program that consumes nothing, or of a run without diagnostics that
+    program that consumes nothing, or of an output mixture whose walk
     contracted every consumed factor out): only the phase and the norm are
     fixed.  When k <= rest, the factor is read off
     the column c holding M's largest-magnitude entry, after one power step

@@ -8,12 +8,12 @@ no other test module.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 
 from loccgate import analysis, engine, qmath
 from loccgate.analysis import AnalysisError, resource_spectrum, success_probability
-from loccgate.engine import run_exhaustive
 from loccgate.model import GateSpec, bell_pair, zz_phase_gate
 from loccgate.qmath import _require_hermitian, _subsystem_entropy
 from loccgate.systems import ALICE, BOB, REFEREE, PureState, SystemLayout
@@ -83,9 +83,19 @@ def reference_tree(program, initial=None):
     return engine.BranchTree(tuple(leaves), 0.0, pruned[0])
 
 
+def unmerged_mixture(program, initial=None):
+    """Judges `engine.output_mixture`'s merging: the same block walk keeping every node, one leaf per transcript.
+
+    `engine._merge_level` is patched to keep each node of a level, so the
+    leaves come out in branch order, as in `engine.run_exhaustive`'s tree.
+    """
+    with mock.patch.object(engine, "_merge_level", lambda nodes, live: (nodes, 0, 0.0)):
+        return engine.output_mixture(program, initial)
+
+
 def direct_protocol_error(program, target, initial):
     """Judges `engine.protocol_error` by a run on ``initial`` itself: 1 - sum_t p_t |<U psi|out_t>|^2."""
-    tree = run_exhaustive(program, initial, leaf_diagnostics=False)
+    tree = unmerged_mixture(program, initial)
     expected = initial.apply_unitary(target.matrix, target.labels)
     fid = 0.0
     for leaf in tree.leaves:
@@ -94,15 +104,12 @@ def direct_protocol_error(program, target, initial):
 
 
 def unmerged_batch_error(plan, initial):
-    """Judges `protocols.batch_error`: the same infidelity summed over every leaf of `run_exhaustive`'s tree.
-
-    The tree is the block walk without merging, one leaf per transcript.
-    """
+    """Judges `protocols.batch_error`: the same infidelity summed over every leaf of `unmerged_mixture`."""
     u = zz_phase_gate(plan.theta).matrix
     expected = initial
     for i in range(plan.n):
         expected = expected.apply_unitary(u, (f"A{i+1}", f"B{i+1}"))
-    tree = run_exhaustive(plan.program, initial, leaf_diagnostics=False)
+    tree = unmerged_mixture(plan.program, initial)
     fid = 0.0
     for leaf in tree.leaves:
         fid += leaf.probability * abs(expected.overlap(leaf.state)) ** 2

@@ -579,7 +579,7 @@ def test_compiled_tables_cover_every_transcript(builder):
     tables, alphabets = engine.compile_program(prog)
     for step, table in zip(prog.steps, tables):
         assert len(table) == math.prod(len(alphabets[k]) for k in step.condition_on)
-    for leaf in run_exhaustive(prog, engine.choi_input(prog), leaf_diagnostics=False).leaves:
+    for leaf in oracles.unmerged_mixture(prog, engine.choi_input(prog)).leaves:
         seen = dict(leaf.transcript)
         for step, table in zip(prog.steps, tables):
             assert seen[step.name] in alphabets[step.name]
@@ -601,6 +601,18 @@ def test_program_keeps_its_validation_and_compiled_tables():
     ])
     assert validate_program(bad) is validate_program(bad)
     assert "completeness" in validate_program(bad).reason
+
+
+def test_instruments_steps_and_programs_compare_and_hash_by_identity():
+    a, b = (unitary_instrument(ALICE, ("A",), SZ) for _ in range(2))
+    assert a == a and a != b
+    assert {a: "a", b: "b"}[a] == "a" and hash(a) == hash(a)
+    step = ProtocolStep("u", ALICE, instrument=a)
+    assert step == step and step != dataclasses.replace(step)
+    assert len({step, dataclasses.replace(step)}) == 2
+    first, second = (protocols.build_clifford(qudit_cz_gate(3)) for _ in range(2))
+    assert first == first and first != second
+    assert len({first, second}) == 2
 
 
 def test_json_export_is_deterministic():
@@ -649,7 +661,7 @@ def _oracle_case(builder, rng):
 @pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
 def test_block_route_matches_reference_walk(builder, rng):
     program, initial = _oracle_case(builder, rng)
-    tree = run_exhaustive(program, initial, leaf_diagnostics=False)
+    tree = oracles.unmerged_mixture(program, initial)
     ref = oracles.reference_tree(program, initial)
     assert trees_equal(tree, ref, tol=engine.TREE_TOL)
     assert [l.transcript for l in tree.leaves] == [l.transcript for l in ref.leaves]
@@ -658,18 +670,25 @@ def test_block_route_matches_reference_walk(builder, rng):
 
 @pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
 def test_leaf_diagnostics_leave_states_alone(builder, rng):
-    """The two settings walk different node states, and agree to rounding."""
+    """The full-state walk with diagnostics and the block walk without agree to rounding.
+
+    Mixture leaves carry no diagnostics, and the ledger and the gap refuse them.
+    """
     program, initial = _oracle_case(builder, rng)
     on = run_exhaustive(program, initial)
-    off = run_exhaustive(program, initial, leaf_diagnostics=False)
+    off = oracles.unmerged_mixture(program, initial)
     assert trees_equal(on, off, tol=engine.TREE_TOL)
     assert [l.transcript for l in on.leaves] == [l.transcript for l in off.leaves]
-    for leaf in off.leaves:
+    assert isinstance(on.initial_alice_side_entropy, float)
+    for leaf in on.leaves:
+        assert leaf.resource_remaining is not None and leaf.alice_side_entropy is not None
+    mixture = engine.output_mixture(program, initial)
+    for leaf in mixture.leaves:
         assert leaf.resource_remaining is None and leaf.alice_side_entropy is None
-    assert on.initial_alice_side_entropy is not None
-    assert off.initial_alice_side_entropy is None
     with pytest.raises(EngineError, match="without leaf diagnostics"):
-        engine.entanglement_monotonicity_gap(off)
+        ledger(program, mixture)
+    with pytest.raises(EngineError, match="without leaf diagnostics"):
+        engine.entanglement_monotonicity_gap(mixture)
 
 
 @pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
@@ -709,10 +728,10 @@ def _bell_program(steps, consumed=("a", "b")):
 
 
 def _run_block_route(program, rng, kernel_sizes):
-    """The run without diagnostics and its kernel sizes, after checking it against the reference walk."""
+    """The unmerged block walk and its kernel sizes, level by level, after checking it against the reference walk."""
     initial = random_pure_state(qubit_layout(("A", ALICE), ("B", BOB), ("R", REFEREE)), rng)
     kernel_sizes.clear()
-    tree = run_exhaustive(program, initial, leaf_diagnostics=False)
+    tree = oracles.unmerged_mixture(program, initial)
     sizes = list(kernel_sizes)
     ref = oracles.reference_tree(program, initial)
     assert trees_equal(tree, ref, tol=engine.TREE_TOL)
@@ -731,9 +750,9 @@ def test_block_route_gated_skip_entries_attach_nothing(rng, kernel_sizes):
         ProtocolStep("h", BOB, instrument=unitary_instrument(BOB, ("B",), HADAMARD)),
     ]
     _, sizes = _run_block_route(_bell_program(steps), rng, kernel_sizes)
-    # m on A, B and R: two branches; on "zero" g skips and h sees no pair;
-    # on "one" g attaches the pair, and h sees it
-    assert sizes == [8, 8, 8, 32, 32]
+    # m on A, B and R: two branches; then g skips on "zero" and attaches the
+    # pair on "one"; then h sees no pair on "zero" and the pair on "one"
+    assert sizes == [8, 8, 32, 8, 32]
 
 
 def test_block_route_rank_one_kraus_before_the_last_use_does_not_detach(rng, kernel_sizes):
@@ -807,10 +826,11 @@ def test_output_mixture_matches_the_tree_and_the_reference_walk(builder, choi, r
         initial = engine.choi_input(program)
     mixture = engine.output_mixture(program, initial)
     rho = oracles.average_output(mixture)
-    unmerged = run_exhaustive(program, initial, leaf_diagnostics=False)
+    unmerged = oracles.unmerged_mixture(program, initial)
     for tree in (unmerged, oracles.reference_tree(program, initial)):
         assert np.max(np.abs(rho - oracles.average_output(tree))) <= 1e-12
-        assert abs(sum(l.probability for l in mixture.leaves) - tree.total_probability()) <= 1e-12
+        total = sum(l.probability for l in tree.leaves)
+        assert abs(sum(l.probability for l in mixture.leaves) - total) <= 1e-12
         assert abs(mixture.pruned_mass - tree.pruned_mass) <= 1e-12
     assert mixture.merge_distance <= engine.MERGE_TOL
 
@@ -928,7 +948,7 @@ def test_instrument_fn_runs_once_per_condition_values(rng):
     prog, lay = _fix_program(fn)
     tree = run_exhaustive(prog, random_pure_state(lay, rng))
     assert len(tree.leaves) == 4  # each condition value reached twice
-    run_exhaustive(prog, random_pure_state(lay, rng), leaf_diagnostics=False)
+    oracles.unmerged_mixture(prog, random_pure_state(lay, rng))
     program_to_json(prog)
     assert sorted(c["ma"] for c in calls) == ["m", "p"]  # the tables live as long as the program
 

@@ -379,9 +379,9 @@ def test_build_batch_reuses_its_typical_set(monkeypatch):
 
 
 def _step_instruments(program):
-    """Step name -> {id: instrument} over its compiled table."""
+    """Step name -> the set of distinct instruments in its compiled table."""
     tables = engine.compile_program(program)[0]
-    return {step.name: {id(i): i for i in table.values()} for step, table in zip(program.steps, tables)}
+    return {step.name: set(table.values()) for step, table in zip(program.steps, tables)}
 
 
 def _angle_dependent(name):
@@ -396,9 +396,9 @@ def test_batch_programs_share_exactly_the_angle_independent_instruments():
     assert sum(map(_angle_dependent, a)) == 2 + 2 * 2  # two heralds; rot and dress in two slots
     for name in a:
         if not _angle_dependent(name):
-            assert a[name].keys() == b[name].keys(), name
+            assert a[name] == b[name], name
             continue
-        active = {k for k, inst in a[name].items() if inst.outcomes != ("skip",)}
+        active = {inst for inst in a[name] if inst.outcomes != ("skip",)}
         assert active and active.isdisjoint(b[name]), name
     cz = first.steps[0].instrument
     assert first.steps[0].name == "s1_cz_a" and second.steps[0].instrument is cz
@@ -408,17 +408,28 @@ def test_batch_programs_share_exactly_the_angle_independent_instruments():
     # rotation acts on the first failed copy, A1 or A2, over three active entries
     rot = engine.compile_program(first)[0][[s.name for s in first.steps].index("p0_rot")]
     assert sum(inst.outcomes != ("skip",) for inst in rot.values()) == 3
-    assert len({id(i) for i in rot.values() if i.outcomes != ("skip",)}) == 2
+    assert len({i for i in rot.values() if i.outcomes != ("skip",)}) == 2
 
 
 def test_instruments_hold_read_only_kraus_operators():
     program = protocols.build_batch(0.5, 2, 1.2).program
     for instruments in _step_instruments(program).values():
-        for inst in instruments.values():
+        for inst in instruments:
             for _, kraus in inst.branches:
                 assert not kraus.flags.writeable
                 with pytest.raises(ValueError):
                     kraus[0, 0] = 2.0
+
+
+def test_clifford_fixes_are_built_once_per_correction_value():
+    # Alice's fix reads (p', q') and Bob's (r', s'): 9 values each of 81 table entries
+    program = protocols.build_clifford(qudit_cz_gate(3))
+    instruments = _step_instruments(program)
+    tables = dict(zip((s.name for s in program.steps), engine.compile_program(program)[0]))
+    for name in ("cl_fix_a", "cl_fix_b"):
+        assert len(tables[name]) == 81
+        assert len(instruments[name]) == 9
+        assert len({inst.branches[0][1].tobytes() for inst in instruments[name]}) == 9
 
 
 def test_batch_program_passes_validation():

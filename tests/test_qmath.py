@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from loccgate import analysis, protocols, qmath
-from loccgate.engine import run_exhaustive
 from loccgate.model import SZ, bell_pair, partial_bell_pair, random_density, random_pure_state
 from loccgate.systems import ALICE, BOB, REFEREE, PureState, SystemLayout
 
@@ -426,7 +425,7 @@ def test_batch_leaves_factor_without_eigh(monkeypatch, rng):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    tree = run_exhaustive(plan.program, initial, leaf_diagnostics=False)
+    tree = oracles.unmerged_mixture(plan.program, initial)
     assert len(tree.leaves) == 100
     assert calls == []
 

@@ -8,6 +8,7 @@ found in one place and names what it judges.
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import loccgate
@@ -15,6 +16,8 @@ import loccgate
 TESTS = Path(__file__).resolve().parent
 PACKAGE = Path(loccgate.__file__).resolve().parent
 README = TESTS.parent / "README.md"
+SCRIPTS = TESTS.parent / "scripts"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _imported(tree):
@@ -67,3 +70,28 @@ def test_readme_constant_table_lists_exactly_the_public_constants():
     assert rows
     assert sorted(_public_constants() - rows) == []  # constants without a row
     assert sorted(rows - _public_constants()) == []  # rows naming no constant
+
+
+def _words(text):
+    return Counter(re.findall(r"\w+", text))
+
+
+def test_every_public_definition_is_named_outside_its_own_def():
+    """Each public module-level function and class of the package has a user besides itself.
+
+    A name counts when it appears as a word in the package, ``scripts/``,
+    ``perfbench/``, ``tests/`` or the README, outside its own definition
+    (decorators, signature and body).
+    """
+    sources = [*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py"), *PERFBENCH.glob("*.py"), *TESTS.glob("*.py"), README]
+    everywhere = sum((_words(path.read_text()) for path in sources), Counter())
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.parse("\n".join(lines)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                own = _words("\n".join(lines[first - 1 : node.end_lineno]))
+                if everywhere[node.name] == own[node.name]:
+                    unnamed.append(f"{path.stem}.{node.name}")
+    assert unnamed == []
