@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -73,6 +73,7 @@ class LocalInstrument:
     party: Owner
     labels: tuple[str, ...]
     branches: tuple[tuple[str, np.ndarray], ...]
+    outcomes: tuple[str, ...] = field(init=False, repr=False)
 
     def __init__(self, party: Owner, labels: Sequence[str], branches):
         if party not in (ALICE, BOB):
@@ -88,13 +89,10 @@ class LocalInstrument:
         object.__setattr__(self, "party", party)
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "branches", tuple(frozen))
+        object.__setattr__(self, "outcomes", tuple(outcomes))
         object.__setattr__(self, "_deviation", _completeness_deviation(frozen))
         object.__setattr__(self, "_identity", len(frozen) == 1 and _is_identity(frozen[0][1]))
         object.__setattr__(self, "_cuts", {})
-
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        return tuple(o for o, _ in self.branches)
 
     def validate_on(self, layout: SystemLayout) -> None:
         dim = 1
@@ -287,13 +285,33 @@ class Leaf:
     the branch state reduced onto all Alice-owned factors, recorded before
     consumed factors are discarded.  Both are None on the leaves of an
     :class:`OutputMixture`, whose walk never holds the full state.
+
+    A tree leaf keeps what they are computed from, never the joint state:
+    ``resource_sources`` holds per resource its ebits when the leaf settles
+    them (0.0 for mixed factors) or else the factors' pure reduced density,
+    their dims and the indices of Alice's among them; ``alice_source`` holds
+    the Alice-side entropy when settled or else the reduced density.  The
+    eigendecompositions and entropies run on first read, and are kept.
     """
 
     transcript: tuple[tuple[str, str], ...]
     probability: float
     state: PureState
-    resource_remaining: tuple[float, ...] | None
-    alice_side_entropy: float | None
+    resource_sources: tuple | None = field(default=None, repr=False, compare=False)
+    alice_source: float | np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def resource_remaining(self) -> tuple[float, ...] | None:
+        if self.resource_sources is None:
+            return None
+        return tuple(
+            src if isinstance(src, float) else _pure_resource_ebits(*src)
+            for src in self.resource_sources
+        )
+
+    @functools.cached_property
+    def alice_side_entropy(self) -> float | None:
+        return _entropy_from(self.alice_source)
 
 
 @dataclass(frozen=True)
@@ -303,12 +321,17 @@ class BranchTree:
     ``pruned_mass`` is the probability of the branches dropped at
     ``PRUNE_PROB``: the sum of their path probabilities.
     ``initial_alice_side_entropy`` is the entropy of the initial joint state
-    reduced onto all Alice-owned factors.
+    reduced onto all Alice-owned factors; like a leaf's, it is computed on
+    first read from ``initial_alice_source``, the entropy or that density.
     """
 
     leaves: tuple[Leaf, ...]
-    initial_alice_side_entropy: float
+    initial_alice_source: float | np.ndarray = field(repr=False, compare=False)
     pruned_mass: float = 0.0
+
+    @functools.cached_property
+    def initial_alice_side_entropy(self) -> float:
+        return _entropy_from(self.initial_alice_source)
 
     def total_probability(self) -> float:
         return float(sum(leaf.probability for leaf in self.leaves))
@@ -553,15 +576,17 @@ def run_exhaustive(program: ProtocolProgram, initial: PureState | None = None) -
     A node holds the joint state of every factor: the initial state and all
     resources are tensored together at the start and nothing leaves,
     because the ledger's residual entanglement and the Alice-side entropies
-    read the joint state, per leaf and initially.  The walk is depth first,
+    read the joint state, per leaf and initially.  A leaf takes from it
+    only reduced densities and purities, and computes the entropies when
+    they are first read (:class:`Leaf`).  The walk is depth first,
     one subtree at a time, so a run holds one path of states and their
     pending siblings, never a whole level.  It keeps one leaf per
     transcript, in branch order, which the ledger, :func:`trees_equal` and
     per-transcript reports read.  A reduction over the output ensemble
     alone takes :func:`output_mixture` instead.
     """
-    leaves, initial_alice_entropy, pruned_mass, _, _ = _walk(program, initial, merge=False)
-    return BranchTree(leaves, initial_alice_entropy, pruned_mass)
+    leaves, initial_alice, pruned_mass, _, _ = _walk(program, initial, merge=False)
+    return BranchTree(leaves, initial_alice, pruned_mass)
 
 
 def output_mixture(program: ProtocolProgram, initial: PureState | None = None) -> OutputMixture:
@@ -596,12 +621,12 @@ def output_mixture(program: ProtocolProgram, initial: PureState | None = None) -
 
 def _walk(
     program: ProtocolProgram, initial: PureState | None, merge: bool
-) -> tuple[tuple[Leaf, ...], float | None, float, int, float]:
+) -> tuple[tuple[Leaf, ...], float | np.ndarray | None, float, int, float]:
     """The full-state walk of :func:`run_exhaustive`, or with ``merge`` that of :func:`output_mixture`.
 
-    Returns the leaves, the initial Alice-side entropy (None with
-    ``merge``), the pruned mass, the number of nodes merged and the largest
-    merge distance.
+    Returns the leaves, the source of the initial Alice-side entropy
+    (:class:`BranchTree`; None with ``merge``), the pruned mass, the number
+    of nodes merged and the largest merge distance.
     """
     violation = validate_program(program)
     if violation is not None:
@@ -636,7 +661,7 @@ def _walk(
         [j for j, f in enumerate(res.layout.factors) if f.owner is ALICE]
         for res in program.resources
     ]
-    initial_alice_entropy = None if merge else _entropy_of_positions(core, sim_dims, alice_pos)
+    initial_alice = None if merge else _alice_source(core, sim_dims, alice_pos)
 
     views: dict = {}
 
@@ -656,32 +681,23 @@ def _walk(
 
     def finalize(vec: np.ndarray, core_pos: tuple, prob: float, transcript: tuple) -> None:
         dims, keep, _ = view(core_pos, keep_pos)
-        remaining = None
-        alice_entropy = None
+        resources = alice = None
         if not merge:  # the core is the full state, in layout order
-            remaining = tuple(
-                _residual_entanglement(vec, dims, pos, alice_local)
+            resources = tuple(
+                _resource_source(vec, dims, pos, alice_local)
                 for pos, alice_local in zip(res_pos, res_alice_local)
             )
-            alice_entropy = _entropy_of_positions(vec, dims, alice_pos)
+            alice = _alice_source(vec, dims, alice_pos)
         try:
             out_vec = qmath.factor_pure_state(vec, dims, keep)
         except ValueError as exc:
             raise EngineError(f"at leaf {transcript}: {exc}") from exc
-        leaves.append(
-            Leaf(
-                transcript=transcript,
-                probability=prob,
-                state=PureState(out_layout, out_vec),
-                resource_remaining=remaining,
-                alice_side_entropy=alice_entropy,
-            )
-        )
+        leaves.append(Leaf(transcript, prob, PureState(out_layout, out_vec), resources, alice))
 
     tables = compile_program(program)[0]
     # per step, its distinct instruments (a table may hold one many times) and their positions
     placed = [
-        {inst: tuple(sim_layout.positions(inst.labels)) for inst in table.values()}
+        {inst: tuple(sim_layout.positions(inst.labels)) for inst in dict.fromkeys(table.values())}
         for table in tables
     ]
     # the last step at which a non-identity entry touches each factor
@@ -787,7 +803,7 @@ def _walk(
     total = sum(l.probability for l in leaves)
     if abs(total - 1.0) > LEAF_SUM_TOL:
         raise EngineError(f"leaf probabilities sum to {total}")
-    return tuple(leaves), initial_alice_entropy, pruned_mass, merged_nodes, merge_distance
+    return tuple(leaves), initial_alice, pruned_mass, merged_nodes, merge_distance
 
 
 def _merge_level(nodes: list, live: tuple) -> tuple[list, int, float]:
@@ -837,29 +853,44 @@ def _is_identity(kraus: np.ndarray) -> bool:
     return bool(np.array_equal(kraus, np.eye(n)))
 
 
-def _entropy_of_positions(vec: np.ndarray, dims, positions) -> float:
-    if not positions:
-        return 0.0
+def _kept_density(vec: np.ndarray, dims, positions) -> np.ndarray:
+    """The read-only reduced density of ``vec`` on ``positions``, as a leaf keeps it."""
     rho = qmath.reduced_density(vec, dims, positions)
-    return qmath.von_neumann_entropy(rho)
+    rho.setflags(write=False)
+    return rho
 
 
-def _residual_entanglement(vec: np.ndarray, dims, positions, alice_local) -> float:
-    """Ebits left inside a resource's factors, across its own Alice|Bob split.
+def _alice_source(vec: np.ndarray, dims, positions) -> float | np.ndarray:
+    """What a tree keeps for the entropy of ``vec`` on ``positions``: 0.0 for none, else the density."""
+    return _kept_density(vec, dims, positions) if positions else 0.0
+
+
+def _entropy_from(source: float | np.ndarray | None) -> float | None:
+    return source if source is None or isinstance(source, float) else qmath.von_neumann_entropy(source)
+
+
+def _resource_source(vec: np.ndarray, dims, positions, alice_local) -> float | tuple:
+    """Ebits left inside a resource's factors, across its own Alice|Bob split, or what gives them.
 
     Only meaningful when the factors end in a pure state of their own;
-    anything mixed or still correlated with the rest counts as consumed.
+    anything mixed or still correlated with the rest counts as consumed, and
+    a resource with no such split holds none: both settle at 0.0.  A pure
+    resource gives (its reduced density, its factor dims, ``alice_local``)
+    for :func:`_pure_resource_ebits`.
     """
-    rho = qmath.reduced_density(vec, dims, positions)
+    if not alice_local or len(alice_local) == len(positions):
+        return 0.0
+    rho = _kept_density(vec, dims, positions)
     purity = float(np.trace(rho @ rho).real)
     if purity < 1.0 - LEAF_PURITY_TOL:
         return 0.0
-    w, v = np.linalg.eigh(rho)
-    local = v[:, -1]
-    sub_dims = [dims[p] for p in positions]
-    if not alice_local or len(alice_local) == len(positions):
-        return 0.0
-    red = qmath.reduced_density(local, sub_dims, alice_local)
+    return rho, tuple(dims[p] for p in positions), alice_local
+
+
+def _pure_resource_ebits(rho: np.ndarray, sub_dims, alice_local) -> float:
+    """The entanglement of the pure state with density ``rho`` across ``alice_local``."""
+    _, v = np.linalg.eigh(rho)
+    red = qmath.reduced_density(v[:, -1], sub_dims, alice_local)
     return qmath.von_neumann_entropy(red)
 
 

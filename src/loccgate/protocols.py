@@ -105,6 +105,26 @@ def failure_angle(theta: float, alpha: float) -> float:
     return 2.0 * math.atan(math.tan(alpha / 2) ** 2 / math.tan(theta / 2))
 
 
+@functools.cache
+def _probe(labels: tuple[str, ...]) -> PureState:
+    """|Phi>_{A,RA} |Phi>_{B,RB} in the factor order ``labels``, built once per order.
+
+    The input on which :func:`build_heralded` fits its failed branch, and
+    the reference of :func:`fit_zz_rotation`; its vector is read-only.
+    """
+    return (
+        bell_pair(2, ("A", "RA"), (ALICE, REFEREE))
+        .tensor(bell_pair(2, ("B", "RB"), (BOB, REFEREE)))
+        .permuted(labels)
+    )
+
+
+@functools.cache
+def _zz_probe(labels: tuple[str, ...]) -> PureState:
+    """(ZZ x I)|Phi>|Phi> in the factor order ``labels``, built once per order."""
+    return _probe(labels).apply_unitary(ZZ, ("A", "B"))
+
+
 def fit_zz_rotation(state: PureState) -> tuple[float, float]:
     """Fit a ZZ-phase angle to a state of the form (U_t x I)|Phi>|Phi>.
 
@@ -112,12 +132,7 @@ def fit_zz_rotation(state: PureState) -> tuple[float, float]:
     the global phase is irrelevant and the cosine component is taken
     non-negative, so the angle lands in [-pi, pi].
     """
-    ref = (
-        bell_pair(2, ("A", "RA"), (ALICE, REFEREE))
-        .tensor(bell_pair(2, ("B", "RB"), (BOB, REFEREE)))
-        .permuted(state.layout.labels)
-    )
-    zz = ref.apply_unitary(ZZ, ("A", "B"))
+    ref, zz = _probe(state.layout.labels), _zz_probe(state.layout.labels)
     a = ref.overlap(state)
     b = zz.overlap(state)
     if abs(a) < FIT_OVERLAP_FLOOR:
@@ -192,13 +207,8 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
     if (v := validate_program(program)) is not None:
         raise EngineError(f"heralded program invalid: {v}")
 
-    probe = (
-        bell_pair(2, ("A", "RA"), (ALICE, REFEREE))
-        .tensor(bell_pair(2, ("B", "RB"), (BOB, REFEREE)))
-        .permuted(("A", "B", "RA", "RB"))
-    )
     # the full-state walk: its bits fix the fitted angle and, through it, the CLI output
-    tree = run_exhaustive(program, probe)
+    tree = run_exhaustive(program, _probe(("A", "B", "RA", "RB")))
     fitted = None
     for leaf in tree.leaves:
         if dict(leaf.transcript)["h_meas_b"] == "failure":

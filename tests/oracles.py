@@ -34,11 +34,39 @@ def _svd_factor(vec, dims, keep):
     return out * (abs(pivot) / pivot)
 
 
+def residual_entanglement(vec, dims, positions, alice_local):
+    """Judges `engine.Leaf.resource_remaining`: the ebits left in a resource, computed eagerly.
+
+    The numpy calls of the engine's leaf and first-read halves together, in
+    their order, so the value has the engine's bits: 0.0 unless the
+    resource's factors end in a pure state of their own and split across
+    Alice|Bob.
+    """
+    rho = qmath.reduced_density(vec, dims, positions)
+    purity = float(np.trace(rho @ rho).real)
+    if purity < 1.0 - engine.LEAF_PURITY_TOL:
+        return 0.0
+    _, v = np.linalg.eigh(rho)
+    if not alice_local or len(alice_local) == len(positions):
+        return 0.0
+    red = qmath.reduced_density(v[:, -1], [dims[p] for p in positions], alice_local)
+    return qmath.von_neumann_entropy(red)
+
+
+def alice_side_entropy(vec, dims, positions):
+    """Judges `engine.Leaf.alice_side_entropy` and `engine.BranchTree.initial_alice_side_entropy`, eagerly."""
+    if not positions:
+        return 0.0
+    return qmath.von_neumann_entropy(qmath.reduced_density(vec, dims, positions))
+
+
 def reference_tree(program, initial=None):
     """Judges `engine.run_exhaustive`: a recursive full-state walk, resolve + validate_on per node, SVD leaves.
 
     The initial state and every resource are tensored together at the start,
     and ``pruned_mass`` sums the path probabilities of the dropped branches.
+    The diagnostics are computed eagerly, at each leaf and at the start,
+    and handed to `engine.Leaf` and `engine.BranchTree` as settled floats.
     """
     state = initial
     if state is not None:
@@ -54,14 +82,16 @@ def reference_tree(program, initial=None):
          [j for j, f in enumerate(r.layout.factors) if f.owner is ALICE])
         for r in program.resources
     ]
+    alice = [i for i, f in enumerate(sim_layout.factors) if f.owner is ALICE]
     leaves = []
     pruned = [0.0]
 
     def walk(idx, vec, prob, transcript):
         if idx == len(program.steps):
-            remaining = tuple(engine._residual_entanglement(vec, dims, p, a) for p, a in res)
+            remaining = tuple(residual_entanglement(vec, dims, p, a) for p, a in res)
             state = PureState(out_layout, _svd_factor(vec, dims, keep))
-            leaves.append(engine.Leaf(transcript, prob, state, remaining, None))
+            entropy = alice_side_entropy(vec, dims, alice)
+            leaves.append(engine.Leaf(transcript, prob, state, remaining, entropy))
             return
         step = program.steps[idx]
         inst = step.resolve(dict(transcript))
@@ -80,7 +110,8 @@ def reference_tree(program, initial=None):
                 pruned[0] += prob * p
 
     walk(0, vec0, 1.0, ())
-    return engine.BranchTree(tuple(leaves), 0.0, pruned[0])
+    initial_entropy = alice_side_entropy(vec0, dims, alice)
+    return engine.BranchTree(tuple(leaves), initial_entropy, pruned[0])
 
 
 def unmerged_mixture(program, initial=None):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 from collections import Counter
@@ -90,6 +91,11 @@ def test_shared_identity_still_checks_its_owner_on_each_layout():
         with pytest.raises(EngineError, match="owned by bob"):
             idle.validate_on(qubit_layout(("a", BOB)))
     idle.validate_on(qubit_layout(("a", ALICE)))
+
+
+def test_instrument_outcomes_are_stored_once():
+    inst = projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS})
+    assert inst.outcomes == ("p", "m") and inst.outcomes is inst.outcomes
 
 
 def test_instrument_rejects_foreign_factor():
@@ -658,6 +664,13 @@ def _oracle_case(builder, rng):
     return program, random_pure_state(SystemLayout(inputs + [("R", 2, REFEREE)], dim_cap=None), rng)
 
 
+@functools.cache
+def _choi_reference(builder):
+    """The reference walk of a builder's program on its Choi input, made once (batch-n2's takes seconds)."""
+    program = ORACLE_BUILDERS[builder]()
+    return oracles.reference_tree(program, engine.choi_input(program))
+
+
 @pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
 def test_block_route_matches_reference_walk(builder, rng):
     program, initial = _oracle_case(builder, rng)
@@ -698,6 +711,92 @@ def test_diagnostics_run_keeps_the_full_state_probability_bits(builder, rng):
     on = run_exhaustive(program, initial)
     ref = oracles.reference_tree(program, initial)
     assert [l.probability.hex() for l in on.leaves] == [l.probability.hex() for l in ref.leaves]
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("choi", [False, True], ids=["seeded", "choi"])
+@pytest.mark.parametrize("builder", sorted(ORACLE_BUILDERS))
+def test_deferred_diagnostics_have_the_bits_of_the_eager_reference(builder, choi, rng):
+    """Diagnostics computed on first read equal the oracle's, computed at each leaf, bit for bit."""
+    program, initial = _oracle_case(builder, rng)
+    if choi:
+        initial = engine.choi_input(program)
+    tree = run_exhaustive(program, initial)
+    ref = _choi_reference(builder) if choi else oracles.reference_tree(program, initial)
+    assert [l.transcript for l in tree.leaves] == [l.transcript for l in ref.leaves]
+    for leaf, want in zip(tree.leaves, ref.leaves):
+        assert _hex(leaf.resource_remaining) == _hex(want.resource_remaining)
+        assert leaf.alice_side_entropy.hex() == want.alice_side_entropy.hex()
+    assert tree.initial_alice_side_entropy.hex() == ref.initial_alice_side_entropy.hex()
+    got, expected = ledger(program, tree), ledger(program, ref)
+    assert list(got.per_branch) == list(expected.per_branch)
+    assert _hex(got.per_branch.values()) == _hex(expected.per_branch.values())
+    assert got.expected_ebits.hex() == expected.expected_ebits.hex()
+    gap = engine.entanglement_monotonicity_gap
+    assert gap(tree).hex() == gap(ref).hex()
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls; returns the count list."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_diagnostics_are_computed_on_first_read_and_once(monkeypatch):
+    program = protocols.build_composite(0.4)
+    entropies = _counted(monkeypatch, qmath, "von_neumann_entropy")
+    eighs = _counted(monkeypatch, np.linalg, "eigh")
+    tree = run_exhaustive(program, engine.choi_input(program))
+    assert (len(entropies), len(eighs)) == (0, 0)
+    leaf = tree.leaves[0]
+    first = leaf.alice_side_entropy
+    assert leaf.alice_side_entropy is first and len(entropies) == 1
+    tree.initial_alice_side_entropy
+    tree.initial_alice_side_entropy
+    assert len(entropies) == 2
+    pure = sum(not isinstance(src, float) for src in leaf.resource_sources)
+    assert pure > 0
+    remaining = leaf.resource_remaining
+    assert leaf.resource_remaining is remaining
+    assert (len(entropies), len(eighs)) == (2 + pure, pure)
+
+
+def test_tree_leaves_keep_no_array_the_size_of_the_joint_state():
+    """On the qutrit-cz Choi run (81 leaves), a leaf keeps reduced densities, never the joint state."""
+    program = protocols.build_clifford(qudit_cz_gate(3))
+    choi = engine.choi_input(program)
+    joint = math.prod(choi.dims) * math.prod(math.prod(res.dims) for res in program.resources)
+    assert joint == 6561
+    tree = run_exhaustive(program, choi)
+    assert len(tree.leaves) == 81
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from arrays(item)
+        elif dataclasses.is_dataclass(obj):
+            for item in vars(obj).values():
+                yield from arrays(item)
+
+    for read in (False, True):
+        if read:
+            engine.entanglement_monotonicity_gap(tree)
+            ledger(program, tree)
+        sizes = [a.size for leaf in tree.leaves for a in arrays(leaf)]
+        assert sizes and max(sizes) < joint
+        assert max(a.size for a in arrays(tree.initial_alice_source)) < joint
 
 
 # ---------------------------------------------------------------- block route
@@ -827,7 +926,7 @@ def test_output_mixture_matches_the_tree_and_the_reference_walk(builder, choi, r
     mixture = engine.output_mixture(program, initial)
     rho = oracles.average_output(mixture)
     unmerged = oracles.unmerged_mixture(program, initial)
-    for tree in (unmerged, oracles.reference_tree(program, initial)):
+    for tree in (unmerged, _choi_reference(builder) if choi else oracles.reference_tree(program, initial)):
         assert np.max(np.abs(rho - oracles.average_output(tree))) <= 1e-12
         total = sum(l.probability for l in tree.leaves)
         assert abs(sum(l.probability for l in mixture.leaves) - total) <= 1e-12

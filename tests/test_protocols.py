@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -64,6 +65,30 @@ def test_failure_angle_formula_and_fit_agree():
     theta, alpha = 0.4, math.sqrt(0.4)
     h = protocols.build_heralded(theta, alpha)
     assert abs(h.failure_angle) == pytest.approx(protocols.failure_angle(theta, alpha), abs=1e-9)
+
+
+def test_fitted_failure_angle_bits_on_a_thousand_angles():
+    """The fitted angle's bits, recorded while every build made its probe and fit states afresh.
+
+    They fix the CLI output; ``build_heralded`` now builds those states once
+    per process and leaves its probe's entropies uncomputed.
+    """
+    thetas = np.random.default_rng(2026).uniform(1e-3, math.pi - 1e-3, size=1000)
+    text = "\n".join(
+        protocols.build_heralded(t, math.sqrt(t)).failure_angle.hex() for t in map(float, thetas)
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "303f024500f5904fd208f142813f6931247f11d7f9b64d50aa2ed605eba85ba2"
+
+
+def test_heralded_build_computes_no_entropy_and_no_eigh(monkeypatch):
+    """The probe's fit reads one leaf's state; no leaf diagnostic is computed for it."""
+    calls = []
+    for owner, name in ((qmath, "von_neumann_entropy"), (np.linalg, "eigh")):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _inner=inner, _name=name: calls.append(_name) or _inner(*a))
+    protocols.build_heralded(0.5, 0.7)
+    assert calls == []
 
 
 def test_failure_angle_alpha_equals_theta():
