@@ -2,10 +2,9 @@
 
 A protocol is an ordered list of steps.  Each step names a party, carries a
 local instrument (a list of Kraus branches on factors that party owns), and
-may broadcast its outcome to the other party.  Instruments may be functions
-of the classical transcript visible to their party; the dependence is
-declared via ``condition_on`` step names so causality can be checked without
-running anything.
+may broadcast its outcome to the other party.  A step chooses its instrument
+from a table keyed by the outcomes of the earlier steps it reads, named in
+``condition_on``, so causality can be checked without running anything.
 
 Simulation is exhaustive: every branch of every instrument is followed,
 yielding a tree of leaves with exact post-selected states, or, for
@@ -162,49 +161,69 @@ def projective_instrument(
     return LocalInstrument(party, labels, branches)
 
 
-InstrumentFn = Callable[[Mapping[str, str]], LocalInstrument]
+# a step's instrument per combination of the outcomes it reads
+Table = Mapping[tuple[str, ...], LocalInstrument]
 
 
 @dataclass(frozen=True, eq=False)
 class ProtocolStep:
-    """One local instrument, optionally transcript-conditioned and broadcast.
+    """One local instrument per combination of the outcomes it reads, optionally broadcast.
 
     ``==`` and ``hash`` go by identity, as for :class:`LocalInstrument`.
+
+    ``table`` maps the values of the ``condition_on`` steps, in that order,
+    to the instrument applied on them; a fixed step reads nothing and has
+    the one key ().  It is kept read-only, and every instrument in it must
+    be the step party's.  ``outcomes`` is the step's alphabet: the distinct
+    outcomes of its instruments, in key order.  :func:`compile_program`
+    checks that the table covers every combination of the outcomes it
+    reads (:func:`tabulate` builds such tables).
 
     ``simultaneous_with_prev`` declares that this message is exchanged in the
     same round as the nearest preceding message step, which must go in the
     opposite direction and must not feed into this one.
-
-    An ``instrument_fn`` must be a pure function of the values of its
-    ``condition_on`` steps, and must accept every combination of their
-    outcome alphabets, reachable or not: :func:`compile_program` calls it
-    once per combination, once per program, and every later run or export
-    of that program reads the instruments it returned then.
     """
 
     name: str
     party: Owner
-    instrument: LocalInstrument | None = None
-    instrument_fn: InstrumentFn | None = None
+    table: Table
     condition_on: tuple[str, ...] = ()
     sends_message: bool = False
     simultaneous_with_prev: bool = False
+    outcomes: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if (self.instrument is None) == (self.instrument_fn is None):
-            raise EngineError(f"step {self.name!r}: exactly one of instrument/instrument_fn")
-        if self.instrument_fn is not None and not self.condition_on:
-            raise EngineError(f"step {self.name!r}: conditioned instrument declares no keys")
-        if self.instrument is not None and self.condition_on:
+        table = MappingProxyType(dict(self.table))
+        if self.condition_on and () in table:
             raise EngineError(f"step {self.name!r}: fixed instrument cannot declare conditions")
+        for key, inst in table.items():
+            if inst.party is not self.party:
+                raise EngineError(
+                    f"step {self.name!r} on {dict(zip(self.condition_on, key))}: "
+                    f"instrument of {inst.party.value} in a step of {self.party.value}"
+                )
+        object.__setattr__(self, "table", table)
+        outcomes = (o for inst in table.values() for o in inst.outcomes)
+        object.__setattr__(self, "outcomes", tuple(dict.fromkeys(outcomes)))
 
-    def resolve(self, visible: Mapping[str, str]) -> LocalInstrument:
-        if self.instrument is not None:
-            return self.instrument
-        inst = self.instrument_fn({k: visible[k] for k in self.condition_on})
-        if inst.party is not self.party:
-            raise EngineError(f"step {self.name!r} resolved to another party's instrument")
-        return inst
+    def resolve(self, key: tuple[str, ...]) -> LocalInstrument:
+        """The instrument applied when the ``condition_on`` steps gave the outcomes ``key``."""
+        try:
+            return self.table[key]
+        except KeyError:
+            raise EngineError(
+                f"step {self.name!r} on {dict(zip(self.condition_on, key))}: no instrument"
+            ) from None
+
+
+def tabulate(reads: Sequence[ProtocolStep], fn: Callable[..., LocalInstrument]) -> Table:
+    """The table of a step that reads the outcomes of the steps ``reads``.
+
+    ``fn`` is called once per key, with the key's outcomes as arguments, on
+    every combination of the reads' ``outcomes`` in ``itertools.product``
+    order, reachable or not.
+    """
+    return {key: fn(*key) for key in itertools.product(*(step.outcomes for step in reads))}
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -425,9 +444,9 @@ def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
                     step.name,
                     f"{step.party.value} cannot see outcome of {key!r} (not broadcast)",
                 )
-        if step.instrument is not None:
+        if not step.condition_on:
             try:
-                step.instrument.validate_on(program.layout)
+                step.resolve(()).validate_on(program.layout)
             except EngineError as exc:
                 return CausalityViolation(idx, step.name, str(exc))
         if step.simultaneous_with_prev:
@@ -458,20 +477,15 @@ def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
     return None
 
 
-def compile_program(
-    program: ProtocolProgram,
-) -> tuple[tuple[Mapping[tuple[str, ...], LocalInstrument], ...], Mapping[str, tuple[str, ...]]]:
-    """Resolve every step on every combination of the outcomes it reads.
+def compile_program(program: ProtocolProgram) -> tuple[Table, ...]:
+    """Check every step's table against the outcomes it reads; return the tables.
 
-    Returns one table per step, from the values of its ``condition_on``
-    steps (in that order, keys in ``itertools.product`` order over their
-    alphabets) to its instrument, where a fixed step has the one key ();
-    and each step's outcome alphabet, in first-resolved order.  Every
+    Each step's table must hold exactly one instrument per combination of
+    the ``outcomes`` of its ``condition_on`` steps, reachable or not.  Every
     distinct conditioned instrument is checked once with ``validate_on``
     against the program layout; fixed ones are :func:`validate_program`'s
-    to check.  The program keeps the read-only result, so each
-    ``instrument_fn`` runs once per combination per program, however many
-    runs and exports follow.
+    to check.  The program keeps the result, so the checks run once per
+    program, however many runs and exports follow.
     """
     memo = program._memo
     if "compiled" not in memo:
@@ -479,25 +493,24 @@ def compile_program(
     return memo["compiled"]
 
 
-def _compile(program: ProtocolProgram):
-    tables = []
-    alphabets: dict[str, tuple[str, ...]] = {}
-    checked: set[LocalInstrument] = set()  # the conditioned instruments held in ``tables``
+def _compile(program: ProtocolProgram) -> tuple[Table, ...]:
+    steps: dict[str, ProtocolStep] = {}
+    checked: set[LocalInstrument] = set()  # the conditioned instruments already validated
     for step in program.steps:
-        table = {}
-        for combo in itertools.product(*(alphabets[k] for k in step.condition_on)):
-            condition = dict(zip(step.condition_on, combo))
-            inst = table[combo] = step.resolve(condition)
-            if step.instrument is None and inst not in checked:
+        keys = list(itertools.product(*(steps[k].outcomes for k in step.condition_on)))
+        for key in keys:
+            inst = step.resolve(key)
+            if step.condition_on and inst not in checked:
                 try:
                     inst.validate_on(program.layout)
                 except EngineError as exc:
+                    condition = dict(zip(step.condition_on, key))
                     raise EngineError(f"step {step.name!r} on {condition}: {exc}") from None
                 checked.add(inst)
-        tables.append(MappingProxyType(table))
-        outcomes = (o for inst in table.values() for o in inst.outcomes)
-        alphabets[step.name] = tuple(dict.fromkeys(outcomes))
-    return tuple(tables), MappingProxyType(alphabets)
+        if len(step.table) != len(keys):
+            raise EngineError(f"step {step.name!r} has instruments for conditions its reads cannot produce")
+        steps[step.name] = step
+    return tuple(step.table for step in program.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +581,10 @@ def run_exhaustive(program: ProtocolProgram, initial: PureState | None = None) -
     """Follow every instrument branch; leaves carry exact post-selected states and diagnostics.
 
     The program is validated and compiled once, on its first run or
-    export, and keeps both results (:func:`compile_program`): every step
-    is resolved on every combination of the outcomes it reads, and every
-    conditioned instrument is checked with ``validate_on`` before any walk
-    starts.  Each node then looks its instrument up in those tables.
+    export, and keeps both results (:func:`compile_program`): every step's
+    table is checked to cover every combination of the outcomes it reads,
+    and every conditioned instrument with ``validate_on``, before any walk
+    starts.  Each node then looks its instrument up in its step's table.
 
     A node holds the joint state of every factor: the initial state and all
     resources are tensored together at the start and nothing leaves,
@@ -694,7 +707,7 @@ def _walk(
             raise EngineError(f"at leaf {transcript}: {exc}") from exc
         leaves.append(Leaf(transcript, prob, PureState(out_layout, out_vec), resources, alice))
 
-    tables = compile_program(program)[0]
+    tables = compile_program(program)
     # per step, its distinct instruments (a table may hold one many times) and their positions
     placed = [
         {inst: tuple(sim_layout.positions(inst.labels)) for inst in dict.fromkeys(table.values())}
@@ -1174,8 +1187,9 @@ def _instrument_from_json(doc: dict) -> LocalInstrument:
 
 def program_to_json(program: ProtocolProgram) -> dict:
     """Flat JSON document; conditioned instruments are expanded case by case."""
+    compile_program(program)
     steps = []
-    for step, table in zip(program.steps, compile_program(program)[0]):
+    for step in program.steps:
         doc = {
             "name": step.name,
             "party": step.party.value,
@@ -1183,15 +1197,15 @@ def program_to_json(program: ProtocolProgram) -> dict:
             "simultaneous_with_prev": step.simultaneous_with_prev,
             "condition_on": list(step.condition_on),
         }
-        if step.instrument is not None:
-            doc["instrument"] = _instrument_to_json(step.instrument)
+        if not step.condition_on:
+            doc["instrument"] = _instrument_to_json(step.table[()])
         else:
             doc["cases"] = [
                 {
-                    "condition": dict(zip(step.condition_on, combo)),
+                    "condition": dict(zip(step.condition_on, key)),
                     "instrument": _instrument_to_json(inst),
                 }
-                for combo, inst in table.items()
+                for key, inst in step.table.items()
             ]
         steps.append(doc)
     return {
@@ -1215,24 +1229,6 @@ def program_to_json(program: ProtocolProgram) -> dict:
         "consumed": sorted(program.consumed),
         "output_renames": dict(program.output_renames),
     }
-
-
-def _case_fn(cases: list[dict], condition_on: tuple[str, ...]) -> InstrumentFn:
-    lookup = {
-        tuple(case["condition"][k] for k in condition_on): _instrument_from_json(
-            case["instrument"]
-        )
-        for case in cases
-    }
-
-    def fn(visible: Mapping[str, str]) -> LocalInstrument:
-        key = tuple(visible[k] for k in condition_on)
-        try:
-            return lookup[key]
-        except KeyError:
-            raise EngineError(f"no serialized case for condition {key}") from None
-
-    return fn
 
 
 def program_from_json(doc: dict) -> ProtocolProgram:
@@ -1263,13 +1259,20 @@ def _program_from_json(doc: dict) -> ProtocolProgram:
     steps = []
     for sdoc in doc["steps"]:
         condition_on = tuple(sdoc["condition_on"])
-        fixed = "instrument" in sdoc  # ProtocolStep rejects a fixed step with conditions
+        if "instrument" in sdoc:  # ProtocolStep rejects a fixed step with conditions
+            table = {(): _instrument_from_json(sdoc["instrument"])}
+        else:
+            table = {
+                tuple(case["condition"][k] for k in condition_on): _instrument_from_json(case["instrument"])
+                for case in sdoc["cases"]
+            }
+            if len(table) != len(sdoc["cases"]):
+                raise EngineError(f"step {sdoc['name']!r}: two cases for one condition")
         steps.append(
             ProtocolStep(
                 name=sdoc["name"],
                 party=Owner(sdoc["party"]),
-                instrument=_instrument_from_json(sdoc["instrument"]) if fixed else None,
-                instrument_fn=None if fixed else _case_fn(sdoc["cases"], condition_on),
+                table=table,
                 condition_on=condition_on,
                 sends_message=sdoc["sends_message"],
                 simultaneous_with_prev=sdoc["simultaneous_with_prev"],

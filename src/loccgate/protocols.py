@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .engine import (
     output_mixture,
     projective_instrument,
     run_exhaustive,
+    tabulate,
     unitary_instrument,
     validate_program,
 )
@@ -78,9 +79,9 @@ Z_BASIS = {"zero": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])}
 _SHARED_UNITARIES = {"I": I2, "X": SX, "Z": SZ, "cz": CZ, "cnot": CNOT_TARGET_FIRST}
 _SHARED_MEASUREMENTS = {"meas_x": X_BASIS, "meas_z": Z_BASIS}
 
-# Reads transcript outcomes; returns the (Alice, Bob) systems a gated step
-# acts on, or None where it idles.
-Route = Callable[[Mapping[str, str]], tuple[str, str] | None]
+# Takes the outcomes of a gated step's ``route_on`` steps, in order; returns
+# the (Alice, Bob) systems the step acts on, or None where it idles.
+Route = Callable[..., tuple[str, str] | None]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -150,24 +151,21 @@ def fit_zz_rotation(state: PureState) -> tuple[float, float]:
 def _heralded_steps(
     theta: float, alpha: float, a: str, b: str, sys_a: str, sys_b: str, prefix: str
 ) -> list[ProtocolStep]:
-    """Heralded ZZ-phase steps on the resource pair (a, b); see :func:`build_heralded`."""
+    """Heralded ZZ-phase steps on the resource pair (a, b), the herald last; see :func:`build_heralded`."""
     c, s = math.cos(theta / 2) / math.cos(alpha / 2), math.sin(theta / 2) / math.sin(alpha / 2)
     if not math.isfinite(c * c + s * s):  # the herald measurement normalizes (c, s) by its norm
         raise ValueError(f"alpha {alpha!r} too small: the herald vector's norm overflows")
     chi = np.array([c, s])
-    meas_a = f"{prefix}meas_a"
-
-    def fix_b(visible: Mapping[str, str]) -> LocalInstrument:
-        return _shared(BOB, (b,), "I" if visible[meas_a] == "plus" else "Z")
-
+    meas_a = ProtocolStep(f"{prefix}meas_a", ALICE, {(): _shared(ALICE, (a,), "meas_x")}, sends_message=True)
+    fix_b = tabulate((meas_a,), lambda m: _shared(BOB, (b,), "I" if m == "plus" else "Z"))
     herald = {"success": chi, "failure": np.array([chi[1], -chi[0]])}
     return [
-        ProtocolStep(f"{prefix}cz_a", ALICE, instrument=_shared(ALICE, (a, sys_a), "cz")),
-        ProtocolStep(meas_a, ALICE, instrument=_shared(ALICE, (a,), "meas_x"), sends_message=True),
-        ProtocolStep(f"{prefix}fix_b", BOB, instrument_fn=fix_b, condition_on=(meas_a,)),
-        ProtocolStep(f"{prefix}cz_b", BOB, instrument=_shared(BOB, (b, sys_b), "cz")),
+        ProtocolStep(f"{prefix}cz_a", ALICE, {(): _shared(ALICE, (a, sys_a), "cz")}),
+        meas_a,
+        ProtocolStep(f"{prefix}fix_b", BOB, fix_b, condition_on=(meas_a.name,)),
+        ProtocolStep(f"{prefix}cz_b", BOB, {(): _shared(BOB, (b, sys_b), "cz")}),
         ProtocolStep(
-            f"{prefix}meas_b", BOB, instrument=projective_instrument(BOB, (b,), herald), sends_message=True
+            f"{prefix}meas_b", BOB, {(): projective_instrument(BOB, (b,), herald)}, sends_message=True
         ),
     ]
 
@@ -239,43 +237,43 @@ def _gated(
     party: Owner,
     idle_label: str,
     route: Route,
-    route_on: tuple[str, ...],
-    build: Callable[[Mapping[str, str], str, str], LocalInstrument],
+    route_on: tuple[ProtocolStep, ...],
+    build: Callable[..., LocalInstrument],
     *,
-    reads: tuple[str, ...] = (),
+    reads: tuple[ProtocolStep, ...] = (),
     sends_message: bool = False,
 ) -> ProtocolStep:
     """One step of a sequence that runs only on the branches ``route`` selects.
 
-    ``route`` reads the ``route_on`` outcomes and returns the (Alice, Bob)
+    The step's table reads the ``route_on`` steps, then the ``reads`` steps.
+    ``route`` takes the ``route_on`` outcomes and returns the (Alice, Bob)
     systems to act on, or None where the sequence idles; ``build`` makes the
-    instrument from the visible outcomes and those systems.  An idle step is
-    a one-outcome identity on ``idle_label`` that still sends its message, so
-    the round profile does not depend on the branch.  A step that reads no
-    outcome gets a fixed instrument.  ``build`` reads only the ``reads``
-    outcomes, so the step builds each distinct instrument once.
+    instrument from those systems and the ``reads`` outcomes.  An idle step
+    is a one-outcome identity on ``idle_label`` that still sends its
+    message, so the round profile does not depend on the branch.  A step
+    that reads no outcome gets a fixed instrument.  The table holds each
+    distinct instrument once, however many keys share it.
     """
     built: dict = {}
 
-    def resolve(visible: Mapping[str, str]) -> LocalInstrument:
-        systems = route(visible)
+    def instrument(*key: str) -> LocalInstrument:
+        systems = route(*key[: len(route_on)])
         if systems is None:
             return identity_instrument(party, (idle_label,), 2)
-        key = (systems, *(visible[k] for k in reads))
-        if key not in built:
-            built[key] = build(visible, *systems)
-        return built[key]
+        memo = (*systems, *key[len(route_on) :])
+        if memo not in built:
+            built[memo] = build(*memo)
+        return built[memo]
 
-    condition_on = (*route_on, *reads)
-    if not condition_on:
-        return ProtocolStep(name, party, instrument=resolve({}), sends_message=sends_message)
+    condition = (*route_on, *reads)
     return ProtocolStep(
-        name, party, instrument_fn=resolve, condition_on=condition_on, sends_message=sends_message
+        name, party, tabulate(condition, instrument),
+        condition_on=tuple(step.name for step in condition), sends_message=sends_message,
     )
 
 
 def _controlled_phase_steps(
-    phi: float, a: str, b: str, prefix: str, route: Route, route_on: tuple[str, ...] = ()
+    phi: float, a: str, b: str, prefix: str, route: Route, route_on: tuple[ProtocolStep, ...] = ()
 ) -> list[ProtocolStep]:
     """Controlled-phase steps on the Bell pair (a, b), with Bob's system as control.
 
@@ -285,26 +283,19 @@ def _controlled_phase_steps(
     See :func:`_gated` for ``route`` and ``route_on``.
     """
     rot = controlled_z_rotation_gate(phi).matrix
-    meas_b, meas_a = f"{prefix}meas_b", f"{prefix}meas_a"
-
-    def fix_a(visible: Mapping[str, str], _sys_a: str, _sys_b: str) -> LocalInstrument:
-        return _shared(ALICE, (a,), "X" if visible[meas_b] == "one" else "I")
-
-    def fix_b(visible: Mapping[str, str], _sys_a: str, sys_b: str) -> LocalInstrument:
-        return _shared(BOB, (sys_b,), "Z" if visible[meas_a] == "minus" else "I")
-
-    return [
-        _gated(f"{prefix}cnot", BOB, b, route, route_on,
-               lambda _v, _sa, sys_b: _shared(BOB, (b, sys_b), "cnot")),
-        _gated(meas_b, BOB, b, route, route_on,
-               lambda *_: _shared(BOB, (b,), "meas_z"), sends_message=True),
-        _gated(f"{prefix}fix_a", ALICE, a, route, route_on, fix_a, reads=(meas_b,)),
-        _gated(f"{prefix}rot", ALICE, a, route, route_on,
-               lambda _v, sys_a, _sb: unitary_instrument(ALICE, (a, sys_a), rot)),
-        _gated(meas_a, ALICE, a, route, route_on,
-               lambda *_: _shared(ALICE, (a,), "meas_x"), sends_message=True),
-        _gated(f"{prefix}fix_B", BOB, b, route, route_on, fix_b, reads=(meas_a,)),
-    ]
+    cnot = _gated(f"{prefix}cnot", BOB, b, route, route_on,
+                  lambda _sa, sys_b: _shared(BOB, (b, sys_b), "cnot"))
+    meas_b = _gated(f"{prefix}meas_b", BOB, b, route, route_on,
+                    lambda *_: _shared(BOB, (b,), "meas_z"), sends_message=True)
+    fix_a = _gated(f"{prefix}fix_a", ALICE, a, route, route_on,
+                   lambda _sa, _sb, m: _shared(ALICE, (a,), "X" if m == "one" else "I"), reads=(meas_b,))
+    rot_a = _gated(f"{prefix}rot", ALICE, a, route, route_on,
+                   lambda sys_a, _sb: unitary_instrument(ALICE, (a, sys_a), rot))
+    meas_a = _gated(f"{prefix}meas_a", ALICE, a, route, route_on,
+                    lambda *_: _shared(ALICE, (a,), "meas_x"), sends_message=True)
+    fix_b = _gated(f"{prefix}fix_B", BOB, b, route, route_on,
+                   lambda _sa, sys_b, m: _shared(BOB, (sys_b,), "Z" if m == "minus" else "I"), reads=(meas_a,))
+    return [cnot, meas_b, fix_a, rot_a, meas_a, fix_b]
 
 
 def build_controlled_phase(
@@ -322,7 +313,7 @@ def build_controlled_phase(
     program = ProtocolProgram(
         layout=layout,
         resources=(bell_pair(2, (a, b)),),
-        steps=_controlled_phase_steps(phi, a, b, "c_", lambda _v: ("A", "B")),
+        steps=_controlled_phase_steps(phi, a, b, "c_", lambda: ("A", "B")),
         consumed=(a, b),
     )
     if (v := validate_program(program)) is not None:
@@ -381,14 +372,15 @@ def build_composite(theta: float, alpha: float | None = None) -> ProtocolProgram
         [("A", 2, ALICE), ("B", 2, BOB), ("a", 2, ALICE), ("b", 2, BOB), ("a2", 2, ALICE), ("b2", 2, BOB)]
     )
 
-    def on_failure(visible: Mapping[str, str]) -> tuple[str, str] | None:
-        return ("A", "B") if visible["h_meas_b"] == "failure" else None
+    def on_failure(herald: str) -> tuple[str, str] | None:
+        return ("A", "B") if herald == "failure" else None
 
+    herald = heralded.program.steps[-1]  # h_meas_b
     steps = [
         *heralded.program.steps,
-        *_controlled_phase_steps(dressing.controlled_angle, "a2", "b2", "c_", on_failure, ("h_meas_b",)),
-        _gated("c_dress", ALICE, "A", on_failure, ("h_meas_b",),
-               lambda _v, sys_a, _sb: unitary_instrument(ALICE, (sys_a,), dressing.v_a.matrix)),
+        *_controlled_phase_steps(dressing.controlled_angle, "a2", "b2", "c_", on_failure, (herald,)),
+        _gated("c_dress", ALICE, "A", on_failure, (herald,),
+               lambda sys_a, _sb: unitary_instrument(ALICE, (sys_a,), dressing.v_a.matrix)),
     ]
     program = ProtocolProgram(
         layout=layout,
@@ -438,34 +430,28 @@ def build_clifford(gate: GateSpec, table: CliffordTable | None = None) -> Protoc
         """W(u, v)^dagger on ``label``, built once per correction value."""
         return unitary_instrument(party, (label,), weyl_operator(d, u, v).conj().T)
 
-    def fix_at(visible: Mapping[str, str]) -> LocalInstrument:
-        p, q = map(int, visible["cl_meas_a"].split(","))
-        r, s = map(int, visible["cl_meas_b"].split(","))
-        pp, qp, _, _, _ = table.lookup(p, q, r, s)
+    def fix_at(out_a: str, out_b: str) -> LocalInstrument:
+        pp, qp, _, _, _ = table.lookup(*map(int, out_a.split(",")), *map(int, out_b.split(",")))
         return weyl_fix(ALICE, "At", pp, qp)
 
-    def fix_bt(visible: Mapping[str, str]) -> LocalInstrument:
-        p, q = map(int, visible["cl_meas_a"].split(","))
-        r, s = map(int, visible["cl_meas_b"].split(","))
-        _, _, rp, sp, _ = table.lookup(p, q, r, s)
+    def fix_bt(out_a: str, out_b: str) -> LocalInstrument:
+        _, _, rp, sp, _ = table.lookup(*map(int, out_a.split(",")), *map(int, out_b.split(",")))
         return weyl_fix(BOB, "Bt", rp, sp)
 
+    meas = (
+        ProtocolStep(
+            "cl_meas_a", ALICE, {(): projective_instrument(ALICE, ("A", "a"), meas_basis())}, sends_message=True
+        ),
+        ProtocolStep(
+            "cl_meas_b", BOB, {(): projective_instrument(BOB, ("B", "b"), meas_basis())},
+            sends_message=True, simultaneous_with_prev=True,
+        ),
+    )
+    reads = ("cl_meas_a", "cl_meas_b")
     steps = [
-        ProtocolStep(
-            "cl_meas_a",
-            ALICE,
-            instrument=projective_instrument(ALICE, ("A", "a"), meas_basis()),
-            sends_message=True,
-        ),
-        ProtocolStep(
-            "cl_meas_b",
-            BOB,
-            instrument=projective_instrument(BOB, ("B", "b"), meas_basis()),
-            sends_message=True,
-            simultaneous_with_prev=True,
-        ),
-        ProtocolStep("cl_fix_a", ALICE, instrument_fn=fix_at, condition_on=("cl_meas_a", "cl_meas_b")),
-        ProtocolStep("cl_fix_b", BOB, instrument_fn=fix_bt, condition_on=("cl_meas_a", "cl_meas_b")),
+        *meas,
+        ProtocolStep("cl_fix_a", ALICE, tabulate(meas, fix_at), condition_on=reads),
+        ProtocolStep("cl_fix_b", BOB, tabulate(meas, fix_bt), condition_on=reads),
     ]
     program = ProtocolProgram(
         layout=layout,
@@ -556,22 +542,15 @@ def nielsen_dilution(
         perm[[j, l]] = perm[[l, j]]
         m0 = np.diag(d0).astype(complex)
         m1 = perm @ np.diag(d1).astype(complex)
-        steps.append(
-            ProtocolStep(
-                f"dil{t}_meas",
-                ALICE,
-                instrument=LocalInstrument(ALICE, (a,), [("keep", m0), ("swap", m1)]),
-                sends_message=True,
-            )
+        meas = ProtocolStep(
+            f"dil{t}_meas", ALICE, {(): LocalInstrument(ALICE, (a,), [("keep", m0), ("swap", m1)])},
+            sends_message=True,
         )
-
-        def fix(visible: Mapping[str, str], *, _perm=perm, _name=f"dil{t}_meas") -> LocalInstrument:
-            mat = _perm if visible[_name] == "swap" else np.eye(dim, dtype=complex)
-            return unitary_instrument(BOB, (b,), mat)
-
-        steps.append(
-            ProtocolStep(f"dil{t}_fix", BOB, instrument_fn=fix, condition_on=(f"dil{t}_meas",))
+        fix = tabulate(
+            (meas,),
+            lambda o: unitary_instrument(BOB, (b,), perm if o == "swap" else np.eye(dim, dtype=complex)),
         )
+        steps += [meas, ProtocolStep(f"dil{t}_fix", BOB, fix, condition_on=(meas.name,))]
     program = ProtocolProgram(
         layout=layout,
         resources=(bell_pair(dim, (a, b)),),
@@ -697,19 +676,19 @@ def _batch_program(
         [(f"A{i}", 2, ALICE) for i in copies] + [(f"B{i}", 2, BOB) for i in copies] + resource_factors,
         dim_cap=None,
     )
-    heralds = tuple(f"s{i}_meas_b" for i in copies)
     shots = [
         _heralded_steps(theta, math.sqrt(theta), f"a{i}", f"b{i}", f"A{i}", f"B{i}", f"s{i}_")
         for i in copies
     ]
+    heralds = tuple(shot[-1] for shot in shots)  # s{i}_meas_b
 
     def slot_route(m: int) -> Route:
-        def route(visible: Mapping[str, str]) -> tuple[str, str] | None:
-            failed = [i for i, key in zip(copies, heralds) if visible[key] == "failure"]
+        def route(*outcomes: str) -> tuple[str, str] | None:
+            failed = [i for i, o in zip(copies, outcomes) if o == "failure"]
             return (f"A{failed[m]}", f"B{failed[m]}") if m < len(failed) else None
         return route
 
-    dress = lambda _v, sys_a, _sb: unitary_instrument(ALICE, (sys_a,), dressing.v_a.matrix)
+    dress = lambda sys_a, _sb: unitary_instrument(ALICE, (sys_a,), dressing.v_a.matrix)
     slots = []
     for m in range(pool):
         route = slot_route(m)

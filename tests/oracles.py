@@ -61,7 +61,7 @@ def alice_side_entropy(vec, dims, positions):
 
 
 def reference_tree(program, initial=None):
-    """Judges `engine.run_exhaustive`: a recursive full-state walk, resolve + validate_on per node, SVD leaves.
+    """Judges `engine.run_exhaustive`: a recursive full-state walk, the step's table + validate_on per node, SVD leaves.
 
     The initial state and every resource are tensored together at the start,
     and ``pruned_mass`` sums the path probabilities of the dropped branches.
@@ -94,7 +94,8 @@ def reference_tree(program, initial=None):
             leaves.append(engine.Leaf(transcript, prob, state, remaining, entropy))
             return
         step = program.steps[idx]
-        inst = step.resolve(dict(transcript))
+        seen = dict(transcript)
+        inst = step.table[tuple(seen[k] for k in step.condition_on)]
         inst.validate_on(sim_layout)
         pos = sim_layout.positions(inst.labels)
         for outcome, kraus in inst.branches:

@@ -2,7 +2,7 @@ import dataclasses
 import functools
 import json
 import math
-from collections import Counter
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from loccgate.engine import (
     protocol_error,
     run_exhaustive,
     serialize_simultaneous,
+    tabulate,
     trees_equal,
     unitary_instrument,
     validate_program,
@@ -115,21 +116,22 @@ def test_instrument_rejects_referee_party():
 
 def test_single_local_step_is_valid():
     lay = qubit_layout(("A", ALICE))
-    prog = ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, instrument=unitary_instrument(ALICE, ("A",), SZ))])
+    prog = ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, {(): unitary_instrument(ALICE, ("A",), SZ)})])
     assert validate_program(prog) is None
 
 
 def test_conditioning_without_message_is_flagged():
     lay = qubit_layout(("A", ALICE), ("B", BOB))
+    meas_a = ProtocolStep(
+        "meas_a", ALICE,
+        {(): projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS})},
+        sends_message=False,
+    )
     steps = [
-        ProtocolStep(
-            "meas_a", ALICE,
-            instrument=projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS}),
-            sends_message=False,
-        ),
+        meas_a,
         ProtocolStep(
             "bob", BOB,
-            instrument_fn=lambda v: unitary_instrument(BOB, ("B",), SZ if v["meas_a"] == "m" else np.eye(2)),
+            tabulate((meas_a,), lambda m: unitary_instrument(BOB, ("B",), SZ if m == "m" else np.eye(2))),
             condition_on=("meas_a",),
         ),
     ]
@@ -143,7 +145,7 @@ def test_condition_must_reference_earlier_step():
     steps = [
         ProtocolStep(
             "a", ALICE,
-            instrument_fn=lambda v: unitary_instrument(ALICE, ("A",), np.eye(2)),
+            {("x",): unitary_instrument(ALICE, ("A",), np.eye(2))},
             condition_on=("later",),
         ),
     ]
@@ -157,19 +159,20 @@ def test_simultaneous_needs_cross_direction_independence():
     good = ProtocolProgram(
         lay,
         steps=[
-            ProtocolStep("ma", ALICE, instrument=meas(ALICE, "A"), sends_message=True),
-            ProtocolStep("mb", BOB, instrument=meas(BOB, "B"), sends_message=True,
+            ProtocolStep("ma", ALICE, {(): meas(ALICE, "A")}, sends_message=True),
+            ProtocolStep("mb", BOB, {(): meas(BOB, "B")}, sends_message=True,
                          simultaneous_with_prev=True),
         ],
     )
     assert validate_program(good) is None
+    ma = ProtocolStep("ma", ALICE, {(): meas(ALICE, "A")}, sends_message=True)
     bad = ProtocolProgram(
         lay,
         steps=[
-            ProtocolStep("ma", ALICE, instrument=meas(ALICE, "A"), sends_message=True),
+            ma,
             ProtocolStep(
                 "mb", BOB,
-                instrument_fn=lambda v: meas(BOB, "B"),
+                tabulate((ma,), lambda _: meas(BOB, "B")),
                 condition_on=("ma",),
                 sends_message=True,
                 simultaneous_with_prev=True,
@@ -200,9 +203,9 @@ def test_projective_measurement_of_plus_state():
         steps=[
             ProtocolStep(
                 "m", ALICE,
-                instrument=projective_instrument(
+                {(): projective_instrument(
                     ALICE, ("A",), {"zero": np.array([1.0, 0]), "one": np.array([0, 1.0])}
-                ),
+                )},
             )
         ],
     )
@@ -219,9 +222,9 @@ def test_zero_probability_branches_pruned():
         steps=[
             ProtocolStep(
                 "m", ALICE,
-                instrument=projective_instrument(
+                {(): projective_instrument(
                     ALICE, ("A",), {"zero": np.array([1.0, 0]), "one": np.array([0, 1.0])}
-                ),
+                )},
             )
         ],
     )
@@ -233,8 +236,8 @@ def test_zero_probability_branches_pruned():
 def test_leaf_probabilities_sum_to_one(rng):
     lay = qubit_layout(("A", ALICE), ("B", BOB))
     steps = [
-        ProtocolStep("ma", ALICE, instrument=projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS}), sends_message=True),
-        ProtocolStep("mb", BOB, instrument=projective_instrument(BOB, ("B",), {"p": PLUS, "m": MINUS}), sends_message=True),
+        ProtocolStep("ma", ALICE, {(): projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS})}, sends_message=True),
+        ProtocolStep("mb", BOB, {(): projective_instrument(BOB, ("B",), {"p": PLUS, "m": MINUS})}, sends_message=True),
     ]
     tree = run_exhaustive(ProtocolProgram(lay, steps=steps), random_pure_state(lay, rng))
     assert tree.total_probability() == pytest.approx(1.0, abs=1e-9)
@@ -245,7 +248,7 @@ def test_leaf_probabilities_sum_to_one(rng):
 def test_referee_factors_cannot_be_touched(rng):
     lay = SystemLayout([("A", 2, ALICE), ("R", 2, REFEREE)])
     prog = ProtocolProgram(
-        lay, steps=[ProtocolStep("bad", ALICE, instrument=unitary_instrument(ALICE, ("R",), SZ))]
+        lay, steps=[ProtocolStep("bad", ALICE, {(): unitary_instrument(ALICE, ("R",), SZ)})]
     )
     assert validate_program(prog) is not None
     with pytest.raises(EngineError):
@@ -254,7 +257,7 @@ def test_referee_factors_cannot_be_touched(rng):
 
 def test_unknown_label_is_a_violation_not_a_key_error(rng):
     lay = qubit_layout(("A", ALICE))
-    prog = ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, instrument=unitary_instrument(ALICE, ("Z",), SZ))])
+    prog = ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, {(): unitary_instrument(ALICE, ("Z",), SZ)})])
     violation = validate_program(prog)
     assert isinstance(violation, CausalityViolation)
     assert "unknown label 'Z'" in violation.reason
@@ -264,9 +267,10 @@ def test_unknown_label_is_a_violation_not_a_key_error(rng):
 
 def test_conditioned_instrument_on_unknown_label_raises_engine_error(rng):
     lay = qubit_layout(("A", ALICE), ("B", BOB))
+    ma = ProtocolStep("ma", ALICE, {(): projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS})}, sends_message=True)
     steps = [
-        ProtocolStep("ma", ALICE, instrument=projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS}), sends_message=True),
-        ProtocolStep("fix", BOB, instrument_fn=lambda v: unitary_instrument(BOB, ("Z",), SZ), condition_on=("ma",)),
+        ma,
+        ProtocolStep("fix", BOB, tabulate((ma,), lambda _: unitary_instrument(BOB, ("Z",), SZ)), condition_on=("ma",)),
     ]
     with pytest.raises(EngineError, match="unknown label 'Z'"):
         run_exhaustive(ProtocolProgram(lay, steps=steps), random_pure_state(lay, rng))
@@ -285,9 +289,9 @@ def test_consumed_labels_factor_out(rng):
     steps = [
         ProtocolStep(
             "m", ALICE,
-            instrument=projective_instrument(
+            {(): projective_instrument(
                 ALICE, ("anc",), {"zero": np.array([1.0, 0]), "one": np.array([0, 1.0])}
-            ),
+            )},
         )
     ]
     prog = ProtocolProgram(lay, steps=steps, consumed=("anc",))
@@ -302,7 +306,7 @@ def test_consumed_labels_factor_out(rng):
 def _msg(name, party, label, simultaneous=False):
     return ProtocolStep(
         name, party,
-        instrument=projective_instrument(party, (label,), {"p": PLUS, "m": MINUS}),
+        {(): projective_instrument(party, (label,), {"p": PLUS, "m": MINUS})},
         sends_message=True,
         simultaneous_with_prev=simultaneous,
     )
@@ -311,7 +315,7 @@ def _msg(name, party, label, simultaneous=False):
 def test_no_message_program_is_type_other():
     lay = qubit_layout(("A", ALICE))
     prof = classify_rounds(
-        ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, instrument=unitary_instrument(ALICE, ("A",), SZ))])
+        ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, {(): unitary_instrument(ALICE, ("A",), SZ)})])
     )
     assert (prof.round_count, prof.kind) == (0, "other")
 
@@ -349,7 +353,7 @@ def test_classification_ignores_silent_steps():
     base = [_msg("m1", ALICE, "A"), _msg("m2", BOB, "B")]
     with_silent = [
         base[0],
-        ProtocolStep("u", ALICE, instrument=unitary_instrument(ALICE, ("A",), SZ)),
+        ProtocolStep("u", ALICE, {(): unitary_instrument(ALICE, ("A",), SZ)}),
         base[1],
     ]
     a = classify_rounds(ProtocolProgram(lay, steps=base))
@@ -412,12 +416,12 @@ def test_ledger_fully_consumed_bell_costs_one():
     steps = [
         ProtocolStep(
             "ma", ALICE,
-            instrument=projective_instrument(ALICE, ("a",), {"0": np.array([1.0, 0]), "1": np.array([0, 1.0])}),
+            {(): projective_instrument(ALICE, ("a",), {"0": np.array([1.0, 0]), "1": np.array([0, 1.0])})},
             sends_message=True,
         ),
         ProtocolStep(
             "mb", BOB,
-            instrument=projective_instrument(BOB, ("b",), {"0": np.array([1.0, 0]), "1": np.array([0, 1.0])}),
+            {(): projective_instrument(BOB, ("b",), {"0": np.array([1.0, 0]), "1": np.array([0, 1.0])})},
         ),
     ]
     prog = ProtocolProgram(lay, resources=(bell_pair(2, ("a", "b")),), steps=steps, consumed=("a", "b"))
@@ -432,7 +436,7 @@ def test_ledger_untouched_bell_costs_nothing(rng):
     prog = ProtocolProgram(
         lay,
         resources=(bell_pair(2, ("a", "b")),),
-        steps=[ProtocolStep("u", ALICE, instrument=unitary_instrument(ALICE, ("A",), SZ))],
+        steps=[ProtocolStep("u", ALICE, {(): unitary_instrument(ALICE, ("A",), SZ)})],
     )
     inp = random_pure_state(SystemLayout([("A", 2, ALICE)]), rng)
     led = ledger(prog, run_exhaustive(prog, inp))
@@ -473,7 +477,7 @@ def test_protocol_error_detects_label_mismatch(rng):
 def test_monotonicity_gap_nonnegative_for_measurement(rng):
     lay = qubit_layout(("A", ALICE), ("B", BOB))
     steps = [
-        ProtocolStep("ma", ALICE, instrument=projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS}), sends_message=True),
+        ProtocolStep("ma", ALICE, {(): projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS})}, sends_message=True),
     ]
     prog = ProtocolProgram(lay, steps=steps)
     tree = run_exhaustive(prog, random_pure_state(lay, rng))
@@ -483,17 +487,11 @@ def test_monotonicity_gap_nonnegative_for_measurement(rng):
 # ---------------------------------------------------------------- json
 
 
-def _toy_program():
+def _toy_program(fix=lambda m: unitary_instrument(BOB, ("B",), SZ if m == "m" else np.eye(2))):
+    """Alice measures A in the X basis and tells Bob, who applies Z to B on "m"; ``fix`` fills his table."""
     lay = qubit_layout(("A", ALICE), ("B", BOB))
-    steps = [
-        ProtocolStep("ma", ALICE, instrument=projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS}), sends_message=True),
-        ProtocolStep(
-            "fix", BOB,
-            instrument_fn=lambda v: unitary_instrument(BOB, ("B",), SZ if v["ma"] == "m" else np.eye(2)),
-            condition_on=("ma",),
-        ),
-    ]
-    return ProtocolProgram(lay, steps=steps)
+    ma = ProtocolStep("ma", ALICE, {(): projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS})}, sends_message=True)
+    return ProtocolProgram(lay, steps=[ma, ProtocolStep("fix", BOB, tabulate((ma,), fix), condition_on=("ma",))])
 
 
 ROUNDTRIP_BUILDERS = {  # the toy program, each export-protocol kind at its defaults, batch n = 1
@@ -547,63 +545,110 @@ def test_program_from_json_rejects_malformed_documents(path, value):
         program_from_json(doc)
 
 
-def test_program_to_json_runs_each_instrument_fn_once_per_condition():
-    toy = _toy_program()
-    ma, fix = toy.steps
+def _controlled_phase_document(mutate):
+    """The exported controlled-phase program, with ``mutate`` applied to c_fix_a's cases."""
+    doc = program_to_json(protocols.build_controlled_phase(0.7))
+    (step,) = [s for s in doc["steps"] if s["name"] == "c_fix_a"]
+    assert [case["condition"] for case in step["cases"]] == [{"c_meas_b": "zero"}, {"c_meas_b": "one"}]
+    mutate(step["cases"])
+    return doc
+
+
+def test_program_from_json_with_a_case_deleted_fails_at_compile():
+    program = program_from_json(_controlled_phase_document(lambda cases: cases.pop()))
+    message = re.escape("step 'c_fix_a' on {'c_meas_b': 'one'}: no instrument")
+    with pytest.raises(EngineError, match=message):
+        engine.compile_program(program)
+    with pytest.raises(EngineError, match=message):
+        run_exhaustive(program, engine.choi_input(program))
+
+
+def test_program_from_json_with_another_partys_case_fails_at_load():
+    def hand_to_bob(cases):
+        cases[1]["instrument"]["party"] = "bob"
+
+    message = re.escape("step 'c_fix_a' on {'c_meas_b': 'one'}: instrument of bob in a step of alice")
+    with pytest.raises(EngineError, match=message):
+        program_from_json(_controlled_phase_document(hand_to_bob))
+
+
+def test_program_from_json_with_a_case_twice_fails_at_load():
+    with pytest.raises(EngineError, match="step 'c_fix_a': two cases for one condition"):
+        program_from_json(_controlled_phase_document(lambda cases: cases.append(cases[0])))
+
+
+def test_program_to_json_exports_the_table_filled_at_build():
     calls = []
 
-    def fn(v):
-        calls.append(v["ma"])
-        return fix.instrument_fn(v)
+    def fix(m):
+        calls.append(m)
+        return unitary_instrument(BOB, ("B",), SZ if m == "m" else np.eye(2))
 
-    prog = ProtocolProgram(toy.layout, steps=[ma, dataclasses.replace(fix, instrument_fn=fn)])
+    prog = _toy_program(fix)
+    assert calls == ["p", "m"]  # once per key, in the order of ma's outcomes
     doc = program_to_json(prog)
-    assert sorted(calls) == ["m", "p"]
-    assert [case["condition"] for case in doc["steps"][1]["cases"]] == [{"ma": "p"}, {"ma": "m"}]
+    assert calls == ["p", "m"]
+    cases = doc["steps"][1]["cases"]
+    assert [case["condition"] for case in cases] == [{"ma": "p"}, {"ma": "m"}]
+    fix_step = prog.steps[1]
+    assert [case["instrument"] for case in cases] == [
+        engine._instrument_to_json(fix_step.table[o,]) for o in ("p", "m")
+    ]
 
 
-def test_program_to_json_resolves_each_batch_condition_once(monkeypatch):
+def test_batch_tables_are_filled_once_when_the_program_is_built(monkeypatch):
+    filled = []  # per table built: the keys its fn was called on
+    tabulate_once = engine.tabulate
+
+    def counted(reads, fn):
+        keys = []
+        filled.append(keys)
+
+        def logged(*key):
+            keys.append(key)
+            return fn(*key)
+
+        table = tabulate_once(reads, logged)
+        assert keys == list(table)  # once per key, in key order
+        return table
+
+    monkeypatch.setattr(protocols, "tabulate", counted)
     prog = protocols.build_batch(0.5, 1, 2.6).program
-    resolves = Counter()
-    resolve = ProtocolStep.resolve
-
-    def counted(step, visible):
-        resolves[step.name, tuple(sorted(visible.items()))] += 1
-        return resolve(step, visible)
-
-    monkeypatch.setattr(ProtocolStep, "resolve", counted)
+    made = sum(map(len, filled))
     doc = program_to_json(prog)
-    assert set(resolves.values()) == {1}
-    conditioned = {s.name for s in prog.steps if s.instrument_fn is not None}
+    run_exhaustive(prog, engine.choi_input(prog))
+    engine.output_mixture(prog, engine.choi_input(prog))
+    assert sum(map(len, filled)) == made  # no run or export calls a builder's fn again
     cases = sum(len(sdoc.get("cases", ())) for sdoc in doc["steps"])
-    assert cases == sum(1 for name, _ in resolves if name in conditioned)
+    assert cases == sum(len(step.table) for step in prog.steps if step.condition_on)
 
 
 @pytest.mark.parametrize("builder", list(ROUNDTRIP_BUILDERS))
 def test_compiled_tables_cover_every_transcript(builder):
     prog = ROUNDTRIP_BUILDERS[builder]()
-    tables, alphabets = engine.compile_program(prog)
-    for step, table in zip(prog.steps, tables):
-        assert len(table) == math.prod(len(alphabets[k]) for k in step.condition_on)
+    steps = {step.name: step for step in prog.steps}
+    for step, table in zip(prog.steps, engine.compile_program(prog)):
+        assert table is step.table
+        assert len(table) == math.prod(len(steps[k].outcomes) for k in step.condition_on)
     for leaf in oracles.unmerged_mixture(prog, engine.choi_input(prog)).leaves:
         seen = dict(leaf.transcript)
-        for step, table in zip(prog.steps, tables):
-            assert seen[step.name] in alphabets[step.name]
-            assert tuple(seen[k] for k in step.condition_on) in table
+        for step in prog.steps:
+            assert seen[step.name] in step.outcomes
+            assert tuple(seen[k] for k in step.condition_on) in step.table
 
 
 def test_program_keeps_its_validation_and_compiled_tables():
     prog = protocols.build_batch(0.5, 1, 2.6).program
     assert validate_program(prog) is None
-    tables, alphabets = engine.compile_program(prog)
-    assert engine.compile_program(prog) == (tables, alphabets)
-    assert engine.compile_program(prog)[0] is tables
+    tables = engine.compile_program(prog)
+    assert engine.compile_program(prog) is tables
+    assert tables == tuple(step.table for step in prog.steps)
     with pytest.raises(TypeError):
         tables[0][()] = None
-    with pytest.raises(TypeError):
-        alphabets["new"] = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prog.steps[0].outcomes = ()
     bad = ProtocolProgram(qubit_layout(("A", ALICE)), steps=[
-        ProtocolStep("u", ALICE, instrument=LocalInstrument(ALICE, ("A",), [("half", 0.5 * np.eye(2))]))
+        ProtocolStep("u", ALICE, {(): LocalInstrument(ALICE, ("A",), [("half", 0.5 * np.eye(2))])})
     ])
     assert validate_program(bad) is validate_program(bad)
     assert "completeness" in validate_program(bad).reason
@@ -613,7 +658,7 @@ def test_instruments_steps_and_programs_compare_and_hash_by_identity():
     a, b = (unitary_instrument(ALICE, ("A",), SZ) for _ in range(2))
     assert a == a and a != b
     assert {a: "a", b: "b"}[a] == "a" and hash(a) == hash(a)
-    step = ProtocolStep("u", ALICE, instrument=a)
+    step = ProtocolStep("u", ALICE, {(): a})
     assert step == step and step != dataclasses.replace(step)
     assert len({step, dataclasses.replace(step)}) == 2
     first, second = (protocols.build_clifford(qudit_cz_gate(3)) for _ in range(2))
@@ -623,7 +668,7 @@ def test_instruments_steps_and_programs_compare_and_hash_by_identity():
 
 def test_json_export_is_deterministic():
     lay = qubit_layout(("A", ALICE))
-    prog = ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, instrument=unitary_instrument(ALICE, ("A",), SZ))])
+    prog = ProtocolProgram(lay, steps=[ProtocolStep("u", ALICE, {(): unitary_instrument(ALICE, ("A",), SZ)})])
     a = json.dumps(program_to_json(prog), sort_keys=True)
     b = json.dumps(program_to_json(prog), sort_keys=True)
     assert a == b
@@ -840,13 +885,12 @@ def _run_block_route(program, rng, kernel_sizes):
 
 def test_block_route_gated_skip_entries_attach_nothing(rng, kernel_sizes):
     steps = [
-        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("A",), Z_BASIS), sends_message=True),
+        ProtocolStep("m", ALICE, {(): projective_instrument(ALICE, ("A",), Z_BASIS)}, sends_message=True),
         ProtocolStep(
             "g", BOB, condition_on=("m",),
-            instrument_fn=lambda v: unitary_instrument(BOB, ("b",), SZ) if v["m"] == "one"
-            else engine.identity_instrument(BOB, ("b",), 2),
+            table={("zero",): engine.identity_instrument(BOB, ("b",), 2), ("one",): unitary_instrument(BOB, ("b",), SZ)},
         ),
-        ProtocolStep("h", BOB, instrument=unitary_instrument(BOB, ("B",), HADAMARD)),
+        ProtocolStep("h", BOB, {(): unitary_instrument(BOB, ("B",), HADAMARD)}),
     ]
     _, sizes = _run_block_route(_bell_program(steps), rng, kernel_sizes)
     # m on A, B and R: two branches; then g skips on "zero" and attaches the
@@ -856,9 +900,9 @@ def test_block_route_gated_skip_entries_attach_nothing(rng, kernel_sizes):
 
 def test_block_route_rank_one_kraus_before_the_last_use_does_not_detach(rng, kernel_sizes):
     steps = [
-        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("a",), Z_BASIS), sends_message=True),
-        ProtocolStep("x", ALICE, instrument=unitary_instrument(ALICE, ("a",), HADAMARD)),
-        ProtocolStep("h", BOB, instrument=unitary_instrument(BOB, ("B",), HADAMARD)),
+        ProtocolStep("m", ALICE, {(): projective_instrument(ALICE, ("a",), Z_BASIS)}, sends_message=True),
+        ProtocolStep("x", ALICE, {(): unitary_instrument(ALICE, ("a",), HADAMARD)}),
+        ProtocolStep("h", BOB, {(): unitary_instrument(BOB, ("B",), HADAMARD)}),
     ]
     _, sizes = _run_block_route(_bell_program(steps), rng, kernel_sizes)
     # m attaches the pair; a stays through x, its last use (a unitary), and h
@@ -870,8 +914,8 @@ def test_block_route_rank_one_kraus_before_the_last_use_does_not_detach(rng, ker
 
 def test_block_route_attaches_a_resource_with_a_kept_factor_at_the_start(rng, kernel_sizes):
     steps = [
-        ProtocolStep("h", ALICE, instrument=unitary_instrument(ALICE, ("A",), HADAMARD)),
-        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("a",), Z_BASIS)),
+        ProtocolStep("h", ALICE, {(): unitary_instrument(ALICE, ("A",), HADAMARD)}),
+        ProtocolStep("m", ALICE, {(): projective_instrument(ALICE, ("a",), Z_BASIS)}),
     ]
     tree, sizes = _run_block_route(_bell_program(steps, consumed=("a",)), rng, kernel_sizes)
     assert sizes == [32, 32, 32]
@@ -880,8 +924,8 @@ def test_block_route_attaches_a_resource_with_a_kept_factor_at_the_start(rng, ke
 
 def test_block_route_never_attaches_an_untouched_resource(rng, kernel_sizes):
     steps = [
-        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("A",), Z_BASIS), sends_message=True),
-        ProtocolStep("h", BOB, instrument=unitary_instrument(BOB, ("B",), HADAMARD)),
+        ProtocolStep("m", ALICE, {(): projective_instrument(ALICE, ("A",), Z_BASIS)}, sends_message=True),
+        ProtocolStep("h", BOB, {(): unitary_instrument(BOB, ("B",), HADAMARD)}),
     ]
     tree, sizes = _run_block_route(_bell_program(steps), rng, kernel_sizes)
     assert sizes == [8, 8, 8, 8]
@@ -893,10 +937,11 @@ def test_block_route_detaches_after_a_rank_one_kraus_that_is_no_projector(rng, k
     reset = [("was0", np.outer([1.0, 0.0], [1.0, 0.0])), ("was1", np.outer([1.0, 0.0], [0.0, 1.0]))]
     steps = [
         ProtocolStep(
-            "r", ALICE, sends_message=True,
-            instrument=LocalInstrument(ALICE, ("a", "A"), [(o, np.kron(k, HADAMARD)) for o, k in reset]),
+            "r", ALICE,
+            {(): LocalInstrument(ALICE, ("a", "A"), [(o, np.kron(k, HADAMARD)) for o, k in reset])},
+            sends_message=True,
         ),
-        ProtocolStep("h", BOB, instrument=unitary_instrument(BOB, ("B",), HADAMARD)),
+        ProtocolStep("h", BOB, {(): unitary_instrument(BOB, ("B",), HADAMARD)}),
     ]
     _, sizes = _run_block_route(_bell_program(steps, consumed=("a",)), rng, kernel_sizes)
     # the pair (b kept) is there from the start; a leaves after r on both branches
@@ -962,19 +1007,14 @@ def test_batch_output_mixture_groups_and_kernel_calls(n, delta, groups, calls, r
 def _reset_program(read_later):
     """Alice measures A in Z and resets it to |0>; then Bob applies Z to B, on outcome "one" if ``read_later``."""
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    reset = lambda v: unitary_instrument(ALICE, ("A",), flip if v["m"] == "one" else np.eye(2))
+    m = ProtocolStep("m", ALICE, {(): projective_instrument(ALICE, ("A",), Z_BASIS)}, sends_message=True)
+    reset = tabulate((m,), lambda o: unitary_instrument(ALICE, ("A",), flip if o == "one" else np.eye(2)))
     if read_later:
-        last = ProtocolStep(
-            "z", BOB, condition_on=("m",),
-            instrument_fn=lambda v: unitary_instrument(BOB, ("B",), SZ if v["m"] == "one" else np.eye(2)),
-        )
+        z = tabulate((m,), lambda o: unitary_instrument(BOB, ("B",), SZ if o == "one" else np.eye(2)))
+        last = ProtocolStep("z", BOB, z, condition_on=("m",))
     else:
-        last = ProtocolStep("z", BOB, instrument=unitary_instrument(BOB, ("B",), SZ))
-    steps = [
-        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("A",), Z_BASIS), sends_message=True),
-        ProtocolStep("reset", ALICE, instrument_fn=reset, condition_on=("m",)),
-        last,
-    ]
+        last = ProtocolStep("z", BOB, {(): unitary_instrument(BOB, ("B",), SZ)})
+    steps = [m, ProtocolStep("reset", ALICE, reset, condition_on=("m",)), last]
     return ProtocolProgram(qubit_layout(("A", ALICE), ("B", BOB)), steps=steps)
 
 
@@ -991,15 +1031,17 @@ def test_output_mixture_keeps_apart_equal_branches_whose_outcome_is_read_later(r
     assert np.max(np.abs(oracles.average_output(mixture) - oracles.average_output(ref))) <= 1e-12
 
 
-# ---------------------------------------------------------------- resolution cache
+# ---------------------------------------------------------------- conditioned tables
 
 
 def _fix_program(fn):
+    """Alice measures A and tells Bob; Bob measures B, then applies ``fn({"ma": outcome})``."""
     lay = qubit_layout(("A", ALICE), ("B", BOB))
+    ma = ProtocolStep("ma", ALICE, {(): projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS})}, sends_message=True)
     steps = [
-        ProtocolStep("ma", ALICE, instrument=projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS}), sends_message=True),
-        ProtocolStep("mb", BOB, instrument=projective_instrument(BOB, ("B",), {"p": PLUS, "m": MINUS})),
-        ProtocolStep("fix", BOB, instrument_fn=fn, condition_on=("ma",)),
+        ma,
+        ProtocolStep("mb", BOB, {(): projective_instrument(BOB, ("B",), {"p": PLUS, "m": MINUS})}),
+        ProtocolStep("fix", BOB, tabulate((ma,), lambda m: fn({"ma": m})), condition_on=("ma",)),
     ]
     return ProtocolProgram(lay, steps=steps), lay
 
@@ -1037,19 +1079,30 @@ def test_conditioned_instrument_is_checked_before_the_walk(rng, monkeypatch):
     assert "step 'fix' on {'ma': 'm'}" in str(info.value)
 
 
-def test_instrument_fn_runs_once_per_condition_values(rng):
+def test_table_entry_no_transcript_reaches_is_rejected_at_compile():
+    toy = _toy_program()
+    ma, fix = toy.steps
+    extra = dataclasses.replace(fix, table={**fix.table, ("q",): fix.table["p",]})
+    prog = ProtocolProgram(toy.layout, steps=[ma, extra])
+    with pytest.raises(EngineError, match="step 'fix' has instruments for conditions its reads cannot produce"):
+        engine.compile_program(prog)
+
+
+def test_tabulate_calls_fn_once_per_key_when_the_program_is_built(rng):
     calls = []
 
     def fn(v):
-        calls.append(dict(v))
+        calls.append(v["ma"])
         return unitary_instrument(BOB, ("B",), SZ if v["ma"] == "m" else np.eye(2))
 
     prog, lay = _fix_program(fn)
+    assert calls == ["p", "m"]  # at build, in the order of ma's outcomes
     tree = run_exhaustive(prog, random_pure_state(lay, rng))
     assert len(tree.leaves) == 4  # each condition value reached twice
+    engine.output_mixture(prog, random_pure_state(lay, rng))
     oracles.unmerged_mixture(prog, random_pure_state(lay, rng))
-    program_to_json(prog)
-    assert sorted(c["ma"] for c in calls) == ["m", "p"]  # the tables live as long as the program
+    program_from_json(program_to_json(prog))
+    assert calls == ["p", "m"]  # no run or export calls it again
 
 
 # ---------------------------------------------------------------- pruning
@@ -1062,8 +1115,8 @@ def _dribble_program(count):
     branches += [(f"d{i}", math.sqrt(eps) * np.eye(2)) for i in range(count)]
     lay = qubit_layout(("A", ALICE))
     steps = [
-        ProtocolStep("m", ALICE, instrument=projective_instrument(ALICE, ("A",), {"0": np.array([1.0, 0]), "1": np.array([0, 1.0])})),
-        ProtocolStep("dribble", ALICE, instrument=LocalInstrument(ALICE, ("A",), branches)),
+        ProtocolStep("m", ALICE, {(): projective_instrument(ALICE, ("A",), {"0": np.array([1.0, 0]), "1": np.array([0, 1.0])})}),
+        ProtocolStep("dribble", ALICE, {(): LocalInstrument(ALICE, ("A",), branches)}),
     ]
     return ProtocolProgram(lay, steps=steps), lay
 
@@ -1095,7 +1148,7 @@ def _twisted_toy_program():
     """The toy program after a fixed unitary on A that is not symmetric, so K_t^T != K_t."""
     twist = unitary_instrument(ALICE, ("A",), haar_unitary(2, np.random.default_rng(3)))
     toy = _toy_program()
-    return ProtocolProgram(toy.layout, steps=(ProtocolStep("twist", ALICE, instrument=twist), *toy.steps))
+    return ProtocolProgram(toy.layout, steps=(ProtocolStep("twist", ALICE, {(): twist}), *toy.steps))
 
 
 CHANNEL_CASES = {  # name -> (program builder, target gate, local dimension)

@@ -4,7 +4,8 @@ The kernel values were recorded with scipy 1.17.1 (``unitary_group.rvs``,
 ``gammaln``, ``logsumexp`` and ``optimize.bisect``), which these kernels
 replace, so a change in their floating-point behaviour shows up here bit for
 bit.  The ``export-protocol`` digests pin the JSON of every exported
-protocol kind, so a builder refactor cannot change a serialized program.
+protocol kind, and the batch digests that of the batched program at n = 1
+and 2, so a builder refactor cannot change a serialized program.
 The ``simulate`` digests pin the reports of the README commands, whose
 errors and ledger all come from one run on the Choi input.  The typicality
 values at n up to 2^20 were recorded with the full-array binomial kernels.
@@ -18,6 +19,7 @@ swap's is the exact projection's (cost 2.0, where ``eig`` gave
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -29,7 +31,7 @@ import pytest
 from click.testing import CliRunner
 
 import loccgate
-from loccgate import analysis, model, protocols
+from loccgate import analysis, engine, model, protocols
 from loccgate.cli import main
 
 
@@ -245,6 +247,19 @@ def test_export_protocol_stdout(args, digest):
     result = CliRunner().invoke(main, ["export-protocol", *args])
     assert result.exit_code == 0, result.output
     assert sha256(result.output.encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "n, delta, digest",
+    [
+        (1, 2.6, "1e8e5dc4dcf993c99bf330c68813c6c58408d0a733ffe141058f3e3b2c4426ee"),
+        (2, 1.2, "bcafd91967dfed1310048c64d9fc92e3aef35cc74009d0b49baf56a5526a4a4d"),
+    ],
+)
+def test_batch_program_export_bits(n, delta, digest):
+    """The batched program's JSON, which no CLI command exports: every table's keys, order and instruments."""
+    doc = engine.program_to_json(protocols.build_batch(0.5, n, delta).program)
+    assert sha256(json.dumps(doc, sort_keys=True).encode()) == digest
 
 
 @pytest.mark.parametrize(

@@ -404,9 +404,8 @@ def test_build_batch_reuses_its_typical_set(monkeypatch):
 
 
 def _step_instruments(program):
-    """Step name -> the set of distinct instruments in its compiled table."""
-    tables = engine.compile_program(program)[0]
-    return {step.name: set(table.values()) for step, table in zip(program.steps, tables)}
+    """Step name -> the set of distinct instruments in its table."""
+    return {step.name: set(step.table.values()) for step in program.steps}
 
 
 def _angle_dependent(name):
@@ -425,13 +424,13 @@ def test_batch_programs_share_exactly_the_angle_independent_instruments():
             continue
         active = {inst for inst in a[name] if inst.outcomes != ("skip",)}
         assert active and active.isdisjoint(b[name]), name
-    cz = first.steps[0].instrument
-    assert first.steps[0].name == "s1_cz_a" and second.steps[0].instrument is cz
+    cz = first.steps[0].table[()]
+    assert first.steps[0].name == "s1_cz_a" and second.steps[0].table[()] is cz
     with pytest.raises(engine.EngineError, match="owned by bob"):
         cz.validate_on(SystemLayout([("a1", 2, BOB), ("A1", 2, ALICE)]))
     # each distinct active instrument of a gated step is built once: slot 0's
     # rotation acts on the first failed copy, A1 or A2, over three active entries
-    rot = engine.compile_program(first)[0][[s.name for s in first.steps].index("p0_rot")]
+    rot = {s.name: s.table for s in first.steps}["p0_rot"]
     assert sum(inst.outcomes != ("skip",) for inst in rot.values()) == 3
     assert len({i for i in rot.values() if i.outcomes != ("skip",)}) == 2
 
@@ -450,7 +449,7 @@ def test_clifford_fixes_are_built_once_per_correction_value():
     # Alice's fix reads (p', q') and Bob's (r', s'): 9 values each of 81 table entries
     program = protocols.build_clifford(qudit_cz_gate(3))
     instruments = _step_instruments(program)
-    tables = dict(zip((s.name for s in program.steps), engine.compile_program(program)[0]))
+    tables = {s.name: s.table for s in program.steps}
     for name in ("cl_fix_a", "cl_fix_b"):
         assert len(tables[name]) == 81
         assert len(instruments[name]) == 9

@@ -95,3 +95,9 @@ def test_every_public_definition_is_named_outside_its_own_def():
                 if everywhere[node.name] == own[node.name]:
                     unnamed.append(f"{path.stem}.{node.name}")
     assert unnamed == []
+
+
+def test_package_keeps_no_instrument_closure():
+    """A step's table is its only form of instrument choice: no closure field or type beside it."""
+    words = sum((_words(path.read_text()) for path in PACKAGE.rglob("*.py")), Counter())
+    assert {name: words[name] for name in ("instrument_fn", "InstrumentFn") if words[name]} == {}
