@@ -49,7 +49,7 @@ class EngineError(Exception):
 
 @dataclass(frozen=True)
 class CausalityViolation:
-    """First step at which a program reads something its party cannot see."""
+    """The first step at which a program fails :func:`validate_program`, and why."""
 
     step_index: int
     step_name: str
@@ -175,9 +175,10 @@ class ProtocolStep:
     to the instrument applied on them; a fixed step reads nothing and has
     the one key ().  It is kept read-only, and every instrument in it must
     be the step party's.  ``outcomes`` is the step's alphabet: the distinct
-    outcomes of its instruments, in key order.  :func:`compile_program`
+    outcomes of its instruments, in key order.  :func:`validate_program`
     checks that the table covers every combination of the outcomes it
-    reads (:func:`tabulate` builds such tables).
+    reads, and nothing else (:func:`tabulate` builds such tables).  The
+    party is Alice or Bob.
 
     ``simultaneous_with_prev`` declares that this message is exchanged in the
     same round as the nearest preceding message step, which must go in the
@@ -193,6 +194,8 @@ class ProtocolStep:
     outcomes: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.party not in (ALICE, BOB):
+            raise EngineError(f"step {self.name!r}: steps belong to Alice or Bob, not {self.party}")
         table = MappingProxyType(dict(self.table))
         if self.condition_on and () in table:
             raise EngineError(f"step {self.name!r}: fixed instrument cannot declare conditions")
@@ -235,8 +238,8 @@ class ProtocolProgram:
     stand for (used when the output lives on different factors than the
     input, as in teleportation-style protocols).
 
-    A program is immutable, so it is validated and compiled once: it keeps
-    the results of :func:`validate_program` and :func:`compile_program`.
+    A program is immutable, so it is validated once: it keeps the result
+    of :func:`validate_program`, which every run, mixture and export reads.
     ``==`` and ``hash`` go by identity, as for :class:`LocalInstrument`.
     """
 
@@ -276,7 +279,7 @@ class ProtocolProgram:
         unknown = self.consumed - set(layout.labels)
         if unknown:
             raise EngineError(f"consumed labels {sorted(unknown)} not in layout")
-        # validate_program's result and compile_program's tables, kept after first use
+        # validate_program's result, kept after first use
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -416,9 +419,16 @@ def _direction(party: Owner) -> str:
 
 
 def validate_program(program: ProtocolProgram) -> CausalityViolation | None:
-    """Check transcript causality, ownership, and simultaneity declarations.
+    """The first step at which ``program`` breaks its causal order or its tables, or None.
 
-    The result is kept on the program, so only the first call checks.
+    One pass over the steps checks, per step: that every condition names an
+    earlier step whose outcome the step's party sees (its own, or
+    broadcast); that its table holds one instrument for each combination of
+    the ``outcomes`` of its ``condition_on`` steps, reachable or not, and
+    nothing else; that each distinct instrument, fixed or conditioned,
+    passes ``validate_on`` against the program layout; and its simultaneity
+    declaration.  Every run, mixture and export calls it first, and the
+    result is kept on the program, so only the first call checks.
     """
     memo = program._memo
     if "violation" not in memo:
@@ -427,14 +437,13 @@ def validate_program(program: ProtocolProgram) -> CausalityViolation | None:
 
 
 def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
-    by_name: dict[str, int] = {}
+    steps: dict[str, ProtocolStep] = {}
     visible: dict[Owner, set[str]] = {ALICE: set(), BOB: set()}
+    checked: set[LocalInstrument] = set()  # the instruments already validated
     last_msg: int | None = None
     for idx, step in enumerate(program.steps):
-        if step.party not in (ALICE, BOB):
-            return CausalityViolation(idx, step.name, "step party must be Alice or Bob")
         for key in step.condition_on:
-            if key not in by_name:
+            if key not in steps:
                 return CausalityViolation(
                     idx, step.name, f"condition {key!r} does not name an earlier step"
                 )
@@ -444,11 +453,23 @@ def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
                     step.name,
                     f"{step.party.value} cannot see outcome of {key!r} (not broadcast)",
                 )
-        if not step.condition_on:
+        keys = list(itertools.product(*(steps[k].outcomes for k in step.condition_on)))
+        for key in keys:
             try:
-                step.resolve(()).validate_on(program.layout)
+                inst = step.resolve(key)
             except EngineError as exc:
                 return CausalityViolation(idx, step.name, str(exc))
+            if inst in checked:
+                continue
+            try:
+                inst.validate_on(program.layout)
+            except EngineError as exc:
+                where = f"step {step.name!r} on {dict(zip(step.condition_on, key))}: " if key else ""
+                return CausalityViolation(idx, step.name, where + str(exc))
+            checked.add(inst)
+        if len(step.table) != len(keys):
+            reason = f"step {step.name!r} has instruments for conditions its reads cannot produce"
+            return CausalityViolation(idx, step.name, reason)
         if step.simultaneous_with_prev:
             if not step.sends_message:
                 return CausalityViolation(
@@ -469,48 +490,12 @@ def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
                         step.name,
                         f"declared simultaneous but {mid.name!r} reads {prev_name!r}",
                     )
-        by_name[step.name] = idx
+        steps[step.name] = step
         visible[step.party].add(step.name)
         if step.sends_message:
             visible[step.party.other].add(step.name)
             last_msg = idx
     return None
-
-
-def compile_program(program: ProtocolProgram) -> tuple[Table, ...]:
-    """Check every step's table against the outcomes it reads; return the tables.
-
-    Each step's table must hold exactly one instrument per combination of
-    the ``outcomes`` of its ``condition_on`` steps, reachable or not.  Every
-    distinct conditioned instrument is checked once with ``validate_on``
-    against the program layout; fixed ones are :func:`validate_program`'s
-    to check.  The program keeps the result, so the checks run once per
-    program, however many runs and exports follow.
-    """
-    memo = program._memo
-    if "compiled" not in memo:
-        memo["compiled"] = _compile(program)
-    return memo["compiled"]
-
-
-def _compile(program: ProtocolProgram) -> tuple[Table, ...]:
-    steps: dict[str, ProtocolStep] = {}
-    checked: set[LocalInstrument] = set()  # the conditioned instruments already validated
-    for step in program.steps:
-        keys = list(itertools.product(*(steps[k].outcomes for k in step.condition_on)))
-        for key in keys:
-            inst = step.resolve(key)
-            if step.condition_on and inst not in checked:
-                try:
-                    inst.validate_on(program.layout)
-                except EngineError as exc:
-                    condition = dict(zip(step.condition_on, key))
-                    raise EngineError(f"step {step.name!r} on {condition}: {exc}") from None
-                checked.add(inst)
-        if len(step.table) != len(keys):
-            raise EngineError(f"step {step.name!r} has instruments for conditions its reads cannot produce")
-        steps[step.name] = step
-    return tuple(step.table for step in program.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +565,11 @@ def _detach_bra(kraus: np.ndarray, dims: Sequence[int], i: int) -> np.ndarray | 
 def run_exhaustive(program: ProtocolProgram, initial: PureState | None = None) -> BranchTree:
     """Follow every instrument branch; leaves carry exact post-selected states and diagnostics.
 
-    The program is validated and compiled once, on its first run or
-    export, and keeps both results (:func:`compile_program`): every step's
-    table is checked to cover every combination of the outcomes it reads,
-    and every conditioned instrument with ``validate_on``, before any walk
-    starts.  Each node then looks its instrument up in its step's table.
+    The program is checked once, on its first run, mixture or export, and
+    keeps the result (:func:`validate_program`): its causal order, every
+    step's table against the outcomes it reads, and every instrument with
+    ``validate_on``, before any walk starts.  Each node then looks its
+    instrument up in its step's table.
 
     A node holds the joint state of every factor: the initial state and all
     resources are tensored together at the start and nothing leaves,
@@ -605,13 +590,13 @@ def run_exhaustive(program: ProtocolProgram, initial: PureState | None = None) -
 def output_mixture(program: ProtocolProgram, initial: PureState | None = None) -> OutputMixture:
     """The output ensemble of ``program`` on ``initial``, with indistinguishable branches merged.
 
-    Compiled as for :func:`run_exhaustive`, but a node holds a dense core
+    Checked as for :func:`run_exhaustive`, but a node holds a dense core
     over its live factors only.  A resource with a kept factor is tensored
-    in at the start, any other at the first non-identity compiled entry
+    in at the start, any other at the first non-identity table entry
     that touches one of its factors; a consumed factor is contracted out
     after a Kraus operator whose range on it is one-dimensional, at the
     last step whose non-identity entries touch it.  Both are decided once,
-    from the compiled tables.  Leaves carry no diagnostics.
+    from the tables.  Leaves carry no diagnostics.
 
     The walk goes level by level.  After each step, a node that no later
     step can tell apart from an earlier node of its level
@@ -707,11 +692,10 @@ def _walk(
             raise EngineError(f"at leaf {transcript}: {exc}") from exc
         leaves.append(Leaf(transcript, prob, PureState(out_layout, out_vec), resources, alice))
 
-    tables = compile_program(program)
     # per step, its distinct instruments (a table may hold one many times) and their positions
     placed = [
-        {inst: tuple(sim_layout.positions(inst.labels)) for inst in dict.fromkeys(table.values())}
-        for table in tables
+        {inst: tuple(sim_layout.positions(inst.labels)) for inst in dict.fromkeys(step.table.values())}
+        for step in program.steps
     ]
     # the last step at which a non-identity entry touches each factor
     last_use = {
@@ -727,7 +711,7 @@ def _walk(
     # condition is read at the index of the step it names.
     step_index = {step.name: idx for idx, step in enumerate(program.steps)}
     plan = []
-    for idx, (step, table) in enumerate(zip(program.steps, tables)):
+    for idx, step in enumerate(program.steps):
         made = {}
         for inst, positions in placed[idx].items():
             # attach: (resource, one factor of it this instrument touches);
@@ -744,7 +728,7 @@ def _walk(
                         for cut in _cuts(inst, tuple(sim_dims[p] for p in positions), ends)
                     )
             made[inst] = (inst, positions, inst._identity, attach, cuts)
-        entries = {key: made[inst] for key, inst in table.items()}
+        entries = {key: made[inst] for key, inst in step.table.items()}
         plan.append((step.name, tuple(step_index[k] for k in step.condition_on), entries))
 
     n_steps = len(program.steps)
@@ -978,7 +962,7 @@ def serialize_simultaneous(program: ProtocolProgram) -> ProtocolProgram:
         return program
     violation = validate_program(program)
     if violation is not None:
-        raise EngineError(f"messages not independent: {violation}")
+        raise EngineError(f"invalid program: {violation}")
     steps = [replace(s, simultaneous_with_prev=False) for s in program.steps]
     return ProtocolProgram(
         layout=program.layout,
@@ -1186,8 +1170,13 @@ def _instrument_from_json(doc: dict) -> LocalInstrument:
 
 
 def program_to_json(program: ProtocolProgram) -> dict:
-    """Flat JSON document; conditioned instruments are expanded case by case."""
-    compile_program(program)
+    """Flat JSON document; conditioned instruments are expanded case by case.
+
+    A program that :func:`validate_program` rejects raises :class:`EngineError`.
+    """
+    violation = validate_program(program)
+    if violation is not None:
+        raise EngineError(f"invalid program: {violation}")
     steps = []
     for step in program.steps:
         doc = {

@@ -96,8 +96,7 @@ def controlled_z_rotation_gate(phi: float, labels: Sequence[str] = ("a", "A")) -
     """|0><0| (x) I + |1><1| (x) exp(i phi Z), first factor as control."""
     if not math.isfinite(phi):
         raise ValueError(f"non-finite angle {phi}")
-    expz = np.diag(np.exp(1j * phi * np.array([1.0, -1.0])))
-    return GateSpec(_P0_I + np.kron(P1, expz), labels)
+    return GateSpec(_P0_I + np.kron(P1, z_rotation(phi)), labels)
 
 
 def z_rotation(phi: float) -> np.ndarray:
@@ -207,7 +206,6 @@ def clifford_conjugation_table(gate: GateSpec, tol: float = CLIFFORD_TOL) -> Cli
     )
     u = gate.matrix
     entries: dict[tuple[int, int, int, int], tuple[int, int, int, int, float]] = {}
-    hits = 0
     for p in range(d):
         for q in range(d):
             for r in range(d):
@@ -225,7 +223,6 @@ def clifford_conjugation_table(gate: GateSpec, tol: float = CLIFFORD_TOL) -> Cli
                     pp, qp = divmod(left, d)
                     rp, sp = divmod(right, d)
                     entries[(p, q, r, s)] = (pp, qp, rp, sp, float(np.angle(coeffs[best])))
-                    hits += 1
     return CliffordTable(d, entries)
 
 

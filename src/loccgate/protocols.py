@@ -37,7 +37,6 @@ from .engine import (
     run_exhaustive,
     tabulate,
     unitary_instrument,
-    validate_program,
 )
 from .model import (
     CNOT_TARGET_FIRST,
@@ -202,8 +201,6 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
         steps=_heralded_steps(theta, alpha, "a", "b", "A", "B", "h_"),
         consumed=("a", "b"),
     )
-    if (v := validate_program(program)) is not None:
-        raise EngineError(f"heralded program invalid: {v}")
 
     # the full-state walk: its bits fix the fitted angle and, through it, the CLI output
     tree = run_exhaustive(program, _probe(("A", "B", "RA", "RB")))
@@ -310,15 +307,12 @@ def build_controlled_phase(
         raise ValueError(f"non-finite angle {phi}")
     a, b = labels
     layout = SystemLayout([("A", 2, ALICE), ("B", 2, BOB), (a, 2, ALICE), (b, 2, BOB)])
-    program = ProtocolProgram(
+    return ProtocolProgram(
         layout=layout,
         resources=(bell_pair(2, (a, b)),),
         steps=_controlled_phase_steps(phi, a, b, "c_", lambda: ("A", "B")),
         consumed=(a, b),
     )
-    if (v := validate_program(program)) is not None:
-        raise EngineError(f"controlled-phase program invalid: {v}")
-    return program
 
 
 @dataclass(frozen=True)
@@ -382,7 +376,7 @@ def build_composite(theta: float, alpha: float | None = None) -> ProtocolProgram
         _gated("c_dress", ALICE, "A", on_failure, (herald,),
                lambda sys_a, _sb: unitary_instrument(ALICE, (sys_a,), dressing.v_a.matrix)),
     ]
-    program = ProtocolProgram(
+    return ProtocolProgram(
         layout=layout,
         resources=(
             partial_bell_pair(alpha, ("a", "b")),
@@ -391,9 +385,6 @@ def build_composite(theta: float, alpha: float | None = None) -> ProtocolProgram
         steps=steps,
         consumed=("a", "b", "a2", "b2"),
     )
-    if (v := validate_program(program)) is not None:
-        raise EngineError(f"composite program invalid: {v}")
-    return program
 
 
 def build_clifford(gate: GateSpec, table: CliffordTable | None = None) -> ProtocolProgram:
@@ -416,34 +407,36 @@ def build_clifford(gate: GateSpec, table: CliffordTable | None = None) -> Protoc
         [("A", d, ALICE), ("B", d, BOB)] + list(resource.layout.factors), dim_cap=None
     )
     bell = bell_pair(d).vector
-
-    def meas_basis(side_weyl_dagger: bool = True) -> dict[str, np.ndarray]:
-        basis = {}
-        for p in range(d):
-            for q in range(d):
-                mat = weyl_operator(d, p, q).conj().T
-                basis[f"{p},{q}"] = np.kron(mat, np.eye(d)) @ bell
-        return basis
+    # outcome "p,q": the Bell state with W(p, q)^dagger on its first half
+    basis = {
+        f"{p},{q}": np.kron(weyl_operator(d, p, q).conj().T, np.eye(d)) @ bell
+        for p in range(d)
+        for q in range(d)
+    }
 
     @functools.cache
     def weyl_fix(party: Owner, label: str, u: int, v: int) -> LocalInstrument:
         """W(u, v)^dagger on ``label``, built once per correction value."""
         return unitary_instrument(party, (label,), weyl_operator(d, u, v).conj().T)
 
+    def corrections(out_a: str, out_b: str) -> tuple[int, int, int, int, float]:
+        """The table entry (p', q', r', s', phase) for Alice's outcome "p,q" and Bob's "r,s"."""
+        return table.lookup(*map(int, f"{out_a},{out_b}".split(",")))
+
     def fix_at(out_a: str, out_b: str) -> LocalInstrument:
-        pp, qp, _, _, _ = table.lookup(*map(int, out_a.split(",")), *map(int, out_b.split(",")))
+        pp, qp, _, _, _ = corrections(out_a, out_b)
         return weyl_fix(ALICE, "At", pp, qp)
 
     def fix_bt(out_a: str, out_b: str) -> LocalInstrument:
-        _, _, rp, sp, _ = table.lookup(*map(int, out_a.split(",")), *map(int, out_b.split(",")))
+        _, _, rp, sp, _ = corrections(out_a, out_b)
         return weyl_fix(BOB, "Bt", rp, sp)
 
     meas = (
         ProtocolStep(
-            "cl_meas_a", ALICE, {(): projective_instrument(ALICE, ("A", "a"), meas_basis())}, sends_message=True
+            "cl_meas_a", ALICE, {(): projective_instrument(ALICE, ("A", "a"), basis)}, sends_message=True
         ),
         ProtocolStep(
-            "cl_meas_b", BOB, {(): projective_instrument(BOB, ("B", "b"), meas_basis())},
+            "cl_meas_b", BOB, {(): projective_instrument(BOB, ("B", "b"), basis)},
             sends_message=True, simultaneous_with_prev=True,
         ),
     )
@@ -453,16 +446,13 @@ def build_clifford(gate: GateSpec, table: CliffordTable | None = None) -> Protoc
         ProtocolStep("cl_fix_a", ALICE, tabulate(meas, fix_at), condition_on=reads),
         ProtocolStep("cl_fix_b", BOB, tabulate(meas, fix_bt), condition_on=reads),
     ]
-    program = ProtocolProgram(
+    return ProtocolProgram(
         layout=layout,
         resources=(resource,),
         steps=steps,
         consumed=("A", "a", "B", "b"),
         output_renames={"At": "A", "Bt": "B"},
     )
-    if (v := validate_program(program)) is not None:
-        raise EngineError(f"clifford program invalid: {v}")
-    return program
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +541,12 @@ def nielsen_dilution(
             lambda o: unitary_instrument(BOB, (b,), perm if o == "swap" else np.eye(dim, dtype=complex)),
         )
         steps += [meas, ProtocolStep(f"dil{t}_fix", BOB, fix, condition_on=(meas.name,))]
-    program = ProtocolProgram(
+    return ProtocolProgram(
         layout=layout,
         resources=(bell_pair(dim, (a, b)),),
         steps=steps,
         consumed=(),
     )
-    if (v := validate_program(program)) is not None:
-        raise EngineError(f"dilution program invalid: {v}")
-    return program
 
 
 # ---------------------------------------------------------------------------
@@ -697,15 +684,12 @@ def _batch_program(
     # Stage by stage (every copy's cz_a, then every copy's meas_a, ..., then
     # every slot's cnot, ...), so all copies share the three rounds.
     steps = [s for group in (shots, slots) for stage in zip(*group) for s in stage]
-    program = ProtocolProgram(
+    return ProtocolProgram(
         layout=layout,
         resources=(omega, *bells),
         steps=steps,
         consumed=[f.label for f in resource_factors],
     )
-    if (v := validate_program(program)) is not None:
-        raise EngineError(f"batch program invalid: {v}")
-    return program
 
 
 def batch_error(plan: BatchPlan, initial: PureState) -> float:

@@ -111,6 +111,11 @@ def test_instrument_rejects_referee_party():
         LocalInstrument(REFEREE, ("R",), [("x", np.eye(2))])
 
 
+def test_step_rejects_referee_party():
+    with pytest.raises(EngineError, match="steps belong to Alice or Bob"):
+        ProtocolStep("referee", REFEREE, {})
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -372,6 +377,17 @@ def test_serialize_simultaneous_preserves_tree(rng):
     assert trees_equal(run_exhaustive(prog, st), run_exhaustive(seq, st))
 
 
+def test_serialize_names_what_makes_the_program_invalid():
+    lay = qubit_layout(("A", ALICE), ("B", BOB))
+    incomplete = LocalInstrument(BOB, ("B",), [("half", 0.5 * np.eye(2))])
+    prog = ProtocolProgram(lay, steps=[
+        _msg("ma", ALICE, "A"),
+        ProtocolStep("mb", BOB, {(): incomplete}, sends_message=True, simultaneous_with_prev=True),
+    ])
+    with pytest.raises(EngineError, match=r"invalid program: .*Kraus completeness violated"):
+        serialize_simultaneous(prog)
+
+
 def test_serialize_leaves_sequential_programs_alone():
     lay = qubit_layout(("A", ALICE), ("B", BOB))
     prog = ProtocolProgram(lay, steps=[_msg("ma", ALICE, "A"), _msg("mb", BOB, "B")])
@@ -555,10 +571,13 @@ def _controlled_phase_document(mutate):
 
 
 def test_program_from_json_with_a_case_deleted_fails_at_compile():
+    """The document loads; the program check rejects it, and so every export and run."""
     program = program_from_json(_controlled_phase_document(lambda cases: cases.pop()))
-    message = re.escape("step 'c_fix_a' on {'c_meas_b': 'one'}: no instrument")
+    reason = "step 'c_fix_a' on {'c_meas_b': 'one'}: no instrument"
+    assert validate_program(program).reason == reason
+    message = re.escape(reason)
     with pytest.raises(EngineError, match=message):
-        engine.compile_program(program)
+        program_to_json(program)
     with pytest.raises(EngineError, match=message):
         run_exhaustive(program, engine.choi_input(program))
 
@@ -625,11 +644,12 @@ def test_batch_tables_are_filled_once_when_the_program_is_built(monkeypatch):
 
 @pytest.mark.parametrize("builder", list(ROUNDTRIP_BUILDERS))
 def test_compiled_tables_cover_every_transcript(builder):
+    """Each step's table, as checked by validate_program, holds every condition a transcript reaches."""
     prog = ROUNDTRIP_BUILDERS[builder]()
     steps = {step.name: step for step in prog.steps}
-    for step, table in zip(prog.steps, engine.compile_program(prog)):
-        assert table is step.table
-        assert len(table) == math.prod(len(steps[k].outcomes) for k in step.condition_on)
+    assert validate_program(prog) is None
+    for step in prog.steps:
+        assert len(step.table) == math.prod(len(steps[k].outcomes) for k in step.condition_on)
     for leaf in oracles.unmerged_mixture(prog, engine.choi_input(prog)).leaves:
         seen = dict(leaf.transcript)
         for step in prog.steps:
@@ -637,14 +657,27 @@ def test_compiled_tables_cover_every_transcript(builder):
             assert tuple(seen[k] for k in step.condition_on) in step.table
 
 
-def test_program_keeps_its_validation_and_compiled_tables():
+def test_program_keeps_its_validation_and_compiled_tables(monkeypatch):
+    """validate_program checks each distinct instrument once per program, and no run or export again."""
     prog = protocols.build_batch(0.5, 1, 2.6).program
+    checks = []
+    validate_on = LocalInstrument.validate_on
+
+    def counted(inst, layout):
+        checks.append(inst)
+        return validate_on(inst, layout)
+
+    monkeypatch.setattr(LocalInstrument, "validate_on", counted)
     assert validate_program(prog) is None
-    tables = engine.compile_program(prog)
-    assert engine.compile_program(prog) is tables
-    assert tables == tuple(step.table for step in prog.steps)
+    distinct = {inst for step in prog.steps for inst in step.table.values()}
+    assert len(checks) == len(distinct) and set(checks) == distinct  # each instrument once
+    program_to_json(prog)
+    run_exhaustive(prog, engine.choi_input(prog))
+    engine.output_mixture(prog, engine.choi_input(prog))
+    assert validate_program(prog) is None
+    assert len(checks) == len(distinct)  # the result is kept: no run or export checks again
     with pytest.raises(TypeError):
-        tables[0][()] = None
+        prog.steps[0].table[()] = None
     with pytest.raises(dataclasses.FrozenInstanceError):
         prog.steps[0].outcomes = ()
     bad = ProtocolProgram(qubit_layout(("A", ALICE)), steps=[
@@ -652,6 +685,24 @@ def test_program_keeps_its_validation_and_compiled_tables():
     ])
     assert validate_program(bad) is validate_program(bad)
     assert "completeness" in validate_program(bad).reason
+
+
+def test_program_to_json_rejects_an_invalid_program():
+    acausal = ProtocolProgram(qubit_layout(("A", ALICE), ("B", BOB)), steps=[
+        ProtocolStep("ma", ALICE, {(): projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS})}),
+        ProtocolStep("fix", BOB, {(o,): unitary_instrument(BOB, ("B",), np.eye(2)) for o in "pm"},
+                     condition_on=("ma",)),
+    ])
+    incomplete = ProtocolProgram(qubit_layout(("A", ALICE)), steps=[
+        ProtocolStep("u", ALICE, {(): LocalInstrument(ALICE, ("A",), [("half", 0.5 * np.eye(2))])})
+    ])
+    for prog, reason in [
+        (acausal, "bob cannot see outcome of 'ma' (not broadcast)"),
+        (incomplete, "Kraus completeness violated (deviation 7.500e-01)"),
+    ]:
+        assert validate_program(prog).reason == reason
+        with pytest.raises(EngineError, match="invalid program: .*" + re.escape(reason)):
+            program_to_json(prog)
 
 
 def test_instruments_steps_and_programs_compare_and_hash_by_identity():
@@ -1053,7 +1104,7 @@ def test_conditioned_instrument_breaking_completeness_raises(rng):
         return unitary_instrument(BOB, ("B",), np.eye(2))
 
     prog, lay = _fix_program(fn)
-    for _ in range(2):  # a failed compile is not kept
+    for _ in range(2):  # the kept violation raises on every run
         with pytest.raises(EngineError, match="completeness"):
             run_exhaustive(prog, random_pure_state(lay, rng))
 
@@ -1080,12 +1131,16 @@ def test_conditioned_instrument_is_checked_before_the_walk(rng, monkeypatch):
 
 
 def test_table_entry_no_transcript_reaches_is_rejected_at_compile():
+    """The program check rejects a table entry for an impossible condition, and so every export and run."""
     toy = _toy_program()
     ma, fix = toy.steps
     extra = dataclasses.replace(fix, table={**fix.table, ("q",): fix.table["p",]})
     prog = ProtocolProgram(toy.layout, steps=[ma, extra])
-    with pytest.raises(EngineError, match="step 'fix' has instruments for conditions its reads cannot produce"):
-        engine.compile_program(prog)
+    reason = "step 'fix' has instruments for conditions its reads cannot produce"
+    assert validate_program(prog).reason == reason
+    for export_or_run in (program_to_json, lambda p: run_exhaustive(p, plus_state(p.layout))):
+        with pytest.raises(EngineError, match=reason):
+            export_or_run(prog)
 
 
 def test_tabulate_calls_fn_once_per_key_when_the_program_is_built(rng):
