@@ -62,11 +62,12 @@ class LocalInstrument:
 
     Immutable, so one instrument may be shared by many steps and programs;
     ``==`` and ``hash`` go by identity, so instruments key dicts and sets.
-    What depends on the Kraus operators alone is worked out once per
-    instrument: its completeness deviation and whether it is one identity
-    branch when it is built, its detach bras (:func:`_cuts`) on first use.
-    ``validate_on`` still checks labels, owners and shapes against the
-    layout on every call.
+    What depends on the Kraus operators alone is worked out once per set of
+    Kraus operators: its completeness deviation and whether it is one
+    identity branch when the instrument is built, its detach bras
+    (:func:`_cuts`) on first use.  :meth:`on` moves an instrument onto
+    other labels and shares all of these with it.  ``validate_on`` still
+    checks labels, owners and shapes against the layout on every call.
     """
 
     party: Owner
@@ -92,6 +93,13 @@ class LocalInstrument:
         object.__setattr__(self, "_deviation", _completeness_deviation(frozen))
         object.__setattr__(self, "_identity", len(frozen) == 1 and _is_identity(frozen[0][1]))
         object.__setattr__(self, "_cuts", {})
+
+    def on(self, labels: Sequence[str]) -> LocalInstrument:
+        """A new instance on ``labels`` that shares the Kraus operators and all derived from them."""
+        moved = object.__new__(LocalInstrument)
+        moved.__dict__.update(self.__dict__)
+        object.__setattr__(moved, "labels", tuple(labels))
+        return moved
 
     def validate_on(self, layout: SystemLayout) -> None:
         dim = 1
@@ -436,6 +444,13 @@ def validate_program(program: ProtocolProgram) -> CausalityViolation | None:
     return memo["violation"]
 
 
+def _require_valid(program: ProtocolProgram) -> None:
+    """Raise :class:`EngineError` when :func:`validate_program` rejects ``program``."""
+    violation = validate_program(program)
+    if violation is not None:
+        raise EngineError(f"invalid program: {violation}")
+
+
 def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
     steps: dict[str, ProtocolStep] = {}
     visible: dict[Owner, set[str]] = {ALICE: set(), BOB: set()}
@@ -626,9 +641,7 @@ def _walk(
     (:class:`BranchTree`; None with ``merge``), the pruned mass, the number
     of nodes merged and the largest merge distance.
     """
-    violation = validate_program(program)
-    if violation is not None:
-        raise EngineError(f"invalid program: {violation}")
+    _require_valid(program)
     if initial is None:
         if program.input_labels:
             raise EngineError(f"program expects input factors {sorted(program.input_labels)}")
@@ -896,7 +909,11 @@ def _pure_resource_ebits(rho: np.ndarray, sub_dims, alice_local) -> float:
 
 
 def classify_rounds(program: ProtocolProgram) -> RoundProfile:
-    """Collapse consecutive same-direction sends; merge declared simultaneous pairs."""
+    """Collapse consecutive same-direction sends; merge declared simultaneous pairs.
+
+    A program that :func:`validate_program` rejects raises :class:`EngineError`.
+    """
+    _require_valid(program)
     rounds: list[str] = []
     for step in program.steps:
         if not step.sends_message:
@@ -960,9 +977,7 @@ def serialize_simultaneous(program: ProtocolProgram) -> ProtocolProgram:
     """
     if not any(s.simultaneous_with_prev for s in program.steps):
         return program
-    violation = validate_program(program)
-    if violation is not None:
-        raise EngineError(f"invalid program: {violation}")
+    _require_valid(program)
     steps = [replace(s, simultaneous_with_prev=False) for s in program.steps]
     return ProtocolProgram(
         layout=program.layout,
@@ -1174,9 +1189,7 @@ def program_to_json(program: ProtocolProgram) -> dict:
 
     A program that :func:`validate_program` rejects raises :class:`EngineError`.
     """
-    violation = validate_program(program)
-    if violation is not None:
-        raise EngineError(f"invalid program: {violation}")
+    _require_valid(program)
     steps = []
     for step in program.steps:
         doc = {

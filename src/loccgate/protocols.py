@@ -18,9 +18,11 @@ derived quantities) for:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -77,10 +79,10 @@ Z_BASIS = {"zero": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])}
 # the angle-independent instruments of the builders, by name: unitaries and measurements
 _SHARED_UNITARIES = {"I": I2, "X": SX, "Z": SZ, "cz": CZ, "cnot": CNOT_TARGET_FIRST}
 _SHARED_MEASUREMENTS = {"meas_x": X_BASIS, "meas_z": Z_BASIS}
-
-# Takes the outcomes of a gated step's ``route_on`` steps, in order; returns
-# the (Alice, Bob) systems the step acts on, or None where it idles.
-Route = Callable[..., tuple[str, str] | None]
+# the herald's outcomes, in the order of its branches
+HERALD_OUTCOMES = ("success", "failure")
+# the angle-independent half of controlled_phase_target
+_I_P0 = np.kron(I2, P0)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -147,26 +149,25 @@ def fit_zz_rotation(state: PureState) -> tuple[float, float]:
     return angle, residual
 
 
-def _heralded_steps(
-    theta: float, alpha: float, a: str, b: str, sys_a: str, sys_b: str, prefix: str
-) -> list[ProtocolStep]:
-    """Heralded ZZ-phase steps on the resource pair (a, b), the herald last; see :func:`build_heralded`."""
-    c, s = math.cos(theta / 2) / math.cos(alpha / 2), math.sin(theta / 2) / math.sin(alpha / 2)
-    if not math.isfinite(c * c + s * s):  # the herald measurement normalizes (c, s) by its norm
-        raise ValueError(f"alpha {alpha!r} too small: the herald vector's norm overflows")
-    chi = np.array([c, s])
+@functools.lru_cache(maxsize=1024)
+def _heralded_frame(a: str, b: str, sys_a: str, sys_b: str, prefix: str) -> tuple[ProtocolStep, ...]:
+    """The heralded steps before the herald, which depend on no angle; built once per labels and prefix."""
     meas_a = ProtocolStep(f"{prefix}meas_a", ALICE, {(): _shared(ALICE, (a,), "meas_x")}, sends_message=True)
     fix_b = tabulate((meas_a,), lambda m: _shared(BOB, (b,), "I" if m == "plus" else "Z"))
-    herald = {"success": chi, "failure": np.array([chi[1], -chi[0]])}
-    return [
+    return (
         ProtocolStep(f"{prefix}cz_a", ALICE, {(): _shared(ALICE, (a, sys_a), "cz")}),
         meas_a,
         ProtocolStep(f"{prefix}fix_b", BOB, fix_b, condition_on=(meas_a.name,)),
         ProtocolStep(f"{prefix}cz_b", BOB, {(): _shared(BOB, (b, sys_b), "cz")}),
-        ProtocolStep(
-            f"{prefix}meas_b", BOB, {(): projective_instrument(BOB, (b,), herald)}, sends_message=True
-        ),
-    ]
+    )
+
+
+def _heralded_steps(
+    herald: LocalInstrument, a: str, b: str, sys_a: str, sys_b: str, prefix: str
+) -> list[ProtocolStep]:
+    """Heralded ZZ-phase steps on the resource pair (a, b), ending with ``herald`` moved onto b."""
+    meas_b = ProtocolStep(f"{prefix}meas_b", BOB, {(): herald.on((b,))}, sends_message=True)
+    return [*_heralded_frame(a, b, sys_a, sys_b, prefix), meas_b]
 
 
 @dataclass(frozen=True)
@@ -192,13 +193,18 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
         raise ValueError(f"alpha {alpha} outside (0, pi)")
     if not 0.0 < theta:
         raise ValueError(f"theta {theta} must be positive")
+    c, s = math.cos(theta / 2) / math.cos(alpha / 2), math.sin(theta / 2) / math.sin(alpha / 2)
+    if not math.isfinite(c * c + s * s):  # the herald measurement normalizes (c, s) by its norm
+        raise ValueError(f"alpha {alpha!r} too small: the herald vector's norm overflows")
+    chi = np.array([c, s])
+    herald = projective_instrument(BOB, ("b",), dict(zip(HERALD_OUTCOMES, (chi, np.array([chi[1], -chi[0]])))))
     layout = SystemLayout(
         [("A", 2, ALICE), ("B", 2, BOB), ("a", 2, ALICE), ("b", 2, BOB)]
     )
     program = ProtocolProgram(
         layout=layout,
         resources=(partial_bell_pair(alpha, ("a", "b")),),
-        steps=_heralded_steps(theta, alpha, "a", "b", "A", "B", "h_"),
+        steps=_heralded_steps(herald, "a", "b", "A", "B", "h_"),
         consumed=("a", "b"),
     )
 
@@ -226,73 +232,91 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
 
 def controlled_phase_target(phi: float) -> GateSpec:
     """I (x) |0><0| + exp(i phi Z) (x) |1><1| on (A, B): B controls A."""
-    return GateSpec(np.kron(I2, P0) + np.kron(z_rotation(phi), P1))
+    return GateSpec(_I_P0 + np.kron(z_rotation(phi), P1))
+
+
+# a gated step's route table (see _gated)
+Routes = Mapping[tuple[str, ...], tuple[str, str] | None]
 
 
 def _gated(
     name: str,
     party: Owner,
     idle_label: str,
-    route: Route,
-    route_on: tuple[ProtocolStep, ...],
+    routes: Routes,
+    route_on: tuple[str, ...],
     build: Callable[..., LocalInstrument],
     *,
     reads: tuple[ProtocolStep, ...] = (),
     sends_message: bool = False,
 ) -> ProtocolStep:
-    """One step of a sequence that runs only on the branches ``route`` selects.
+    """One step of a sequence that runs only on the branches its route table selects.
 
-    The step's table reads the ``route_on`` steps, then the ``reads`` steps.
-    ``route`` takes the ``route_on`` outcomes and returns the (Alice, Bob)
-    systems to act on, or None where the sequence idles; ``build`` makes the
+    The step's table reads the steps named in ``route_on``, then the
+    ``reads`` steps.  ``routes`` gives, per combination of the ``route_on``
+    outcomes in ``itertools.product`` order, the (Alice, Bob) systems to
+    act on, or None where the sequence idles; ``build`` makes the
     instrument from those systems and the ``reads`` outcomes.  An idle step
     is a one-outcome identity on ``idle_label`` that still sends its
     message, so the round profile does not depend on the branch.  A step
     that reads no outcome gets a fixed instrument.  The table holds each
     distinct instrument once, however many keys share it.
     """
-    built: dict = {}
-
-    def instrument(*key: str) -> LocalInstrument:
-        systems = route(*key[: len(route_on)])
-        if systems is None:
-            return identity_instrument(party, (idle_label,), 2)
-        memo = (*systems, *key[len(route_on) :])
-        if memo not in built:
-            built[memo] = build(*memo)
-        return built[memo]
-
-    condition = (*route_on, *reads)
+    built: dict = {None: identity_instrument(party, (idle_label,), 2)}
+    table = {}
+    for route_key, systems in routes.items():
+        for read_key in itertools.product(*(step.outcomes for step in reads)):
+            memo = None if systems is None else (*systems, *read_key)
+            if memo not in built:
+                built[memo] = build(*memo)
+            table[(*route_key, *read_key)] = built[memo]
     return ProtocolStep(
-        name, party, tabulate(condition, instrument),
-        condition_on=tuple(step.name for step in condition), sends_message=sends_message,
+        name, party, table,
+        condition_on=(*route_on, *(step.name for step in reads)), sends_message=sends_message,
     )
 
 
+@functools.lru_cache(maxsize=1024)
+def _controlled_phase_frame(
+    a: str, b: str, prefix: str, routes: tuple, route_on: tuple[str, ...]
+) -> tuple[ProtocolStep, ...]:
+    """The controlled-phase steps but the rotation, which depend on no angle; built once per structure.
+
+    ``routes`` is the route table's items, so that it keys the cache.
+    """
+    routes = dict(routes)
+    cnot = _gated(f"{prefix}cnot", BOB, b, routes, route_on,
+                  lambda _sa, sys_b: _shared(BOB, (b, sys_b), "cnot"))
+    meas_b = _gated(f"{prefix}meas_b", BOB, b, routes, route_on,
+                    lambda *_: _shared(BOB, (b,), "meas_z"), sends_message=True)
+    fix_a = _gated(f"{prefix}fix_a", ALICE, a, routes, route_on,
+                   lambda _sa, _sb, m: _shared(ALICE, (a,), "X" if m == "one" else "I"), reads=(meas_b,))
+    meas_a = _gated(f"{prefix}meas_a", ALICE, a, routes, route_on,
+                    lambda *_: _shared(ALICE, (a,), "meas_x"), sends_message=True)
+    fix_b = _gated(f"{prefix}fix_B", BOB, b, routes, route_on,
+                   lambda _sa, sys_b, m: _shared(BOB, (sys_b,), "Z" if m == "minus" else "I"), reads=(meas_a,))
+    return cnot, meas_b, fix_a, meas_a, fix_b
+
+
 def _controlled_phase_steps(
-    phi: float, a: str, b: str, prefix: str, route: Route, route_on: tuple[ProtocolStep, ...] = ()
+    rot: LocalInstrument, a: str, b: str, prefix: str, routes: Routes, route_on: tuple[str, ...] = ()
 ) -> list[ProtocolStep]:
     """Controlled-phase steps on the Bell pair (a, b), with Bob's system as control.
 
     Bob CNOTs his system onto b and measures b; Alice flips a to match, so a
-    carries Bob's control bit, applies the controlled Z rotation from a to her
-    system and measures a in the X basis; Bob undoes the phase kick-back.
-    See :func:`_gated` for ``route`` and ``route_on``.
+    carries Bob's control bit, applies the controlled Z rotation ``rot`` (on
+    any labels, moved onto a and her system) and measures a in the X basis;
+    Bob undoes the phase kick-back.  See :func:`_gated` for ``routes`` and
+    ``route_on``.
     """
-    rot = controlled_z_rotation_gate(phi).matrix
-    cnot = _gated(f"{prefix}cnot", BOB, b, route, route_on,
-                  lambda _sa, sys_b: _shared(BOB, (b, sys_b), "cnot"))
-    meas_b = _gated(f"{prefix}meas_b", BOB, b, route, route_on,
-                    lambda *_: _shared(BOB, (b,), "meas_z"), sends_message=True)
-    fix_a = _gated(f"{prefix}fix_a", ALICE, a, route, route_on,
-                   lambda _sa, _sb, m: _shared(ALICE, (a,), "X" if m == "one" else "I"), reads=(meas_b,))
-    rot_a = _gated(f"{prefix}rot", ALICE, a, route, route_on,
-                   lambda sys_a, _sb: unitary_instrument(ALICE, (a, sys_a), rot))
-    meas_a = _gated(f"{prefix}meas_a", ALICE, a, route, route_on,
-                    lambda *_: _shared(ALICE, (a,), "meas_x"), sends_message=True)
-    fix_b = _gated(f"{prefix}fix_B", BOB, b, route, route_on,
-                   lambda _sa, sys_b, m: _shared(BOB, (sys_b,), "Z" if m == "minus" else "I"), reads=(meas_a,))
+    cnot, meas_b, fix_a, meas_a, fix_b = _controlled_phase_frame(a, b, prefix, tuple(routes.items()), route_on)
+    rot_a = _gated(f"{prefix}rot", ALICE, a, routes, route_on, lambda sys_a, _sb: rot.on((a, sys_a)))
     return [cnot, meas_b, fix_a, rot_a, meas_a, fix_b]
+
+
+def _rotation(phi: float) -> LocalInstrument:
+    """Alice's controlled Z rotation by ``phi``, from "a" onto "A"."""
+    return unitary_instrument(ALICE, ("a", "A"), controlled_z_rotation_gate(phi).matrix)
 
 
 def build_controlled_phase(
@@ -310,7 +334,7 @@ def build_controlled_phase(
     return ProtocolProgram(
         layout=layout,
         resources=(bell_pair(2, (a, b)),),
-        steps=_controlled_phase_steps(phi, a, b, "c_", lambda: ("A", "B")),
+        steps=_controlled_phase_steps(_rotation(phi), a, b, "c_", {(): ("A", "B")}),
         consumed=(a, b),
     )
 
@@ -328,6 +352,16 @@ class Dressing:
     phase: float
 
 
+@functools.cache
+def _identity_on_b() -> GateSpec:
+    """Every dressing's v_b, built once.
+
+    Not at import: its unitarity check there raised the peak RSS of
+    commands that dress no gate, such as ``typicality``, by about 0.4 MB.
+    """
+    return GateSpec(np.eye(2, dtype=complex), labels=("B",))
+
+
 def local_dressing(phi: float) -> Dressing:
     """Factor the ZZ-phase gate into strictly local rotations and a controlled gate.
 
@@ -336,7 +370,7 @@ def local_dressing(phi: float) -> Dressing:
     the factorization numerically instead of trusting the algebra.
     """
     v_a = GateSpec(z_rotation(phi / 2), labels=("A",))
-    v_b = GateSpec(np.eye(2, dtype=complex), labels=("B",))
+    v_b = _identity_on_b()
     controlled_angle = -phi
     lhs = np.kron(v_a.matrix, v_b.matrix) @ controlled_phase_target(controlled_angle).matrix
     target = zz_phase_gate(phi).matrix
@@ -366,15 +400,13 @@ def build_composite(theta: float, alpha: float | None = None) -> ProtocolProgram
         [("A", 2, ALICE), ("B", 2, BOB), ("a", 2, ALICE), ("b", 2, BOB), ("a2", 2, ALICE), ("b2", 2, BOB)]
     )
 
-    def on_failure(herald: str) -> tuple[str, str] | None:
-        return ("A", "B") if herald == "failure" else None
-
-    herald = heralded.program.steps[-1]  # h_meas_b
+    on_failure = {("success",): None, ("failure",): ("A", "B")}
+    route_on = (heralded.program.steps[-1].name,)  # h_meas_b
+    dress = unitary_instrument(ALICE, ("A",), dressing.v_a.matrix)
     steps = [
         *heralded.program.steps,
-        *_controlled_phase_steps(dressing.controlled_angle, "a2", "b2", "c_", on_failure, (herald,)),
-        _gated("c_dress", ALICE, "A", on_failure, (herald,),
-               lambda sys_a, _sb: unitary_instrument(ALICE, (sys_a,), dressing.v_a.matrix)),
+        *_controlled_phase_steps(_rotation(dressing.controlled_angle), "a2", "b2", "c_", on_failure, route_on),
+        _gated("c_dress", ALICE, "A", on_failure, route_on, lambda sys_a, _sb: dress.on((sys_a,))),
     ]
     return ProtocolProgram(
         layout=layout,
@@ -613,7 +645,14 @@ def typical_resource(tset: analysis.TypicalSet) -> PureState:
 
 
 def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
-    """Plan (and for n <= 3 build) the batched multi-copy protocol."""
+    """Plan (and for n <= 3 build) the batched multi-copy protocol.
+
+    A call builds only what theta changes: the plan's numbers, the heralded
+    probe and three instruments, each once (the herald, the controlled
+    rotation and the dressing), which the program moves onto its copies and
+    slots with :meth:`~loccgate.engine.LocalInstrument.on`.  The rest of the
+    program is kept per structure (:func:`_batch_program`).
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if delta <= 0:
@@ -632,7 +671,7 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
     pool = min(math.ceil(n * (1.0 - p + delta)), n)
 
     omega = typical_resource(tset) if n <= MAX_BATCH_SIMULATION else None
-    program = None if omega is None else _batch_program(theta, n, pool, omega, dressing)
+    program = None if omega is None else _batch_program(n, pool, omega, heralded, dressing)
     return BatchPlan(
         theta=theta,
         n=n,
@@ -652,44 +691,62 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
     )
 
 
-def _batch_program(
-    theta: float, n: int, pool: int, omega: PureState, dressing: Dressing
-) -> ProtocolProgram:
-    """Heralded gate on every copy; slot m of the Bell pool corrects the m-th failure."""
+@functools.cache
+def _batch_frame(n: int, pool: int) -> tuple[SystemLayout, tuple[PureState, ...], tuple[str, ...], tuple]:
+    """What the batched program at n copies and ``pool`` Bell pairs keeps whatever the angle.
+
+    Its layout, its Bell pool, its consumed labels (every resource factor)
+    and per slot m the route table that sends slot m to the m-th failed
+    copy's (A_i, B_i).  Built once per (n, pool).
+    """
     copies = range(1, n + 1)
-    bells = [bell_pair(2, (f"ba{m}", f"bb{m}")) for m in range(pool)]
-    resource_factors = [f for res in (omega, *bells) for f in res.layout.factors]
+    bells = tuple(bell_pair(2, (f"ba{m}", f"bb{m}")) for m in range(pool))
+    resource_factors = [(f"a{i}", 2, ALICE) for i in copies] + [(f"b{i}", 2, BOB) for i in copies]
+    resource_factors += [f for bell in bells for f in bell.layout.factors]
     layout = SystemLayout(
         [(f"A{i}", 2, ALICE) for i in copies] + [(f"B{i}", 2, BOB) for i in copies] + resource_factors,
         dim_cap=None,
     )
-    shots = [
-        _heralded_steps(theta, math.sqrt(theta), f"a{i}", f"b{i}", f"A{i}", f"B{i}", f"s{i}_")
-        for i in copies
-    ]
-    heralds = tuple(shot[-1] for shot in shots)  # s{i}_meas_b
-
-    def slot_route(m: int) -> Route:
-        def route(*outcomes: str) -> tuple[str, str] | None:
-            failed = [i for i, o in zip(copies, outcomes) if o == "failure"]
-            return (f"A{failed[m]}", f"B{failed[m]}") if m < len(failed) else None
-        return route
-
-    dress = lambda sys_a, _sb: unitary_instrument(ALICE, (sys_a,), dressing.v_a.matrix)
-    slots = []
+    consumed = layout.labels[2 * n :]
+    routes = []
     for m in range(pool):
-        route = slot_route(m)
-        cp = _controlled_phase_steps(dressing.controlled_angle, f"ba{m}", f"bb{m}", f"p{m}_", route, heralds)
-        slots.append([*cp, _gated(f"p{m}_dress", ALICE, f"ba{m}", route, heralds, dress)])
+        table = {}
+        for outcomes in itertools.product(HERALD_OUTCOMES, repeat=n):
+            failed = [i for i, o in zip(copies, outcomes) if o == "failure"]
+            table[outcomes] = (f"A{failed[m]}", f"B{failed[m]}") if m < len(failed) else None
+        routes.append(MappingProxyType(table))
+    return layout, bells, consumed, tuple(routes)
+
+
+def _batch_program(
+    n: int, pool: int, omega: PureState, heralded: HeraldedProtocol, dressing: Dressing
+) -> ProtocolProgram:
+    """Heralded gate on every copy; slot m of the Bell pool corrects the m-th failure.
+
+    The angle-dependent instruments are built once each: every copy's
+    herald is the probe program's, and every slot's controlled rotation and
+    dressing one instrument, all moved onto their labels.  Every other step
+    comes from the caches of :func:`_heralded_frame`,
+    :func:`_controlled_phase_frame` and :func:`_batch_frame`.
+    """
+    herald = heralded.program.steps[-1].table[()]
+    rot = _rotation(dressing.controlled_angle)
+    dress = unitary_instrument(ALICE, ("A",), dressing.v_a.matrix)
+    layout, bells, consumed, routes = _batch_frame(n, pool)
+    copies = range(1, n + 1)
+    shots = [_heralded_steps(herald, f"a{i}", f"b{i}", f"A{i}", f"B{i}", f"s{i}_") for i in copies]
+    heralds = tuple(shot[-1].name for shot in shots)  # s{i}_meas_b
+    slots = [
+        [
+            *_controlled_phase_steps(rot, f"ba{m}", f"bb{m}", f"p{m}_", routes[m], heralds),
+            _gated(f"p{m}_dress", ALICE, f"ba{m}", routes[m], heralds, lambda sys_a, _sb: dress.on((sys_a,))),
+        ]
+        for m in range(pool)
+    ]
     # Stage by stage (every copy's cz_a, then every copy's meas_a, ..., then
     # every slot's cnot, ...), so all copies share the three rounds.
     steps = [s for group in (shots, slots) for stage in zip(*group) for s in stage]
-    return ProtocolProgram(
-        layout=layout,
-        resources=(omega, *bells),
-        steps=steps,
-        consumed=[f.label for f in resource_factors],
-    )
+    return ProtocolProgram(layout=layout, resources=(omega, *bells), steps=steps, consumed=consumed)
 
 
 def batch_error(plan: BatchPlan, initial: PureState) -> float:

@@ -94,6 +94,31 @@ def test_shared_identity_still_checks_its_owner_on_each_layout():
     idle.validate_on(qubit_layout(("a", ALICE)))
 
 
+def test_moved_instrument_shares_its_kraus_data_and_checks_its_new_labels(rng):
+    meas = projective_instrument(BOB, ("x",), {"p": PLUS, "m": MINUS})
+    moved = meas.on(("b",))
+    assert moved is not meas and (moved.party, moved.labels, meas.labels) == (BOB, ("b",), ("x",))
+    assert moved.branches is meas.branches and moved._cuts is meas._cuts
+    assert (moved._deviation, moved._identity, moved.outcomes) == (meas._deviation, meas._identity, meas.outcomes)
+    with pytest.raises(EngineError, match="owned by alice"):
+        meas.on(("A",)).validate_on(qubit_layout(("A", ALICE), ("b", BOB)))
+    # a run with the moved instrument has the bits of one with a freshly built one
+    lay = qubit_layout(("A", ALICE), ("B", BOB), ("a", ALICE), ("b", BOB))
+    fresh = projective_instrument(BOB, ("b",), {"p": PLUS, "m": MINUS})
+    initial = random_pure_state(qubit_layout(("A", ALICE), ("B", BOB)), rng)
+    leaves = []
+    for inst in (moved, fresh):
+        prog = ProtocolProgram(
+            lay, resources=(bell_pair(2, ("a", "b")),), consumed=("a", "b"),
+            steps=[ProtocolStep("m", BOB, {(): inst}, sends_message=True)],
+        )
+        leaves.append([*run_exhaustive(prog, initial).leaves, *engine.output_mixture(prog, initial).leaves])
+    assert len(leaves[0]) == 4
+    for x, y in zip(*leaves):
+        assert (x.transcript, x.probability) == (y.transcript, y.probability)
+        assert x.state.vector.tobytes() == y.state.vector.tobytes()
+
+
 def test_instrument_outcomes_are_stored_once():
     inst = projective_instrument(ALICE, ("A",), {"p": PLUS, "m": MINUS})
     assert inst.outcomes == ("p", "m") and inst.outcomes is inst.outcomes
@@ -386,6 +411,17 @@ def test_serialize_names_what_makes_the_program_invalid():
     ])
     with pytest.raises(EngineError, match=r"invalid program: .*Kraus completeness violated"):
         serialize_simultaneous(prog)
+
+
+def test_classify_rounds_rejects_an_invalid_program():
+    # Bob's reply reads Alice's message, so it cannot be simultaneous with it:
+    # no round profile, as no run or export
+    lay = qubit_layout(("A", ALICE), ("B", BOB))
+    ma = _msg("ma", ALICE, "A")
+    reply = tabulate((ma,), lambda _: projective_instrument(BOB, ("B",), {"p": PLUS, "m": MINUS}))
+    mb = ProtocolStep("mb", BOB, reply, condition_on=("ma",), sends_message=True, simultaneous_with_prev=True)
+    with pytest.raises(EngineError, match=r"invalid program: .*declared simultaneous but 'mb' reads 'ma'"):
+        classify_rounds(ProtocolProgram(lay, steps=[ma, mb]))
 
 
 def test_serialize_leaves_sequential_programs_alone():

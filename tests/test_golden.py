@@ -5,7 +5,10 @@ The kernel values were recorded with scipy 1.17.1 (``unitary_group.rvs``,
 replace, so a change in their floating-point behaviour shows up here bit for
 bit.  The ``export-protocol`` digests pin the JSON of every exported
 protocol kind, and the batch digests that of the batched program at n = 1
-and 2, so a builder refactor cannot change a serialized program.
+and 2, so a builder refactor cannot change a serialized program.  The batch
+mixture digests pin what that program does at n = 1, 2 and 3 (every merged
+leaf, ``batch_error`` and the fitted failure angle); they were recorded
+before the batch builder kept its angle-independent steps per structure.
 The ``simulate`` digests pin the reports of the README commands, whose
 errors and ledger all come from one run on the Choi input.  The typicality
 values at n up to 2^20 were recorded with the full-array binomial kernels.
@@ -33,6 +36,7 @@ from click.testing import CliRunner
 import loccgate
 from loccgate import analysis, engine, model, protocols
 from loccgate.cli import main
+from loccgate.systems import ALICE, BOB, PureState, SystemLayout
 
 
 def sha256(data: bytes) -> str:
@@ -260,6 +264,32 @@ def test_batch_program_export_bits(n, delta, digest):
     """The batched program's JSON, which no CLI command exports: every table's keys, order and instruments."""
     doc = engine.program_to_json(protocols.build_batch(0.5, n, delta).program)
     assert sha256(json.dumps(doc, sort_keys=True).encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "theta, n, delta, digest",
+    [
+        (0.3, 1, 2.6, "bf2a11aa4d721dad295c4b944c521a5d739031518983d338afae74fbafc875bd"),
+        (0.3, 2, 1.2, "6c49fa28cea01ecb0d5ad5a20060317508422d5a78b312c4bb174d068642833e"),
+        (0.3, 3, 0.7, "a4569fd777c3bc14cf64a61c924d8e0e04dd8c5aef67b31cc564559c7328d870"),
+        (0.7, 1, 2.6, "9b99fca40a8e2f14560b47e4997b17e48eeb5766d99ae64571f976aed4c84db0"),
+        (0.7, 2, 1.2, "f47098925d182d4a5a47890bc7d03cf78d2406a6c68b8d66549ba74cead3c3f0"),
+        (0.7, 3, 0.7, "ba93edc37d87261b16a10bb74abafae04317529babcb288df16331aa59cb924f"),
+    ],
+)
+def test_batch_mixture_bits(theta, n, delta, digest):
+    """The batched program's output on a seeded input: every mixture leaf, the error and the fitted angle."""
+    plan = protocols.build_batch(theta, n, delta)
+    copies = range(1, n + 1)
+    layout = SystemLayout([(f"A{i}", 2, ALICE) for i in copies] + [(f"B{i}", 2, BOB) for i in copies])
+    rng = np.random.default_rng(31 + n)
+    initial = PureState(layout, rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim), normalize=True)
+    h = hashlib.sha256()
+    for leaf in engine.output_mixture(plan.program, initial).leaves:
+        h.update(json.dumps([leaf.transcript, leaf.state.layout.labels]).encode())
+        h.update(np.float64(leaf.probability).tobytes() + leaf.state.vector.tobytes())
+    h.update(protocols.batch_error(plan, initial).hex().encode() + plan.failure_angle.hex().encode())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize(

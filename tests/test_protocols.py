@@ -433,6 +433,30 @@ def test_batch_programs_share_exactly_the_angle_independent_instruments():
     rot = {s.name: s.table for s in first.steps}["p0_rot"]
     assert sum(inst.outcomes != ("skip",) for inst in rot.values()) == 3
     assert len({i for i in rot.values() if i.outcomes != ("skip",)}) == 2
+    # the angle-independent steps themselves are kept per structure
+    for one, other in zip(first.steps, second.steps):
+        assert (one is other) is not _angle_dependent(one.name), one.name
+    # within one build the herald, the rotation and the dressing are each one
+    # set of Kraus operators, moved onto every copy and slot
+    for kind in ("_meas_b", "_rot", "_dress"):
+        moved = {
+            inst for name, insts in a.items() if _angle_dependent(name) and name.endswith(kind)
+            for inst in insts if inst.outcomes != ("skip",)
+        }
+        assert len(moved) == (2 if kind == "_meas_b" else 3), kind
+        assert len({id(inst.branches) for inst in moved}) == 1, kind
+
+
+def test_no_builder_cache_is_keyed_on_an_angle():
+    caches = {name: fn for name, fn in vars(protocols).items() if hasattr(fn, "cache_info")}
+    assert {"_batch_frame", "_heralded_frame", "_controlled_phase_frame"} <= caches.keys()
+    thetas = np.random.default_rng(31).uniform(0.05, math.pi / 2, size=50)
+    for n, delta in ((1, 2.6), (2, 1.2)):  # one structure each: pool = n at every angle
+        protocols.build_batch(float(thetas[0]), n, delta)
+        misses = {name: fn.cache_info().misses for name, fn in caches.items()}
+        for theta in thetas[1:]:
+            protocols.build_batch(float(theta), n, delta)
+        assert {name: fn.cache_info().misses for name, fn in caches.items()} == misses, n
 
 
 def test_instruments_hold_read_only_kraus_operators():
