@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -41,6 +42,8 @@ LEAF_SUM_TOL = 1e-9
 TREE_TOL = 1e-10
 # output_mixture: node states this close entry by entry, once phase-aligned, merge
 MERGE_TOL = 1e-12
+# walk plans kept per program structure, one per (initial layout, merge)
+WALK_PLANS = 8
 
 
 class EngineError(Exception):
@@ -66,8 +69,11 @@ class LocalInstrument:
     Kraus operators: its completeness deviation and whether it is one
     identity branch when the instrument is built, its detach bras
     (:func:`_cuts`) on first use.  :meth:`on` moves an instrument onto
-    other labels and shares all of these with it.  ``validate_on`` still
-    checks labels, owners and shapes against the layout on every call.
+    other labels and shares all of these with it; the copy remembers the
+    instrument it was first moved from, which
+    :meth:`ProtocolProgram.with_instruments` replaces it through.
+    ``validate_on`` still checks labels, owners and shapes against the
+    layout on every call.
     """
 
     party: Owner
@@ -93,12 +99,15 @@ class LocalInstrument:
         object.__setattr__(self, "_deviation", _completeness_deviation(frozen))
         object.__setattr__(self, "_identity", len(frozen) == 1 and _is_identity(frozen[0][1]))
         object.__setattr__(self, "_cuts", {})
+        object.__setattr__(self, "_origin", None)  # the instrument a moved copy comes from
 
     def on(self, labels: Sequence[str]) -> LocalInstrument:
         """A new instance on ``labels`` that shares the Kraus operators and all derived from them."""
         moved = object.__new__(LocalInstrument)
         moved.__dict__.update(self.__dict__)
         object.__setattr__(moved, "labels", tuple(labels))
+        if self._origin is None:
+            object.__setattr__(moved, "_origin", self)
         return moved
 
     def validate_on(self, layout: SystemLayout) -> None:
@@ -249,6 +258,13 @@ class ProtocolProgram:
     A program is immutable, so it is validated once: it keeps the result
     of :func:`validate_program`, which every run, mixture and export reads.
     ``==`` and ``hash`` go by identity, as for :class:`LocalInstrument`.
+
+    Programs of one structure share a record: the verdict of the
+    structural check on the steps of the program that made it, and the
+    walk plans of :func:`run_exhaustive` and :func:`output_mixture`.  A
+    program made by :meth:`with_instruments` shares its source's record
+    and differs from that first program only at the steps it rebound, so
+    a check and a walk redo only those.
     """
 
     layout: SystemLayout
@@ -287,8 +303,61 @@ class ProtocolProgram:
         unknown = self.consumed - set(layout.labels)
         if unknown:
             raise EngineError(f"consumed labels {sorted(unknown)} not in layout")
-        # validate_program's result, kept after first use
+        object.__setattr__(self, "_record", _Record(self.steps))
+        # the indices of the steps whose tables differ from the record's steps
+        object.__setattr__(self, "_changed", ())
+        # validate_program's result, and the steps holding each instrument, kept after first use
         object.__setattr__(self, "_memo", {})
+
+    def with_instruments(
+        self,
+        swap: Mapping[LocalInstrument, LocalInstrument],
+        resources: Sequence[PureState] | None = None,
+    ) -> ProtocolProgram:
+        """This program with each instrument in ``swap`` replaced, and every copy moved from it.
+
+        A copy that :meth:`LocalInstrument.on` moved from a key of ``swap``
+        becomes the replacement moved onto the copy's labels; a table that
+        holds one instrument at many keys holds one replacement at them.
+        ``resources``, when given, replace the program's resources.
+
+        Only the steps holding a replaced instrument are rebuilt.  The new
+        program shares this one's record when every replacement keeps the
+        party, labels, outcomes, Kraus shapes and identity flag of what it
+        replaces, and every resource keeps its layout; its check then
+        covers only the rebuilt steps (:func:`validate_program`).  Otherwise
+        it is a new program with a record of its own, checked in full.
+        """
+        resources = self.resources if resources is None else tuple(resources)
+        holders = self._memo.get("holders")
+        if holders is None:
+            holders = self._memo["holders"] = _holders(self.steps)
+        made: dict[LocalInstrument, LocalInstrument] = {}
+        tables = {}
+        for idx in sorted({idx for inst in swap for idx in holders.get(inst, ())}):
+            table = {}
+            for key, inst in self.steps[idx].table.items():
+                new = made.get(inst)
+                if new is None:
+                    new = made[inst] = _replacement(inst, swap)
+                table[key] = new
+            tables[idx] = table
+        shared = len(resources) == len(self.resources) and all(
+            new.layout == old.layout for new, old in zip(resources, self.resources)
+        ) and all(_same_form(old, new) for old, new in made.items())
+        if not shared:
+            steps = [replace(step, table=tables[idx]) if idx in tables else step for idx, step in enumerate(self.steps)]
+            return ProtocolProgram(self.layout, resources, steps, self.consumed, self.renames)
+        steps = list(self.steps)
+        for idx, table in tables.items():
+            steps[idx] = object.__new__(ProtocolStep)
+            steps[idx].__dict__.update(vars(self.steps[idx]), table=MappingProxyType(table))
+        program = object.__new__(ProtocolProgram)
+        program.__dict__.update(
+            vars(self), resources=resources, steps=tuple(steps),
+            _changed=tuple(sorted({*self._changed, *tables})), _memo={},
+        )
+        return program
 
     @property
     def resource_labels(self) -> frozenset[str]:
@@ -302,6 +371,59 @@ class ProtocolProgram:
     @property
     def renames(self) -> dict[str, str]:
         return dict(self.output_renames)
+
+
+_UNCHECKED = object()
+
+
+class _Record:
+    """What the programs of one structure share.
+
+    ``steps`` are those of the program that made the record, and
+    ``verdict`` is :func:`_first_violation` on them once computed.
+    ``plans`` holds the walk plans (:class:`_Plan`) per (initial layout,
+    merge), at most ``WALK_PLANS`` of them, built from ``steps``.
+    """
+
+    __slots__ = ("steps", "index", "verdict", "plans")
+
+    def __init__(self, steps: tuple[ProtocolStep, ...]):
+        self.steps = steps
+        self.index = {step.name: idx for idx, step in enumerate(steps)}
+        self.verdict = _UNCHECKED
+        self.plans: dict = {}
+
+
+def _holders(steps: Sequence[ProtocolStep]) -> dict[LocalInstrument, set[int]]:
+    """Per instrument, and per instrument a held copy was moved from, the indices of the steps holding it."""
+    holders: dict = {}
+    for idx, step in enumerate(steps):
+        for inst in step.table.values():
+            for held in (inst, inst._origin):
+                holders.setdefault(held, set()).add(idx)
+    holders.pop(None, None)
+    return holders
+
+
+def _replacement(inst: LocalInstrument, swap: Mapping[LocalInstrument, LocalInstrument]) -> LocalInstrument:
+    """What ``inst`` becomes under ``swap``: its replacement, or that of its origin moved onto its labels."""
+    new = swap.get(inst)
+    if new is not None:
+        return new
+    if inst._origin in swap:
+        return swap[inst._origin].on(inst.labels)
+    return inst
+
+
+def _same_form(old: LocalInstrument, new: LocalInstrument) -> bool:
+    """Whether ``new`` keeps everything of ``old`` that a program's structural check and walk plan read."""
+    return (
+        new.party is old.party
+        and new.labels == old.labels
+        and new.outcomes == old.outcomes
+        and new._identity == old._identity
+        and [k.shape for _, k in new.branches] == [k.shape for _, k in old.branches]
+    )
 
 
 @dataclass(frozen=True)
@@ -437,11 +559,44 @@ def validate_program(program: ProtocolProgram) -> CausalityViolation | None:
     passes ``validate_on`` against the program layout; and its simultaneity
     declaration.  Every run, mixture and export calls it first, and the
     result is kept on the program, so only the first call checks.
+
+    A program made by :meth:`ProtocolProgram.with_instruments` that shares
+    its record checks only the steps it rebound: each table's coverage
+    through :meth:`ProtocolStep.resolve` and ``validate_on`` once per
+    distinct instrument, and reuses the record's verdict for the rest.
+    When one of those steps fails, or the record's verdict is a violation,
+    the full pass runs, so the violation is the one a program built
+    directly would get.
     """
     memo = program._memo
     if "violation" not in memo:
-        memo["violation"] = _first_violation(program)
+        record = program._record
+        if record.verdict is _UNCHECKED:
+            record.verdict = _first_violation(program.layout, record.steps)
+        if not program._changed:
+            memo["violation"] = record.verdict
+        elif record.verdict is None and _rebound_steps_pass(program):
+            memo["violation"] = None
+        else:
+            memo["violation"] = _first_violation(program.layout, program.steps)
     return memo["violation"]
+
+
+def _rebound_steps_pass(program: ProtocolProgram) -> bool:
+    """Whether each step at ``program._changed`` covers its reads and holds valid instruments."""
+    steps, index = program.steps, program._record.index
+    checked: set[LocalInstrument] = set()
+    try:
+        for idx in program._changed:
+            step = steps[idx]
+            for key in itertools.product(*(steps[index[k]].outcomes for k in step.condition_on)):
+                inst = step.resolve(key)
+                if inst not in checked:
+                    inst.validate_on(program.layout)
+                    checked.add(inst)
+    except EngineError:
+        return False
+    return True
 
 
 def _require_valid(program: ProtocolProgram) -> None:
@@ -451,12 +606,14 @@ def _require_valid(program: ProtocolProgram) -> None:
         raise EngineError(f"invalid program: {violation}")
 
 
-def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
+def _first_violation(
+    layout: SystemLayout, program_steps: Sequence[ProtocolStep]
+) -> CausalityViolation | None:
     steps: dict[str, ProtocolStep] = {}
     visible: dict[Owner, set[str]] = {ALICE: set(), BOB: set()}
     checked: set[LocalInstrument] = set()  # the instruments already validated
     last_msg: int | None = None
-    for idx, step in enumerate(program.steps):
+    for idx, step in enumerate(program_steps):
         for key in step.condition_on:
             if key not in steps:
                 return CausalityViolation(
@@ -477,7 +634,7 @@ def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
             if inst in checked:
                 continue
             try:
-                inst.validate_on(program.layout)
+                inst.validate_on(layout)
             except EngineError as exc:
                 where = f"step {step.name!r} on {dict(zip(step.condition_on, key))}: " if key else ""
                 return CausalityViolation(idx, step.name, where + str(exc))
@@ -492,13 +649,13 @@ def _first_violation(program: ProtocolProgram) -> CausalityViolation | None:
                 )
             if last_msg is None:
                 return CausalityViolation(idx, step.name, "no preceding message to pair with")
-            prev = program.steps[last_msg]
+            prev = program_steps[last_msg]
             if prev.party is step.party:
                 return CausalityViolation(
                     idx, step.name, "simultaneous pair must cross directions"
                 )
             prev_name = prev.name
-            for mid in program.steps[last_msg + 1 : idx + 1]:
+            for mid in program_steps[last_msg + 1 : idx + 1]:
                 if mid.party is step.party and prev_name in mid.condition_on:
                     return CausalityViolation(
                         idx,
@@ -584,7 +741,11 @@ def run_exhaustive(program: ProtocolProgram, initial: PureState | None = None) -
     keeps the result (:func:`validate_program`): its causal order, every
     step's table against the outcomes it reads, and every instrument with
     ``validate_on``, before any walk starts.  Each node then looks its
-    instrument up in its step's table.
+    instrument up in its step's table.  What a walk needs besides the
+    states (positions, table entries, condition getters) is planned once
+    per program structure and initial layout and kept on the program's
+    record; a program rebound by :meth:`ProtocolProgram.with_instruments`
+    binds only the steps it rebound.
 
     A node holds the joint state of every factor: the initial state and all
     resources are tensored together at the start and nothing leaves,
@@ -610,8 +771,10 @@ def output_mixture(program: ProtocolProgram, initial: PureState | None = None) -
     in at the start, any other at the first non-identity table entry
     that touches one of its factors; a consumed factor is contracted out
     after a Kraus operator whose range on it is one-dimensional, at the
-    last step whose non-identity entries touch it.  Both are decided once,
-    from the tables.  Leaves carry no diagnostics.
+    last step whose non-identity entries touch it.  Both are decided once
+    per program structure and initial layout, from the tables, and kept
+    with the walk's plan (see :func:`run_exhaustive`).  Leaves carry no
+    diagnostics.
 
     The walk goes level by level.  After each step, a node that no later
     step can tell apart from an earlier node of its level
@@ -632,6 +795,137 @@ def output_mixture(program: ProtocolProgram, initial: PureState | None = None) -
     return OutputMixture(leaves, pruned_mass, merged_nodes, merge_distance)
 
 
+class _Plan:
+    """What every walk of one program structure from one initial layout shares; see :func:`_walk_plan`."""
+
+    __slots__ = (
+        "core_pos", "res_pos", "sim_dims", "keep_pos", "out_layout", "attached",
+        "alice_pos", "res_alice_local", "names", "steps", "live", "views",
+    )
+
+
+def _entries(form: Mapping, getter: Callable | None, table: Table, sim_dims: tuple):
+    """A step's walk entries: per key, (instrument, positions, identity flag, attach, cuts).
+
+    ``form`` gives per key the instrument's positions, identity flag,
+    attach pairs and the ends it cuts (:func:`_walk_plan`).  Each distinct
+    instrument gets one entry.  Keys are as ``getter`` reads them off the
+    outcomes so far; a fixed step, whose getter is None, gets its one entry.
+    """
+    made: dict = {}
+    entries = {}
+    for key, inst in table.items():
+        entry = made.get(inst)
+        if entry is None:
+            positions, identity, attach, ends = form[key]
+            cuts: tuple = (None,) * len(inst.branches)
+            if ends:
+                cuts = tuple(
+                    None if cut is None else (tuple(positions[i] for i in cut[0]), cut[1])
+                    for cut in _cuts(inst, tuple(sim_dims[p] for p in positions), ends)
+                )
+            entry = made[inst] = (inst, positions, identity, attach, cuts)
+        if getter is None:
+            return entry
+        entries[key[0] if len(key) == 1 else key] = entry
+    return entries
+
+
+def _walk_plan(program: ProtocolProgram, initial: PureState | None, merge: bool) -> _Plan:
+    """The walk plan of ``program``'s record from ``initial``'s layout, made on first use.
+
+    Making one checks ``initial`` against the program (:func:`_check_initial`).
+    The plan holds the positions, the resources attached at the start, the
+    leaf bookkeeping, and per step its condition getter (an itemgetter of
+    the outcomes so far; one index reads the bare outcome), the form of
+    each table entry, and the entries of the record's steps; ``live`` holds
+    per step the getter of a merge key's outcomes, and ``views`` a core's
+    dims and indices as walks meet them.
+    """
+    record = program._record
+    key = (None if initial is None else initial.layout, merge)
+    plan = record.plans.get(key)
+    if plan is not None:
+        return plan
+    if initial is None:
+        if program.input_labels:
+            raise EngineError(f"program expects input factors {sorted(program.input_labels)}")
+        if not program.resources:
+            raise EngineError("nothing to simulate: no inputs and no resources")
+        sim_layout = SystemLayout((), dim_cap=None)
+    else:
+        _check_initial(program, initial)
+        sim_layout = initial.layout
+    plan = _Plan()
+    plan.core_pos = tuple(range(len(sim_layout)))
+    res_pos = []
+    for res in program.resources:
+        res_pos.append(tuple(range(len(sim_layout), len(sim_layout) + len(res.layout))))
+        sim_layout = sim_layout.concat(res.layout, dim_cap=None)
+    plan.res_pos = res_pos
+    plan.sim_dims = sim_dims = sim_layout.dims
+    consumed = {i for i, f in enumerate(sim_layout.factors) if f.label in program.consumed}
+    plan.keep_pos = tuple(i for i in range(len(sim_dims)) if i not in consumed)
+    plan.out_layout = SystemLayout([sim_layout.factors[i] for i in plan.keep_pos], dim_cap=None)
+    # a resource with a kept factor joins the block core at the start, any other at its first use
+    plan.attached = tuple(r for r, pos in enumerate(res_pos) if not merge or not consumed.issuperset(pos))
+    for r in plan.attached:
+        plan.core_pos += res_pos[r]
+    plan.alice_pos = tuple(i for i, f in enumerate(sim_layout.factors) if f.owner is ALICE)
+    plan.res_alice_local = [
+        [j for j, f in enumerate(res.layout.factors) if f.owner is ALICE]
+        for res in program.resources
+    ]
+
+    steps = record.steps
+    # per step, its distinct instruments (a table may hold one many times) and their positions
+    placed = [
+        {inst: tuple(sim_layout.positions(inst.labels)) for inst in dict.fromkeys(step.table.values())}
+        for step in steps
+    ]
+    # the last step at which a non-identity entry touches each factor
+    last_use = {
+        p: idx
+        for idx, step_insts in enumerate(placed)
+        for inst, positions in step_insts.items()
+        if not inst._identity
+        for p in positions
+    }
+    resource_of = {p: r for r, pos in enumerate(res_pos) for p in pos}
+    # Every step appends exactly one outcome, so the value of a condition
+    # is read at the index of the step it names.
+    plan.names = tuple(step.name for step in steps)
+    plan.steps = []
+    for idx, step in enumerate(steps):
+        shapes = {}
+        for inst, positions in placed[idx].items():
+            # attach: (resource, one factor of it this instrument touches);
+            # ends: the consumed factors at their last use, which a branch
+            # leaving them on one line contracts out (_cuts)
+            attach: tuple = ()
+            ends: tuple = ()
+            if merge and not inst._identity:
+                attach = tuple({resource_of[p]: p for p in positions if p in resource_of}.items())
+                ends = tuple(i for i, p in enumerate(positions) if p in consumed and last_use[p] == idx)
+            shapes[inst] = (positions, inst._identity, attach, ends)
+        form = {key: shapes[inst] for key, inst in step.table.items()}
+        reads = [record.index[k] for k in step.condition_on]
+        getter = operator.itemgetter(*reads) if reads else None
+        plan.steps.append((getter, form, _entries(form, getter, step.table, sim_dims)))
+    # the last step that reads each step's outcome; a merge key holds the
+    # outcomes of the executed steps that a later step reads
+    last_read = {j: k for k, step in enumerate(steps) for j in map(record.index.get, step.condition_on)}
+    plan.live = []
+    for idx in range(len(steps)):
+        live = [j for j, k in last_read.items() if j <= idx < k]
+        plan.live.append(operator.itemgetter(*live) if live else None)
+    plan.views = {}
+    if len(record.plans) >= WALK_PLANS:
+        del record.plans[next(iter(record.plans))]
+    record.plans[key] = plan
+    return plan
+
+
 def _walk(
     program: ProtocolProgram, initial: PureState | None, merge: bool
 ) -> tuple[tuple[Leaf, ...], float | np.ndarray | None, float, int, float]:
@@ -639,42 +933,28 @@ def _walk(
 
     Returns the leaves, the source of the initial Alice-side entropy
     (:class:`BranchTree`; None with ``merge``), the pruned mass, the number
-    of nodes merged and the largest merge distance.
+    of nodes merged and the largest merge distance.  The walk follows the
+    plan kept on the program's record (:func:`_walk_plan`) and binds only
+    the steps the program rebound (:meth:`ProtocolProgram.with_instruments`).
     """
     _require_valid(program)
-    if initial is None:
-        if program.input_labels:
-            raise EngineError(f"program expects input factors {sorted(program.input_labels)}")
-        if not program.resources:
-            raise EngineError("nothing to simulate: no inputs and no resources")
-        sim_layout, core = SystemLayout((), dim_cap=None), None
-    else:
-        _check_initial(program, initial)
-        sim_layout, core = initial.layout, initial.vector
-    core_pos = tuple(range(len(sim_layout)))
-    res_pos = []
-    for res in program.resources:
-        res_pos.append(tuple(range(len(sim_layout), len(sim_layout) + len(res.layout))))
-        sim_layout = sim_layout.concat(res.layout, dim_cap=None)
-    sim_dims = sim_layout.dims
-    consumed = {i for i, f in enumerate(sim_layout.factors) if f.label in program.consumed}
-    keep_pos = tuple(i for i in range(len(sim_dims)) if i not in consumed)
-    out_layout = SystemLayout([sim_layout.factors[i] for i in keep_pos], dim_cap=None)
-    for r, res in enumerate(program.resources):
-        if not merge or not consumed.issuperset(res_pos[r]):
-            core = res.vector if core is None else np.outer(core, res.vector).reshape(-1)
-            core_pos += res_pos[r]
+    plan = _walk_plan(program, initial, merge)
+    sim_dims, keep_pos, names, live = plan.sim_dims, plan.keep_pos, plan.names, plan.live
+    core = None if initial is None else initial.vector
+    for r in plan.attached:
+        vec = program.resources[r].vector
+        core = vec if core is None else np.outer(core, vec).reshape(-1)
     if core is None:  # every resource waits for its first use
         core = np.ones(1, dtype=complex)
+    initial_alice = None if merge else _alice_source(core, sim_dims, plan.alice_pos)
+    steps = plan.steps
+    if program._changed:
+        steps = list(steps)
+        for idx in program._changed:
+            getter, form, _ = steps[idx]
+            steps[idx] = (getter, form, _entries(form, getter, program.steps[idx].table, sim_dims))
 
-    alice_pos = tuple(i for i, f in enumerate(sim_layout.factors) if f.owner is ALICE)
-    res_alice_local = [
-        [j for j, f in enumerate(res.layout.factors) if f.owner is ALICE]
-        for res in program.resources
-    ]
-    initial_alice = None if merge else _alice_source(core, sim_dims, alice_pos)
-
-    views: dict = {}
+    views = plan.views
 
     def view(core_pos: tuple, positions: tuple) -> tuple[tuple, tuple, tuple]:
         """For a core over ``core_pos``: its dims, the indices of ``positions``, and the other positions."""
@@ -690,96 +970,55 @@ def _walk(
 
     leaves: list[Leaf] = []
 
-    def finalize(vec: np.ndarray, core_pos: tuple, prob: float, transcript: tuple) -> None:
+    def finalize(vec: np.ndarray, core_pos: tuple, prob: float, outcomes: tuple) -> None:
+        transcript = tuple(zip(names, outcomes))
         dims, keep, _ = view(core_pos, keep_pos)
         resources = alice = None
         if not merge:  # the core is the full state, in layout order
             resources = tuple(
                 _resource_source(vec, dims, pos, alice_local)
-                for pos, alice_local in zip(res_pos, res_alice_local)
+                for pos, alice_local in zip(plan.res_pos, plan.res_alice_local)
             )
-            alice = _alice_source(vec, dims, alice_pos)
+            alice = _alice_source(vec, dims, plan.alice_pos)
         try:
             out_vec = qmath.factor_pure_state(vec, dims, keep)
         except ValueError as exc:
             raise EngineError(f"at leaf {transcript}: {exc}") from exc
-        leaves.append(Leaf(transcript, prob, PureState(out_layout, out_vec), resources, alice))
+        leaves.append(Leaf(transcript, prob, PureState(plan.out_layout, out_vec), resources, alice))
 
-    # per step, its distinct instruments (a table may hold one many times) and their positions
-    placed = [
-        {inst: tuple(sim_layout.positions(inst.labels)) for inst in dict.fromkeys(step.table.values())}
-        for step in program.steps
-    ]
-    # the last step at which a non-identity entry touches each factor
-    last_use = {
-        p: idx
-        for idx, step_insts in enumerate(placed)
-        for inst, positions in step_insts.items()
-        if not inst._identity
-        for p in positions
-    }
-    resource_of = {p: r for r, pos in enumerate(res_pos) for p in pos}
-
-    # Every step appends exactly one transcript entry, so the value of a
-    # condition is read at the index of the step it names.
-    step_index = {step.name: idx for idx, step in enumerate(program.steps)}
-    plan = []
-    for idx, step in enumerate(program.steps):
-        made = {}
-        for inst, positions in placed[idx].items():
-            # attach: (resource, one factor of it this instrument touches);
-            # cuts: per branch, the consumed factors it leaves on one line
-            # at their last use, and the bra that contracts them out
-            attach: tuple = ()
-            cuts: tuple = (None,) * len(inst.branches)
-            if merge and not inst._identity:
-                attach = tuple({resource_of[p]: p for p in positions if p in resource_of}.items())
-                ends = tuple(i for i, p in enumerate(positions) if p in consumed and last_use[p] == idx)
-                if ends:
-                    cuts = tuple(
-                        None if cut is None else (tuple(positions[i] for i in cut[0]), cut[1])
-                        for cut in _cuts(inst, tuple(sim_dims[p] for p in positions), ends)
-                    )
-            made[inst] = (inst, positions, inst._identity, attach, cuts)
-        entries = {key: made[inst] for key, inst in step.table.items()}
-        plan.append((step.name, tuple(step_index[k] for k in step.condition_on), entries))
-
-    n_steps = len(program.steps)
-    # the last step that reads each step's outcome
-    last_read = {j: k for k, (_, reads, _) in enumerate(plan) for j in reads}
+    n_steps = len(steps)
     pruned_mass = 0.0
     merged_nodes, merge_distance = 0, 0.0
     # Depth-first walk over a stack of node lists, each node a (core,
-    # core positions, path probability, transcript).  Without ``merge``
+    # core positions, path probability, outcomes so far).  Without ``merge``
     # every list holds one node: children are pushed in reverse so that
     # leaves come out in branch order, a child leaves the stack when its
     # subtree starts, and a node's core is released when the loop over the
     # next popped list rebinds ``vec``, before any child is expanded.  With
     # ``merge`` a level's children are merged and pushed as one list, so
     # the walk goes level by level.
-    stack: list[tuple[int, list]] = [(0, [(core, core_pos, 1.0, ())])]
+    stack: list[tuple[int, list]] = [(0, [(core, plan.core_pos, 1.0, ())])]
     del core
     while stack:
         step_idx, nodes = stack.pop()
         if step_idx == n_steps:
-            for vec, core_pos, prob, transcript in nodes:
-                finalize(vec, core_pos, prob, transcript)
+            for vec, core_pos, prob, outcomes in nodes:
+                finalize(vec, core_pos, prob, outcomes)
             continue
-        name, condition_idx, entries = plan[step_idx]
+        name = names[step_idx]
+        getter, _, entries = steps[step_idx]
         children = []
-        for vec, core_pos, prob, transcript in nodes:
-            inst, positions, identity, attach, cuts = entries[
-                tuple(transcript[j][1] for j in condition_idx)
-            ]
+        for vec, core_pos, prob, outcomes in nodes:
+            inst, positions, identity, attach, cuts = entries if getter is None else entries[getter(outcomes)]
             if identity:
-                children.append((vec, core_pos, prob, transcript + ((name, inst.branches[0][0]),)))
+                children.append((vec, core_pos, prob, outcomes + (inst.branches[0][0],)))
                 continue
             for r, p in attach:
                 # a factor leaves the core only after its last use, so one this
                 # entry touches is missing exactly when its resource is not attached
                 if p not in core_pos:
                     vec = np.outer(vec, program.resources[r].vector).reshape(-1)
-                    core_pos += res_pos[r]
+                    core_pos += plan.res_pos[r]
             dims, where, _ = view(core_pos, positions)
             branch_total = 0.0
             for (outcome, kraus), cut in zip(inst.branches, cuts):
@@ -799,12 +1038,11 @@ def _walk(
                         )
                     continue
                 qmath.divide_by_real(child, math.sqrt(p))
-                children.append((child, child_pos, prob * p, transcript + ((name, outcome),)))
+                children.append((child, child_pos, prob * p, outcomes + (outcome,)))
             if abs(branch_total - 1.0) > NODE_NORM_TOL:
                 raise EngineError(f"norm drift {branch_total - 1.0:.3e} at step {name!r}")
         if merge:
-            live = tuple(j for j, k in last_read.items() if j <= step_idx < k)
-            children, merged, distance = _merge_level(children, live)
+            children, merged, distance = _merge_level(children, live[step_idx])
             merged_nodes += merged
             merge_distance = max(merge_distance, distance)
             stack.append((step_idx + 1, children))
@@ -816,28 +1054,28 @@ def _walk(
     return tuple(leaves), initial_alice, pruned_mass, merged_nodes, merge_distance
 
 
-def _merge_level(nodes: list, live: tuple) -> tuple[list, int, float]:
+def _merge_level(nodes: list, live: Callable | None) -> tuple[list, int, float]:
     """Merge each node into the first earlier one that no later step can tell it apart from.
 
     Nodes are alike when they hold the same core positions, drew the same
-    outcomes at the steps indexed in ``live`` (the executed steps that a
-    later step reads), and hold the same state up to a global phase: within
-    ``MERGE_TOL`` by :func:`_phase_distance`.  Their subtrees are then equal
-    up to that phase.  The first node keeps its core and transcript and
-    takes the other's probability.  Returns the kept nodes, the number
-    merged and the largest distance of a merge.
+    outcomes where ``live`` reads them (at the executed steps that a later
+    step reads; None reads none), and hold the same state up to a global
+    phase: within ``MERGE_TOL`` by :func:`_phase_distance`.  Their subtrees
+    are then equal up to that phase.  The first node keeps its core and
+    outcomes and takes the other's probability.  Returns the kept nodes,
+    the number merged and the largest distance of a merge.
     """
     kept: list = []
     firsts: dict = {}
     merged, farthest = 0, 0.0
     for node in nodes:
-        vec, core_pos, prob, transcript = node
-        same_key = firsts.setdefault((core_pos, tuple(transcript[j][1] for j in live)), [])
+        vec, core_pos, prob, outcomes = node
+        same_key = firsts.setdefault((core_pos, None if live is None else live(outcomes)), [])
         for i in same_key:
-            first_vec, _, first_prob, first_transcript = kept[i]
+            first_vec, _, first_prob, first_outcomes = kept[i]
             distance = _phase_distance(first_vec, vec)
             if distance <= MERGE_TOL:
-                kept[i] = (first_vec, core_pos, first_prob + prob, first_transcript)
+                kept[i] = (first_vec, core_pos, first_prob + prob, first_outcomes)
                 merged += 1
                 farthest = max(farthest, distance)
                 break

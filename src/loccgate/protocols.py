@@ -20,8 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -83,6 +83,8 @@ _SHARED_MEASUREMENTS = {"meas_x": X_BASIS, "meas_z": Z_BASIS}
 HERALD_OUTCOMES = ("success", "failure")
 # the angle-independent half of controlled_phase_target
 _I_P0 = np.kron(I2, P0)
+# the angle at which each kept program is built; every build rebinds its angle-dependent instruments
+REFERENCE_THETA = 1.0
 
 
 @functools.lru_cache(maxsize=1024)
@@ -149,25 +151,70 @@ def fit_zz_rotation(state: PureState) -> tuple[float, float]:
     return angle, residual
 
 
-@functools.lru_cache(maxsize=1024)
-def _heralded_frame(a: str, b: str, sys_a: str, sys_b: str, prefix: str) -> tuple[ProtocolStep, ...]:
-    """The heralded steps before the herald, which depend on no angle; built once per labels and prefix."""
-    meas_a = ProtocolStep(f"{prefix}meas_a", ALICE, {(): _shared(ALICE, (a,), "meas_x")}, sends_message=True)
-    fix_b = tabulate((meas_a,), lambda m: _shared(BOB, (b,), "I" if m == "plus" else "Z"))
-    return (
-        ProtocolStep(f"{prefix}cz_a", ALICE, {(): _shared(ALICE, (a, sys_a), "cz")}),
-        meas_a,
-        ProtocolStep(f"{prefix}fix_b", BOB, fix_b, condition_on=(meas_a.name,)),
-        ProtocolStep(f"{prefix}cz_b", BOB, {(): _shared(BOB, (b, sys_b), "cz")}),
-    )
-
-
 def _heralded_steps(
     herald: LocalInstrument, a: str, b: str, sys_a: str, sys_b: str, prefix: str
 ) -> list[ProtocolStep]:
     """Heralded ZZ-phase steps on the resource pair (a, b), ending with ``herald`` moved onto b."""
-    meas_b = ProtocolStep(f"{prefix}meas_b", BOB, {(): herald.on((b,))}, sends_message=True)
-    return [*_heralded_frame(a, b, sys_a, sys_b, prefix), meas_b]
+    meas_a = ProtocolStep(f"{prefix}meas_a", ALICE, {(): _shared(ALICE, (a,), "meas_x")}, sends_message=True)
+    fix_b = tabulate((meas_a,), lambda m: _shared(BOB, (b,), "I" if m == "plus" else "Z"))
+    return [
+        ProtocolStep(f"{prefix}cz_a", ALICE, {(): _shared(ALICE, (a, sys_a), "cz")}),
+        meas_a,
+        ProtocolStep(f"{prefix}fix_b", BOB, fix_b, condition_on=(meas_a.name,)),
+        ProtocolStep(f"{prefix}cz_b", BOB, {(): _shared(BOB, (b, sys_b), "cz")}),
+        ProtocolStep(f"{prefix}meas_b", BOB, {(): herald.on((b,))}, sends_message=True),
+    ]
+
+
+def _herald(theta: float, alpha: float) -> LocalInstrument:
+    """Bob's herald on "b": the measurement whose "success" branch leaves the theta gate exact."""
+    c, s = math.cos(theta / 2) / math.cos(alpha / 2), math.sin(theta / 2) / math.sin(alpha / 2)
+    if not math.isfinite(c * c + s * s):  # the herald measurement normalizes (c, s) by its norm
+        raise ValueError(f"alpha {alpha!r} too small: the herald vector's norm overflows")
+    chi = np.array([c, s])
+    return projective_instrument(BOB, ("b",), dict(zip(HERALD_OUTCOMES, (chi, np.array([chi[1], -chi[0]])))))
+
+
+def _rotation(phi: float) -> LocalInstrument:
+    """Alice's controlled Z rotation by ``phi``, from "a" onto "A"."""
+    return unitary_instrument(ALICE, ("a", "A"), controlled_z_rotation_gate(phi).matrix)
+
+
+def _dress(dressing: Dressing) -> LocalInstrument:
+    """Alice's dressing rotation ``v_a``, on "A"."""
+    return unitary_instrument(ALICE, ("A",), dressing.v_a.matrix)
+
+
+@functools.cache
+def _reference() -> tuple[LocalInstrument, LocalInstrument, LocalInstrument]:
+    """The herald, controlled rotation and dressing that the kept programs hold, at ``REFERENCE_THETA``."""
+    return (
+        _herald(REFERENCE_THETA, math.sqrt(REFERENCE_THETA)),
+        _rotation(REFERENCE_THETA),
+        _dress(local_dressing(REFERENCE_THETA)),
+    )
+
+
+def _rebinding(heralded: HeraldedProtocol, dressing: Dressing) -> dict[LocalInstrument, LocalInstrument]:
+    """The swap that rebinds a kept program: the probe's herald, the correction's rotation and dressing."""
+    herald, rot, dress = _reference()
+    return {
+        herald: heralded.program.steps[-1].table[()],
+        rot: _rotation(dressing.controlled_angle),
+        dress: _dress(dressing),
+    }
+
+
+@functools.cache
+def _kept_heralded() -> ProtocolProgram:
+    """The heralded program at ``REFERENCE_THETA``, which every :func:`build_heralded` rebinds."""
+    layout = SystemLayout([("A", 2, ALICE), ("B", 2, BOB), ("a", 2, ALICE), ("b", 2, BOB)])
+    return ProtocolProgram(
+        layout=layout,
+        resources=(partial_bell_pair(math.sqrt(REFERENCE_THETA), ("a", "b")),),
+        steps=_heralded_steps(_reference()[0], "a", "b", "A", "B", "h_"),
+        consumed=("a", "b"),
+    )
 
 
 @dataclass(frozen=True)
@@ -188,24 +235,18 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
     trusting a sign convention.  At a theta so small that the run prunes
     the failed branch (below ``engine.PRUNE_PROB``) there is nothing to fit,
     and the angle is rejected with a ``ValueError``.
+
+    The program is the kept one (:func:`_kept_heralded`) with its herald
+    and resource rebound (:meth:`~loccgate.engine.ProtocolProgram.with_instruments`),
+    so its check and its walk plan are those of every earlier build.
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha {alpha} outside (0, pi)")
     if not 0.0 < theta:
         raise ValueError(f"theta {theta} must be positive")
-    c, s = math.cos(theta / 2) / math.cos(alpha / 2), math.sin(theta / 2) / math.sin(alpha / 2)
-    if not math.isfinite(c * c + s * s):  # the herald measurement normalizes (c, s) by its norm
-        raise ValueError(f"alpha {alpha!r} too small: the herald vector's norm overflows")
-    chi = np.array([c, s])
-    herald = projective_instrument(BOB, ("b",), dict(zip(HERALD_OUTCOMES, (chi, np.array([chi[1], -chi[0]])))))
-    layout = SystemLayout(
-        [("A", 2, ALICE), ("B", 2, BOB), ("a", 2, ALICE), ("b", 2, BOB)]
-    )
-    program = ProtocolProgram(
-        layout=layout,
-        resources=(partial_bell_pair(alpha, ("a", "b")),),
-        steps=_heralded_steps(herald, "a", "b", "A", "B", "h_"),
-        consumed=("a", "b"),
+    herald = _herald(theta, alpha)
+    program = _kept_heralded().with_instruments(
+        {_reference()[0]: herald}, (partial_bell_pair(alpha, ("a", "b")),)
     )
 
     # the full-state walk: its bits fix the fitted angle and, through it, the CLI output
@@ -232,7 +273,12 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
 
 def controlled_phase_target(phi: float) -> GateSpec:
     """I (x) |0><0| + exp(i phi Z) (x) |1><1| on (A, B): B controls A."""
-    return GateSpec(_I_P0 + np.kron(z_rotation(phi), P1))
+    return GateSpec(_controlled_phase_matrix(phi))
+
+
+def _controlled_phase_matrix(phi: float) -> np.ndarray:
+    """The matrix of :func:`controlled_phase_target`, unchecked; the outer product is np.kron's."""
+    return _I_P0 + np.multiply.outer(z_rotation(phi), P1).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 # a gated step's route table (see _gated)
@@ -276,28 +322,6 @@ def _gated(
     )
 
 
-@functools.lru_cache(maxsize=1024)
-def _controlled_phase_frame(
-    a: str, b: str, prefix: str, routes: tuple, route_on: tuple[str, ...]
-) -> tuple[ProtocolStep, ...]:
-    """The controlled-phase steps but the rotation, which depend on no angle; built once per structure.
-
-    ``routes`` is the route table's items, so that it keys the cache.
-    """
-    routes = dict(routes)
-    cnot = _gated(f"{prefix}cnot", BOB, b, routes, route_on,
-                  lambda _sa, sys_b: _shared(BOB, (b, sys_b), "cnot"))
-    meas_b = _gated(f"{prefix}meas_b", BOB, b, routes, route_on,
-                    lambda *_: _shared(BOB, (b,), "meas_z"), sends_message=True)
-    fix_a = _gated(f"{prefix}fix_a", ALICE, a, routes, route_on,
-                   lambda _sa, _sb, m: _shared(ALICE, (a,), "X" if m == "one" else "I"), reads=(meas_b,))
-    meas_a = _gated(f"{prefix}meas_a", ALICE, a, routes, route_on,
-                    lambda *_: _shared(ALICE, (a,), "meas_x"), sends_message=True)
-    fix_b = _gated(f"{prefix}fix_B", BOB, b, routes, route_on,
-                   lambda _sa, sys_b, m: _shared(BOB, (sys_b,), "Z" if m == "minus" else "I"), reads=(meas_a,))
-    return cnot, meas_b, fix_a, meas_a, fix_b
-
-
 def _controlled_phase_steps(
     rot: LocalInstrument, a: str, b: str, prefix: str, routes: Routes, route_on: tuple[str, ...] = ()
 ) -> list[ProtocolStep]:
@@ -309,14 +333,31 @@ def _controlled_phase_steps(
     Bob undoes the phase kick-back.  See :func:`_gated` for ``routes`` and
     ``route_on``.
     """
-    cnot, meas_b, fix_a, meas_a, fix_b = _controlled_phase_frame(a, b, prefix, tuple(routes.items()), route_on)
+    cnot = _gated(f"{prefix}cnot", BOB, b, routes, route_on,
+                  lambda _sa, sys_b: _shared(BOB, (b, sys_b), "cnot"))
+    meas_b = _gated(f"{prefix}meas_b", BOB, b, routes, route_on,
+                    lambda *_: _shared(BOB, (b,), "meas_z"), sends_message=True)
+    fix_a = _gated(f"{prefix}fix_a", ALICE, a, routes, route_on,
+                   lambda _sa, _sb, m: _shared(ALICE, (a,), "X" if m == "one" else "I"), reads=(meas_b,))
     rot_a = _gated(f"{prefix}rot", ALICE, a, routes, route_on, lambda sys_a, _sb: rot.on((a, sys_a)))
+    meas_a = _gated(f"{prefix}meas_a", ALICE, a, routes, route_on,
+                    lambda *_: _shared(ALICE, (a,), "meas_x"), sends_message=True)
+    fix_b = _gated(f"{prefix}fix_B", BOB, b, routes, route_on,
+                   lambda _sa, sys_b, m: _shared(BOB, (sys_b,), "Z" if m == "minus" else "I"), reads=(meas_a,))
     return [cnot, meas_b, fix_a, rot_a, meas_a, fix_b]
 
 
-def _rotation(phi: float) -> LocalInstrument:
-    """Alice's controlled Z rotation by ``phi``, from "a" onto "A"."""
-    return unitary_instrument(ALICE, ("a", "A"), controlled_z_rotation_gate(phi).matrix)
+@functools.lru_cache(maxsize=64)
+def _kept_controlled_phase(labels: tuple[str, ...]) -> ProtocolProgram:
+    """The controlled-phase program on the Bell pair ``labels`` at ``REFERENCE_THETA``, kept per labels."""
+    a, b = labels
+    layout = SystemLayout([("A", 2, ALICE), ("B", 2, BOB), (a, 2, ALICE), (b, 2, BOB)])
+    return ProtocolProgram(
+        layout=layout,
+        resources=(bell_pair(2, (a, b)),),
+        steps=_controlled_phase_steps(_reference()[1], a, b, "c_", {(): ("A", "B")}),
+        consumed=(a, b),
+    )
 
 
 def build_controlled_phase(
@@ -325,18 +366,12 @@ def build_controlled_phase(
     """Deterministic controlled-phase protocol consuming one Bell pair.
 
     Implements I (x) |0><0| + exp(i phi Z) (x) |1><1| on (A, B) exactly on
-    both measurement branches; two rounds, Bob messaging first.
+    both measurement branches; two rounds, Bob messaging first.  The
+    program is the one kept per ``labels`` with its rotation rebound.
     """
     if not math.isfinite(phi):
         raise ValueError(f"non-finite angle {phi}")
-    a, b = labels
-    layout = SystemLayout([("A", 2, ALICE), ("B", 2, BOB), (a, 2, ALICE), (b, 2, BOB)])
-    return ProtocolProgram(
-        layout=layout,
-        resources=(bell_pair(2, (a, b)),),
-        steps=_controlled_phase_steps(_rotation(phi), a, b, "c_", {(): ("A", "B")}),
-        consumed=(a, b),
-    )
+    return _kept_controlled_phase(tuple(labels)).with_instruments({_reference()[1]: _rotation(phi)})
 
 
 @dataclass(frozen=True)
@@ -367,15 +402,20 @@ def local_dressing(phi: float) -> Dressing:
 
     Uses Z (x) |1><1| = (Z (x) I - Z (x) Z) / 2 to split the controlled
     phase into a local Z rotation times a ZZ-family element, then verifies
-    the factorization numerically instead of trusting the algebra.
+    the factorization numerically instead of trusting the algebra.  Every
+    factor is diagonal, which is checked first, so the verification runs
+    on the diagonals.
     """
     v_a = GateSpec(z_rotation(phi / 2), labels=("A",))
     v_b = _identity_on_b()
     controlled_angle = -phi
-    lhs = np.kron(v_a.matrix, v_b.matrix) @ controlled_phase_target(controlled_angle).matrix
-    target = zz_phase_gate(phi).matrix
-    inner = np.trace(target.conj().T @ lhs) / 4.0
-    phase = float(np.angle(inner))
+    factors = (v_a.matrix, v_b.matrix, _controlled_phase_matrix(controlled_angle), zz_phase_gate(phi).matrix)
+    diagonals = [np.diagonal(mat) for mat in factors]
+    if any(np.count_nonzero(mat) != np.count_nonzero(diag) for mat, diag in zip(factors, diagonals)):
+        raise EngineError("dressing verification needs diagonal factors")
+    a, b, controlled, target = diagonals
+    lhs = np.outer(a, b).reshape(-1) * controlled
+    phase = float(np.angle(np.vdot(target, lhs) / 4.0))
     dev = float(np.max(np.abs(lhs - np.exp(1j * phase) * target)))
     if dev > DRESSING_TOL:
         raise EngineError(f"dressing verification failed (deviation {dev:.2e})")
@@ -388,30 +428,38 @@ def build_composite(theta: float, alpha: float | None = None) -> ProtocolProgram
     The correction implements the ZZ rotation by theta minus the fitted
     failure angle via the controlled-phase protocol plus Alice's local
     dressing rotation, so the end-to-end action is the theta gate on every
-    branch.  Three rounds; one Bell pair consumed only on failure.
+    branch.  Three rounds; one Bell pair consumed only on failure.  The
+    program is the kept one (:func:`_kept_composite`) with the herald, the
+    rotation, the dressing and the heralded resource rebound.
     """
     if alpha is None:
         alpha = math.sqrt(theta)
     heralded = build_heralded(theta, alpha)
-    correction = theta - heralded.failure_angle
-    dressing = local_dressing(correction)
+    dressing = local_dressing(theta - heralded.failure_angle)
+    kept = _kept_composite()
+    return kept.with_instruments(
+        _rebinding(heralded, dressing), (heralded.program.resources[0], *kept.resources[1:])
+    )
 
+
+@functools.cache
+def _kept_composite() -> ProtocolProgram:
+    """The composite program at ``REFERENCE_THETA``, which every :func:`build_composite` rebinds."""
+    herald, rot, dress = _reference()
     layout = SystemLayout(
         [("A", 2, ALICE), ("B", 2, BOB), ("a", 2, ALICE), ("b", 2, BOB), ("a2", 2, ALICE), ("b2", 2, BOB)]
     )
-
     on_failure = {("success",): None, ("failure",): ("A", "B")}
-    route_on = (heralded.program.steps[-1].name,)  # h_meas_b
-    dress = unitary_instrument(ALICE, ("A",), dressing.v_a.matrix)
+    route_on = ("h_meas_b",)
     steps = [
-        *heralded.program.steps,
-        *_controlled_phase_steps(_rotation(dressing.controlled_angle), "a2", "b2", "c_", on_failure, route_on),
+        *_heralded_steps(herald, "a", "b", "A", "B", "h_"),
+        *_controlled_phase_steps(rot, "a2", "b2", "c_", on_failure, route_on),
         _gated("c_dress", ALICE, "A", on_failure, route_on, lambda sys_a, _sb: dress.on((sys_a,))),
     ]
     return ProtocolProgram(
         layout=layout,
         resources=(
-            partial_bell_pair(alpha, ("a", "b")),
+            partial_bell_pair(math.sqrt(REFERENCE_THETA), ("a", "b")),
             bell_pair(2, ("a2", "b2")),
         ),
         steps=steps,
@@ -648,15 +696,23 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
     """Plan (and for n <= 3 build) the batched multi-copy protocol.
 
     A call builds only what theta changes: the plan's numbers, the heralded
-    probe and three instruments, each once (the herald, the controlled
-    rotation and the dressing), which the program moves onto its copies and
-    slots with :meth:`~loccgate.engine.LocalInstrument.on`.  The rest of the
-    program is kept per structure (:func:`_batch_program`).
+    probe, the typical resource and three instruments, each once (the
+    herald, the controlled rotation and the dressing).  The program is the
+    one kept per (n, pool) (:func:`_kept_batch`) with those rebound
+    (:meth:`~loccgate.engine.ProtocolProgram.with_instruments`), which
+    moves each onto its copies and slots; its check and its walk plans are
+    those of every earlier build of that structure.
+
+    theta must lie in (0, pi^2), so that the resource angle sqrt(theta)
+    lies in (0, pi); n must be an integer at least 1 and delta positive
+    and finite.  Anything else raises a ``ValueError`` naming the argument.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < theta < math.pi**2:
+        raise ValueError(f"theta {theta!r} outside (0, pi^2): sqrt(theta) must lie in (0, pi)")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n {n!r} must be an integer at least 1")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta {delta!r} must be positive and finite")
     lam = analysis.resource_spectrum(theta)
     entropy = qmath.shannon_entropy(lam)
     p = analysis.success_probability(theta)
@@ -671,7 +727,10 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
     pool = min(math.ceil(n * (1.0 - p + delta)), n)
 
     omega = typical_resource(tset) if n <= MAX_BATCH_SIMULATION else None
-    program = None if omega is None else _batch_program(n, pool, omega, heralded, dressing)
+    program = None
+    if omega is not None:
+        kept = _kept_batch(n, pool)
+        program = kept.with_instruments(_rebinding(heralded, dressing), (omega, *kept.resources[1:]))
     return BatchPlan(
         theta=theta,
         n=n,
@@ -692,48 +751,32 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
 
 
 @functools.cache
-def _batch_frame(n: int, pool: int) -> tuple[SystemLayout, tuple[PureState, ...], tuple[str, ...], tuple]:
-    """What the batched program at n copies and ``pool`` Bell pairs keeps whatever the angle.
+def _kept_batch(n: int, pool: int) -> ProtocolProgram:
+    """The batched program at n copies and ``pool`` Bell pairs, at ``REFERENCE_THETA``; kept per (n, pool).
 
-    Its layout, its Bell pool, its consumed labels (every resource factor)
-    and per slot m the route table that sends slot m to the m-th failed
-    copy's (A_i, B_i).  Built once per (n, pool).
+    Heralded gate on every copy; slot m of the Bell pool corrects the m-th
+    failed copy, its route table sending it to that copy's (A_i, B_i).
+    Every resource factor is consumed.  The typical resource, which every
+    build replaces, is held as |0...0> on its layout.
     """
+    herald, rot, dress = _reference()
     copies = range(1, n + 1)
     bells = tuple(bell_pair(2, (f"ba{m}", f"bb{m}")) for m in range(pool))
-    resource_factors = [(f"a{i}", 2, ALICE) for i in copies] + [(f"b{i}", 2, BOB) for i in copies]
-    resource_factors += [f for bell in bells for f in bell.layout.factors]
+    typical = SystemLayout(
+        [(f"a{i}", 2, ALICE) for i in copies] + [(f"b{i}", 2, BOB) for i in copies], dim_cap=None
+    )
     layout = SystemLayout(
-        [(f"A{i}", 2, ALICE) for i in copies] + [(f"B{i}", 2, BOB) for i in copies] + resource_factors,
+        [(f"A{i}", 2, ALICE) for i in copies] + [(f"B{i}", 2, BOB) for i in copies]
+        + [*typical.factors, *(f for bell in bells for f in bell.layout.factors)],
         dim_cap=None,
     )
-    consumed = layout.labels[2 * n :]
     routes = []
     for m in range(pool):
         table = {}
         for outcomes in itertools.product(HERALD_OUTCOMES, repeat=n):
             failed = [i for i, o in zip(copies, outcomes) if o == "failure"]
             table[outcomes] = (f"A{failed[m]}", f"B{failed[m]}") if m < len(failed) else None
-        routes.append(MappingProxyType(table))
-    return layout, bells, consumed, tuple(routes)
-
-
-def _batch_program(
-    n: int, pool: int, omega: PureState, heralded: HeraldedProtocol, dressing: Dressing
-) -> ProtocolProgram:
-    """Heralded gate on every copy; slot m of the Bell pool corrects the m-th failure.
-
-    The angle-dependent instruments are built once each: every copy's
-    herald is the probe program's, and every slot's controlled rotation and
-    dressing one instrument, all moved onto their labels.  Every other step
-    comes from the caches of :func:`_heralded_frame`,
-    :func:`_controlled_phase_frame` and :func:`_batch_frame`.
-    """
-    herald = heralded.program.steps[-1].table[()]
-    rot = _rotation(dressing.controlled_angle)
-    dress = unitary_instrument(ALICE, ("A",), dressing.v_a.matrix)
-    layout, bells, consumed, routes = _batch_frame(n, pool)
-    copies = range(1, n + 1)
+        routes.append(table)
     shots = [_heralded_steps(herald, f"a{i}", f"b{i}", f"A{i}", f"B{i}", f"s{i}_") for i in copies]
     heralds = tuple(shot[-1].name for shot in shots)  # s{i}_meas_b
     slots = [
@@ -746,7 +789,10 @@ def _batch_program(
     # Stage by stage (every copy's cz_a, then every copy's meas_a, ..., then
     # every slot's cnot, ...), so all copies share the three rounds.
     steps = [s for group in (shots, slots) for stage in zip(*group) for s in stage]
-    return ProtocolProgram(layout=layout, resources=(omega, *bells), steps=steps, consumed=consumed)
+    placeholder = PureState(typical, np.eye(1, typical.dim, dtype=complex))
+    return ProtocolProgram(
+        layout=layout, resources=(placeholder, *bells), steps=steps, consumed=layout.labels[2 * n :]
+    )
 
 
 def batch_error(plan: BatchPlan, initial: PureState) -> float:

@@ -694,8 +694,14 @@ def test_compiled_tables_cover_every_transcript(builder):
 
 
 def test_program_keeps_its_validation_and_compiled_tables(monkeypatch):
-    """validate_program checks each distinct instrument once per program, and no run or export again."""
-    prog = protocols.build_batch(0.5, 1, 2.6).program
+    """validate_program checks each distinct instrument once per program, and no run or export again.
+
+    A program that shares no record checks all of its instruments; one
+    rebound from a kept program only those of the steps it rebound.
+    """
+    rebound = protocols.build_batch(0.5, 1, 2.6).program
+    assert validate_program(rebound) is None  # the kept program's structure is checked
+    prog = ProtocolProgram(rebound.layout, rebound.resources, rebound.steps, rebound.consumed, rebound.renames)
     checks = []
     validate_on = LocalInstrument.validate_on
 
@@ -712,6 +718,19 @@ def test_program_keeps_its_validation_and_compiled_tables(monkeypatch):
     engine.output_mixture(prog, engine.choi_input(prog))
     assert validate_program(prog) is None
     assert len(checks) == len(distinct)  # the result is kept: no run or export checks again
+    # a program rebound at another angle checks each distinct instrument of
+    # its rebound steps once, and no run or export checks again
+    again = protocols.build_batch(0.9, 1, 2.6).program
+    rebuilt = [step for step, before in zip(again.steps, prog.steps) if step is not before]
+    assert {step.name for step in rebuilt} == {"s1_meas_b", "p0_rot", "p0_dress"}
+    ours = {inst for step in rebuilt for inst in step.table.values()}
+    checks.clear()
+    assert validate_program(again) is None
+    assert len(checks) == len(ours) and set(checks) == ours
+    program_to_json(again)
+    run_exhaustive(again, engine.choi_input(again))
+    engine.output_mixture(again, engine.choi_input(again))
+    assert len(checks) == len(ours)
     with pytest.raises(TypeError):
         prog.steps[0].table[()] = None
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -721,6 +740,81 @@ def test_program_keeps_its_validation_and_compiled_tables(monkeypatch):
     ])
     assert validate_program(bad) is validate_program(bad)
     assert "completeness" in validate_program(bad).reason
+
+
+def _built_directly(program, swap):
+    """``program`` with ``swap`` applied entry by entry, built as a new program that shares no record."""
+    steps = [
+        dataclasses.replace(step, table={key: swap.get(inst, inst) for key, inst in step.table.items()})
+        for step in program.steps
+    ]
+    return ProtocolProgram(program.layout, program.resources, steps, program.consumed, program.renames)
+
+
+def _leaf_bits(mixture):
+    return [(l.transcript, l.probability, l.state.layout, l.state.vector.tobytes()) for l in mixture.leaves]
+
+
+REBOUND_ENTRY_POINTS = {
+    "run": lambda prog: run_exhaustive(prog, engine.choi_input(prog)),
+    "mixture": lambda prog: engine.output_mixture(prog, engine.choi_input(prog)),
+    "export": program_to_json,
+    "rounds": classify_rounds,
+}
+
+
+@pytest.mark.parametrize("entry", list(REBOUND_ENTRY_POINTS))
+def test_rebound_incomplete_instrument_gets_the_violation_of_a_direct_build(entry):
+    """A rebound step that fails its check falls back to the full pass and its violation."""
+    prog = protocols.build_controlled_phase(0.4)
+    rot = {step.name: step for step in prog.steps}["c_rot"].table[()]
+    half = LocalInstrument(ALICE, rot.labels, [("done", 0.5 * np.eye(4))])
+    direct = validate_program(_built_directly(prog, {rot: half}))
+    assert (direct.step_index, direct.step_name) == (3, "c_rot") and "completeness" in direct.reason
+    rebound = prog.with_instruments({rot: half})
+    assert rebound._record is prog._record  # same form: the record is shared
+    with pytest.raises(EngineError, match="^" + re.escape(f"invalid program: {direct}") + "$"):
+        REBOUND_ENTRY_POINTS[entry](rebound)
+    assert validate_program(rebound) == direct
+    # through the kept batch program, whose rotation copies sit in two slots
+    kept = protocols._kept_batch(2, 2)
+    ref = protocols._reference()[1]
+    rebound = kept.with_instruments({ref: LocalInstrument(ALICE, ref.labels, [("done", 0.5 * np.eye(4))])})
+    moved = {
+        inst: rebound.steps[idx].table[key]
+        for idx, step in enumerate(kept.steps) for key, inst in step.table.items()
+        if inst._origin is ref
+    }
+    direct = validate_program(_built_directly(kept, moved))
+    assert direct.step_name == "p0_rot" and "completeness" in direct.reason
+    with pytest.raises(EngineError, match="^" + re.escape(f"invalid program: {direct}") + "$"):
+        REBOUND_ENTRY_POINTS[entry](rebound)
+
+
+def test_a_swap_that_changes_the_form_gets_its_own_record(rng):
+    """A replacement with another identity flag or other labels makes a new program, walked as built directly."""
+    kept = protocols._kept_controlled_phase(("a", "b"))
+    ref = protocols._reference()[1]
+    zero = protocols._rotation(0.0)
+    assert zero._identity and not ref._identity  # a correction of exactly 0.0 gives this rotation
+    flipped = protocols.build_controlled_phase(0.0)
+    direct_flipped = ProtocolProgram(
+        kept.layout, kept.resources,
+        protocols._controlled_phase_steps(zero, "a", "b", "c_", {(): ("A", "B")}), kept.consumed,
+    )
+    prog = protocols.build_controlled_phase(0.3)
+    rot = {step.name: step for step in prog.steps}["c_rot"].table[()]
+    # the same controlled rotation with its two factors in the other order
+    kraus = rot.branches[0][1].reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    reordered = unitary_instrument(ALICE, rot.labels[::-1], kraus)
+    relabelled = prog.with_instruments({rot: reordered})
+    inp = random_pure_state(SystemLayout([("A", 2, ALICE), ("B", 2, BOB), ("R", 4, REFEREE)]), rng)
+    for rebound, direct in ((flipped, direct_flipped), (relabelled, _built_directly(prog, {rot: reordered}))):
+        assert rebound._record is not kept._record and rebound._record is not prog._record
+        assert _leaf_bits(engine.output_mixture(rebound, inp)) == _leaf_bits(engine.output_mixture(direct, inp))
+        assert _leaf_bits(run_exhaustive(rebound, inp)) == _leaf_bits(run_exhaustive(direct, inp))
+    target = protocols.controlled_phase_target(0.3)
+    assert protocol_error(relabelled, target, inp) <= 1e-12
 
 
 def test_program_to_json_rejects_an_invalid_program():

@@ -436,6 +436,15 @@ def test_batch_programs_share_exactly_the_angle_independent_instruments():
     # the angle-independent steps themselves are kept per structure
     for one, other in zip(first.steps, second.steps):
         assert (one is other) is not _angle_dependent(one.name), one.name
+    # both rebind the program kept for (n, pool) = (2, 2), only at the angle-dependent
+    # steps, and share its record; the Bell pool is the kept program's
+    kept = protocols._kept_batch(2, 2)
+    for prog in (first, second):
+        assert prog._record is kept._record
+        rebuilt = {one.name for one, other in zip(prog.steps, kept.steps) if one is not other}
+        assert rebuilt == {name for name in a if _angle_dependent(name)}
+        assert all(one is other for one, other in zip(prog.resources[1:], kept.resources[1:]))
+        assert prog.resources[0] is not kept.resources[0]
     # within one build the herald, the rotation and the dressing are each one
     # set of Kraus operators, moved onto every copy and slot
     for kind in ("_meas_b", "_rot", "_dress"):
@@ -449,14 +458,58 @@ def test_batch_programs_share_exactly_the_angle_independent_instruments():
 
 def test_no_builder_cache_is_keyed_on_an_angle():
     caches = {name: fn for name, fn in vars(protocols).items() if hasattr(fn, "cache_info")}
-    assert {"_batch_frame", "_heralded_frame", "_controlled_phase_frame"} <= caches.keys()
+    assert {"_kept_batch", "_kept_heralded", "_kept_composite", "_kept_controlled_phase"} <= caches.keys()
+    assert not {"_batch_frame", "_heralded_frame", "_controlled_phase_frame"} & vars(protocols).keys()
     thetas = np.random.default_rng(31).uniform(0.05, math.pi / 2, size=50)
-    for n, delta in ((1, 2.6), (2, 1.2)):  # one structure each: pool = n at every angle
-        protocols.build_batch(float(thetas[0]), n, delta)
-        misses = {name: fn.cache_info().misses for name, fn in caches.items()}
+    builders = {
+        "batch-n1": lambda theta: protocols.build_batch(theta, 1, 2.6),  # pool = n at every angle
+        "batch-n2": lambda theta: protocols.build_batch(theta, 2, 1.2),
+        "heralded": lambda theta: protocols.build_heralded(theta, 0.8),
+        "composite": protocols.build_composite,
+        "controlled_phase": protocols.build_controlled_phase,
+    }
+    for name, build in builders.items():
+        build(float(thetas[0]))
+        misses = {cache: fn.cache_info().misses for cache, fn in caches.items()}
         for theta in thetas[1:]:
-            protocols.build_batch(float(theta), n, delta)
-        assert {name: fn.cache_info().misses for name, fn in caches.items()} == misses, n
+            build(float(theta))
+        assert {cache: fn.cache_info().misses for cache, fn in caches.items()} == misses, name
+
+
+def test_a_second_build_checks_and_plans_nothing_again(monkeypatch, rng):
+    """After one build and error of a structure, the next at another theta reuses its check and walk plans."""
+    inp = random_pure_state(SystemLayout([("A1", 2, ALICE), ("A2", 2, ALICE), ("B1", 2, BOB), ("B2", 2, BOB)]), rng)
+    protocols.batch_error(protocols.build_batch(0.5, 2, 1.2), inp)
+    records = [protocols._kept_batch(2, 2)._record, protocols._kept_heralded()._record]
+    plans = [dict(record.plans) for record in records]
+    assert all(plans)
+    checks, made = [], []
+    first_violation, plan = engine._first_violation, engine._Plan
+    monkeypatch.setattr(engine, "_first_violation", lambda *args: checks.append(args) or first_violation(*args))
+    monkeypatch.setattr(engine, "_Plan", lambda: made.append(1) or plan())
+    second = protocols.build_batch(0.9, 2, 1.2)
+    err = protocols.batch_error(second, inp)
+    assert checks == [] and made == []
+    assert [dict(record.plans) for record in records] == plans
+    assert engine.validate_program(second.program) is None and 0.0 < err <= second.error_bound
+
+
+@pytest.mark.parametrize(
+    "theta, n, delta, name",
+    [
+        (0.5, 2, math.inf, "delta"),
+        (0.5, 2, math.nan, "delta"),
+        (0.5, 2, 0.0, "delta"),
+        (0.5, 1.5, 1.2, "n"),
+        (0.5, 0, 1.2, "n"),
+        (-0.5, 2, 1.2, "theta"),
+        (math.nan, 2, 1.2, "theta"),
+        (0.0, 2, 1.2, "theta"),
+    ],
+)
+def test_build_batch_rejects_a_bad_input_by_name(theta, n, delta, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        protocols.build_batch(theta, n, delta)
 
 
 def test_instruments_hold_read_only_kraus_operators():
