@@ -156,13 +156,9 @@ def unitary_instrument(party: Owner, labels: Sequence[str], matrix: np.ndarray) 
 def identity_instrument(party: Owner, labels: Sequence[str], dim: int) -> LocalInstrument:
     """The instrument of a step that does nothing on this branch; its outcome is "skip".
 
-    One instance per (party, labels, dim) is built and shared.
+    Each call builds a new instance; a builder shares one by holding it in
+    the program it keeps.
     """
-    return _identity_instrument(party, tuple(labels), dim)
-
-
-@functools.lru_cache(maxsize=1024)
-def _identity_instrument(party: Owner, labels: tuple[str, ...], dim: int) -> LocalInstrument:
     return LocalInstrument(party, labels, [("skip", np.eye(dim, dtype=complex))])
 
 

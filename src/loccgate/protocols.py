@@ -76,27 +76,12 @@ PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / math.sqrt(2)
 X_BASIS = {"plus": PLUS, "minus": MINUS}
 Z_BASIS = {"zero": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])}
-# the angle-independent instruments of the builders, by name: unitaries and measurements
-_SHARED_UNITARIES = {"I": I2, "X": SX, "Z": SZ, "cz": CZ, "cnot": CNOT_TARGET_FIRST}
-_SHARED_MEASUREMENTS = {"meas_x": X_BASIS, "meas_z": Z_BASIS}
 # the herald's outcomes, in the order of its branches
 HERALD_OUTCOMES = ("success", "failure")
 # the angle-independent half of controlled_phase_target
 _I_P0 = np.kron(I2, P0)
 # the angle at which each kept program is built; every build rebinds its angle-dependent instruments
 REFERENCE_THETA = 1.0
-
-
-@functools.lru_cache(maxsize=1024)
-def _shared(party: Owner, labels: tuple[str, ...], name: str) -> LocalInstrument:
-    """The angle-independent instrument ``name`` on ``labels``, built once and shared by every program.
-
-    ``name`` is a key of ``_SHARED_UNITARIES`` (a one-outcome unitary) or of
-    ``_SHARED_MEASUREMENTS`` (a projective measurement in that basis).
-    """
-    if name in _SHARED_MEASUREMENTS:
-        return projective_instrument(party, labels, _SHARED_MEASUREMENTS[name])
-    return unitary_instrument(party, labels, _SHARED_UNITARIES[name])
 
 
 def failure_angle(theta: float, alpha: float) -> float:
@@ -155,13 +140,15 @@ def _heralded_steps(
     herald: LocalInstrument, a: str, b: str, sys_a: str, sys_b: str, prefix: str
 ) -> list[ProtocolStep]:
     """Heralded ZZ-phase steps on the resource pair (a, b), ending with ``herald`` moved onto b."""
-    meas_a = ProtocolStep(f"{prefix}meas_a", ALICE, {(): _shared(ALICE, (a,), "meas_x")}, sends_message=True)
-    fix_b = tabulate((meas_a,), lambda m: _shared(BOB, (b,), "I" if m == "plus" else "Z"))
+    meas_a = ProtocolStep(
+        f"{prefix}meas_a", ALICE, {(): projective_instrument(ALICE, (a,), X_BASIS)}, sends_message=True
+    )
+    fix_b = tabulate((meas_a,), lambda m: unitary_instrument(BOB, (b,), I2 if m == "plus" else SZ))
     return [
-        ProtocolStep(f"{prefix}cz_a", ALICE, {(): _shared(ALICE, (a, sys_a), "cz")}),
+        ProtocolStep(f"{prefix}cz_a", ALICE, {(): unitary_instrument(ALICE, (a, sys_a), CZ)}),
         meas_a,
         ProtocolStep(f"{prefix}fix_b", BOB, fix_b, condition_on=(meas_a.name,)),
-        ProtocolStep(f"{prefix}cz_b", BOB, {(): _shared(BOB, (b, sys_b), "cz")}),
+        ProtocolStep(f"{prefix}cz_b", BOB, {(): unitary_instrument(BOB, (b, sys_b), CZ)}),
         ProtocolStep(f"{prefix}meas_b", BOB, {(): herald.on((b,))}, sends_message=True),
     ]
 
@@ -334,16 +321,16 @@ def _controlled_phase_steps(
     ``route_on``.
     """
     cnot = _gated(f"{prefix}cnot", BOB, b, routes, route_on,
-                  lambda _sa, sys_b: _shared(BOB, (b, sys_b), "cnot"))
+                  lambda _sa, sys_b: unitary_instrument(BOB, (b, sys_b), CNOT_TARGET_FIRST))
     meas_b = _gated(f"{prefix}meas_b", BOB, b, routes, route_on,
-                    lambda *_: _shared(BOB, (b,), "meas_z"), sends_message=True)
+                    lambda *_: projective_instrument(BOB, (b,), Z_BASIS), sends_message=True)
     fix_a = _gated(f"{prefix}fix_a", ALICE, a, routes, route_on,
-                   lambda _sa, _sb, m: _shared(ALICE, (a,), "X" if m == "one" else "I"), reads=(meas_b,))
+                   lambda _sa, _sb, m: unitary_instrument(ALICE, (a,), SX if m == "one" else I2), reads=(meas_b,))
     rot_a = _gated(f"{prefix}rot", ALICE, a, routes, route_on, lambda sys_a, _sb: rot.on((a, sys_a)))
     meas_a = _gated(f"{prefix}meas_a", ALICE, a, routes, route_on,
-                    lambda *_: _shared(ALICE, (a,), "meas_x"), sends_message=True)
+                    lambda *_: projective_instrument(ALICE, (a,), X_BASIS), sends_message=True)
     fix_b = _gated(f"{prefix}fix_B", BOB, b, routes, route_on,
-                   lambda _sa, sys_b, m: _shared(BOB, (sys_b,), "Z" if m == "minus" else "I"), reads=(meas_a,))
+                   lambda _sa, sys_b, m: unitary_instrument(BOB, (sys_b,), SZ if m == "minus" else I2), reads=(meas_a,))
     return [cnot, meas_b, fix_a, rot_a, meas_a, fix_b]
 
 
@@ -376,50 +363,40 @@ def build_controlled_phase(
 
 @dataclass(frozen=True)
 class Dressing:
-    """Local unitaries relating the controlled-phase gate to the ZZ family.
+    """Alice's local rotation relating the controlled-phase gate to the ZZ family.
 
-    (v_a (x) v_b) . ControlledPhase(controlled_angle) = e^{i phase} U(phi).
+    (v_a (x) I) . ControlledPhase(controlled_angle) = e^{i phase} U(phi):
+    Bob's side needs no rotation at any angle.
     """
 
     v_a: GateSpec
-    v_b: GateSpec
     controlled_angle: float
     phase: float
-
-
-@functools.cache
-def _identity_on_b() -> GateSpec:
-    """Every dressing's v_b, built once.
-
-    Not at import: its unitarity check there raised the peak RSS of
-    commands that dress no gate, such as ``typicality``, by about 0.4 MB.
-    """
-    return GateSpec(np.eye(2, dtype=complex), labels=("B",))
 
 
 def local_dressing(phi: float) -> Dressing:
     """Factor the ZZ-phase gate into strictly local rotations and a controlled gate.
 
     Uses Z (x) |1><1| = (Z (x) I - Z (x) Z) / 2 to split the controlled
-    phase into a local Z rotation times a ZZ-family element, then verifies
-    the factorization numerically instead of trusting the algebra.  Every
-    factor is diagonal, which is checked first, so the verification runs
-    on the diagonals.
+    phase into Alice's local Z rotation times a ZZ-family element, then
+    verifies the factorization numerically instead of trusting the algebra.
+    Every factor is diagonal, which is checked first, so the verification
+    runs on the diagonals; Bob's factor is the identity, so v_a (x) I has
+    each entry of Alice's diagonal twice.
     """
     v_a = GateSpec(z_rotation(phi / 2), labels=("A",))
-    v_b = _identity_on_b()
     controlled_angle = -phi
-    factors = (v_a.matrix, v_b.matrix, _controlled_phase_matrix(controlled_angle), zz_phase_gate(phi).matrix)
+    factors = (v_a.matrix, _controlled_phase_matrix(controlled_angle), zz_phase_gate(phi).matrix)
     diagonals = [np.diagonal(mat) for mat in factors]
     if any(np.count_nonzero(mat) != np.count_nonzero(diag) for mat, diag in zip(factors, diagonals)):
         raise EngineError("dressing verification needs diagonal factors")
-    a, b, controlled, target = diagonals
-    lhs = np.outer(a, b).reshape(-1) * controlled
+    a, controlled, target = diagonals
+    lhs = np.repeat(a, 2) * controlled
     phase = float(np.angle(np.vdot(target, lhs) / 4.0))
     dev = float(np.max(np.abs(lhs - np.exp(1j * phase) * target)))
     if dev > DRESSING_TOL:
         raise EngineError(f"dressing verification failed (deviation {dev:.2e})")
-    return Dressing(v_a, v_b, controlled_angle, phase)
+    return Dressing(v_a, controlled_angle, phase)
 
 
 def build_composite(theta: float, alpha: float | None = None) -> ProtocolProgram:

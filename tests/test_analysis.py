@@ -207,6 +207,17 @@ def test_success_probability_rejects_degenerate_point():
         success_probability(0.0, 0.0)
 
 
+@pytest.mark.xfail(strict=True, reason="1 - cos(theta) cos(alpha) cancels at small angles")
+@pytest.mark.parametrize("theta, alpha", [(1e-15, None), (1e-12, None), (1e-9, 2e-9)])
+def test_success_probability_keeps_the_failure_mass_at_small_angles(theta, alpha):
+    """1 - p = [(cos a - cos t)^2 + sin^2 t] / [2 (1 - cos t cos a)], every difference in half-angle sines."""
+    a = math.sqrt(theta) if alpha is None else alpha
+    cos_gap = 2.0 * math.sin((a + theta) / 2) * math.sin((a - theta) / 2)
+    one_minus_cos_product = 2.0 * math.sin(a / 2) ** 2 + math.cos(a) * 2.0 * math.sin(theta / 2) ** 2
+    failure = (cos_gap**2 + math.sin(theta) ** 2) / (2.0 * one_minus_cos_product)
+    assert 1.0 - success_probability(theta, alpha) == pytest.approx(failure, rel=1e-6)
+
+
 def test_cost_curve_point_identity():
     point = CostCurvePoint.at(0.7)
     assert point.e_bar == pytest.approx(1 - point.p_theta + point.h_theta, abs=1e-15)

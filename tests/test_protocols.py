@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from loccgate import analysis, engine, protocols, qmath
 from loccgate.engine import classify_rounds, ledger, protocol_error, run_exhaustive, trees_equal
 from loccgate.model import (
+    I2,
     GateSpec,
     bell_pair,
     cnot_gate,
@@ -179,7 +180,7 @@ def test_dressing_identity_at_zero():
 @settings(max_examples=25)
 def test_dressing_reconstructs_zz_gate(phi):
     d = protocols.local_dressing(phi)
-    lhs = np.kron(d.v_a.matrix, d.v_b.matrix) @ protocols.controlled_phase_target(d.controlled_angle).matrix
+    lhs = np.kron(d.v_a.matrix, I2) @ protocols.controlled_phase_target(d.controlled_angle).matrix
     rhs = np.exp(1j * d.phase) * zz_phase_gate(phi).matrix
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -187,7 +188,6 @@ def test_dressing_reconstructs_zz_gate(phi):
 def test_dressing_factors_are_single_qubit():
     d = protocols.local_dressing(1.3)
     assert d.v_a.matrix.shape == (2, 2)
-    assert d.v_b.matrix.shape == (2, 2)
 
 
 # ---------------------------------------------------------------- composite retry protocol
@@ -458,7 +458,11 @@ def test_batch_programs_share_exactly_the_angle_independent_instruments():
 
 def test_no_builder_cache_is_keyed_on_an_angle():
     caches = {name: fn for name, fn in vars(protocols).items() if hasattr(fn, "cache_info")}
-    assert {"_kept_batch", "_kept_heralded", "_kept_composite", "_kept_controlled_phase"} <= caches.keys()
+    # the kept programs are the one sharing layer; the others are keyed on labels or on nothing
+    assert caches.keys() == {
+        "_kept_batch", "_kept_heralded", "_kept_composite", "_kept_controlled_phase",
+        "_reference", "_probe", "_zz_probe",
+    }
     assert not {"_batch_frame", "_heralded_frame", "_controlled_phase_frame"} & vars(protocols).keys()
     thetas = np.random.default_rng(31).uniform(0.05, math.pi / 2, size=50)
     builders = {
