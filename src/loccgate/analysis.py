@@ -33,9 +33,9 @@ CUTOFF_INTEGER_TOL = 1e-9  # n (p - delta) this close to an integer is that inte
 # exp(x) is 0.0 below -745.13; log-pmf terms this far below their subset's
 # maximum add exactly nothing, with ~55 nats to spare for rounding in the terms
 EXP_UNDERFLOW_CUT = 800.0
-# a block's starting half-width, in normal estimates of the distance in which
-# log P falls by the cut; where that is short, the block's ends walk outward
-WINDOW_SCALE = 1.25
+# _pairwise_plan splits no node that holds at most this many window entries:
+# below it, bounding the children costs about what their dropped terms save
+PLAN_NODE = 2**11
 # log(k!) below this comes from a 64 KB table built at import, so a binomial
 # kernel at n < 2^13 (the CLI's default typicality rows, every simulated batch
 # plan) slices it instead of evaluating lgam twice per error_budget
@@ -409,7 +409,8 @@ def _sparse_pairwise_sum(
     only nodes that meet a span, and builds one when it is at most
     max(DENSE_NODE, PAIRWISE_BLOCK) entries (a node numpy sums in one pass
     is never split) or twice the span entries it holds: O(span entries +
-    DENSE_NODE) memory, not O(size).
+    DENSE_NODE) memory, not O(size).  ``_pairwise_plan`` walks the same tree
+    to choose the spans of the binomial sums.
     """
     if (
         size > max(DENSE_NODE, PAIRWISE_BLOCK)
@@ -431,12 +432,16 @@ def _sparse_pairwise_sum(
 def _logsumexp_at(size: int, chunks: Sequence[tuple[int, np.ndarray]]) -> float:
     """logsumexp of a ``size``-term array known only on its disjoint chunks.
 
-    Each chunk is (offset, values).  Every term outside the chunks lies more
-    than EXP_UNDERFLOW_CUT below the maximum, so its exp(a - a_max) is 0.0.
-    numpy sums pairwise by position, so the exp terms are summed where they
-    sit in the full array: ``_sparse_pairwise_sum`` gives the zero-filled
-    array's bits, and exp writes straight into its node buffers.  An array
-    of at most DENSE_NODE terms is one node: one buffer and one reduce.
+    Each chunk is (offset, values), and the chunks hold the maximum and its
+    ties.  A term outside them either lies more than EXP_UNDERFLOW_CUT below
+    the maximum, so its exp(a - a_max) is 0.0, or sits in a node of numpy's
+    pairwise tree whose sum cannot change the float of its parent's
+    (``_pairwise_plan``); either way the zero-filled array sums to the same
+    bits as the full one.  numpy sums pairwise by position, so the exp terms
+    are summed where they sit in the full array: ``_sparse_pairwise_sum``
+    gives the zero-filled array's bits, and exp writes straight into its node
+    buffers.  An array of at most DENSE_NODE terms is one node: one buffer
+    and one reduce.
     """
     if size == 0:
         return -math.inf
@@ -504,6 +509,161 @@ def _log_binom_pmf(n: int, p1: float, k0: int, k1: int) -> np.ndarray:
     return out
 
 
+def _pairwise_plan(
+    pieces: Sequence[tuple[int, int, int]],
+    mode: int,
+    var: float,
+    est: Callable[[int], float],
+    eta: float,
+) -> list[tuple[int, int, int]]:
+    """The counts whose exp(a - a_max) can change the float of their array's pairwise sum.
+
+    The array has one term a(k) per count of the ``pieces`` (start, stop,
+    position): counts start..stop-1 sit at positions position.. in order.  Some function F, nondecreasing up to ``mode`` and nonincreasing
+    after it, is within ``eta`` of every a(k) and of every ``est(k)``, so on
+    a piece the largest term is at the count c nearest the mode, and the
+    terms fall away from it.  ``_logsumexp_at`` sums e(k) = exp(a(k) - a_max),
+    ties of the maximum as 0.0, with numpy's pairwise tree over positions;
+    ``top`` is the largest est at a piece's c, and a_max is within 2 eta of it.
+
+    First each piece is cut to its underflow window: on each side of c, the
+    first count found whose est is 4 eta below top - EXP_UNDERFLOW_CUT,
+    searched from a normal estimate (``var`` is the variance); every term
+    beyond it has e(k) = 0.0.  Then this walks the tree from the root, by
+    ``_sparse_pairwise_sum``'s split rule, and drops a node whose (entries) x
+    exp(largest est - L + 8 eta) < 2^-55, L being the largest est at a count
+    of its sibling that cannot tie the maximum (est below top - 4 eta).  The
+    sibling's sum is at least that e(k), a pairwise sum of non-negative
+    floats being never below its largest term, and ulp(x) / 2 > x 2^-54; so
+    the node sums below half an ulp of its sibling, fl(x + y) = x, and every
+    kept sum keeps its bits.  The one bit to spare covers exp, the
+    subtraction of a_max and the sum; the 8 eta cover a and est on both
+    sides.  L counts only above top - 600: exp's absolute error in the
+    subnormals, 2^-1074 a term, is then far below ulp(L) / 2.  No node that
+    holds a_max or one of its ties is dropped.
+
+    A node is not split when it holds at most max(PLAN_NODE, PAIRWISE_BLOCK)
+    window entries (so never one numpy sums in one pass), or when its ests
+    span at most 55 log 2, so that no part of it can be dropped; an array of
+    at most PLAN_NODE terms is kept whole.  Returns the kept count ranges,
+    ascending, in the same (start, stop, position) form.
+    """
+    size = sum(stop - start for start, stop, _ in pieces)
+    if size <= PLAN_NODE:
+        return list(pieces)
+    peaks = [min(max(mode, start), stop - 1) for start, stop, _ in pieces]
+    heights = [est(c) for c in peaks]
+    top = max(heights)
+    cut = top - EXP_UNDERFLOW_CUT - 4 * eta
+    spans = []  # (position, start, stop, c) of each window
+    for (start, stop, pos), c, height in zip(pieces, peaks, heights):
+        fall = height - cut
+        if fall < 0:  # every term of the piece underflows
+            continue
+        d = abs(c - mode)
+        reach = int(math.sqrt(d * d + 2.0 * var * fall) - d) + 1
+        # each side ends at the first count found below the cut; where log P is
+        # concave the fall from c is convex in the distance x, so one at x with
+        # fall f < the needed fall puts the cut no farther than x fall / f
+        x = reach
+        while x <= c - start:
+            f = height - est(c - x)
+            if f > fall:
+                break
+            x = int(x * fall / f if 2 * f > fall else 2 * x) + 1
+        k0 = c - x + 1 if x <= c - start else start
+        x = reach
+        while x < stop - c:
+            f = height - est(c + x)
+            if f > fall:
+                break
+            x = int(x * fall / f if 2 * f > fall else 2 * x) + 1
+        k1 = c + x if x < stop - c else stop
+        spans.append((pos + k0 - start, k0, k1, c))
+    if sum(stop - start for _, start, stop, _ in spans) <= PLAN_NODE:
+        return [(start, stop, pos) for pos, start, stop, _ in spans]
+    tie, floor, gap = top - 4 * eta, top - 600.0 + 4 * eta, 55 * math.log(2.0)
+    memo = dict(zip(peaks, heights))
+
+    def a_hat(k: int) -> float:
+        a = memo.get(k)
+        if a is None:
+            a = memo[k] = est(k)
+        return a
+
+    untied: dict[int, list[int]] = {}
+
+    def near(c: int, k0: int, k1: int) -> list[int]:
+        """The counts nearest c on either side within [k0, k1), galloping, whose est
+        cannot tie the maximum, or counts outside [k0, k1) where none is."""
+        if c not in untied:
+            untied[c] = []
+            for sign in (-1, 1):
+                step = 1
+                while k0 <= c + sign * step < k1 and a_hat(c + sign * step) >= tie:
+                    step *= 2
+                untied[c].append(c + sign * step)
+        return untied[c]
+
+    def bounds(lo: int, hi: int) -> tuple[int, float, float, float]:
+        """(entries, largest est, untied lower bound L, smallest est) of positions lo..hi-1."""
+        entries, upper, lower, lowest = 0, -math.inf, -math.inf, math.inf
+        for pos, start, stop, c in spans:
+            k0 = start + lo - pos if lo > pos else start
+            k1 = start + hi - pos if hi - pos < stop - start else stop
+            if k0 < k1:
+                a = a_hat(mode if k0 <= mode < k1 else (k0 if mode < k0 else k1 - 1))
+                entries += k1 - k0
+                if a > upper:
+                    upper = a
+                if a >= tie:  # the largest may tie the maximum: stand in the nearest untied counts
+                    a = max([a_hat(k) for k in near(c, start, stop) if k0 <= k < k1], default=-math.inf)
+                if a > lower:
+                    lower = a
+                a = a_hat(k0)
+                if a < lowest:
+                    lowest = a
+                a = a_hat(k1 - 1)
+                if a < lowest:
+                    lowest = a
+        return entries, upper, lower, lowest
+
+    def kept_beside(node: tuple[int, float, float, float], sibling: tuple[int, float, float, float]) -> bool:
+        lower = sibling[2]
+        return node[0] > 0 and (lower < floor or math.log(node[0]) + node[1] - lower + gap + 8 * eta >= 0.0)
+
+    kept: list[list[int]] = []
+    first, last = spans[0][0], spans[-1][0] + spans[-1][2] - spans[-1][1]  # positions of the entries
+
+    def walk(lo: int, width: int, node: tuple[int, float, float, float]) -> None:
+        if node[0] <= max(PLAN_NODE, PAIRWISE_BLOCK) or node[1] - node[3] <= gap:
+            if kept and kept[-1][1] == lo:
+                kept[-1][1] = lo + width
+            else:
+                kept.append([lo, lo + width])
+            return
+        h = width // 2
+        h -= h % PAIRWISE_LANES
+        if lo + h <= first or last <= lo + h:  # one child holds every entry
+            walk(lo + h, width - h, node) if lo + h <= first else walk(lo, h, node)
+            return
+        left, right = bounds(lo, lo + h), bounds(lo + h, lo + width)
+        if kept_beside(left, right):
+            walk(lo, h, left)
+        if kept_beside(right, left):
+            walk(lo + h, width - h, right)
+
+    walk(0, size, bounds(0, size))
+    rows = []
+    for lo, hi in kept:
+        for pos, start, stop, _ in spans:
+            k0 = start + lo - pos if lo > pos else start
+            k1 = start + hi - pos if hi - pos < stop - start else stop
+            if k0 < k1:
+                rows.append((k0, k1, pos + k0 - start))
+    return rows
+
+
 def _log_binom_sums(
     n: int, p1: float, segments: Sequence[tuple[int, int, int]], count: int
 ) -> list[float]:
@@ -511,60 +671,51 @@ def _log_binom_sums(
 
     ``segments`` are ascending, disjoint [start, stop) ranges of counts, each
     labelled with its subset.  Each result has the bits of logsumexp over
-    the subset's terms in count order.  log P is concave in k, so on each
-    segment the largest term is at the count c nearest the mode and the terms
-    fall away from it.  Terms are evaluated on a block around c whose ends
-    walk outward until each is the segment's end or EXP_UNDERFLOW_CUT below
-    the largest such P(c) of the subset; every term beyond then has
-    exp(a - a_max) = 0.0.  Each block goes to ``_logsumexp_at`` at its
-    position in the subset's count-ordered array, which sums it with that
+    the subset's terms in count order, and log P is evaluated only on the
+    counts ``_pairwise_plan`` keeps, which decides from math.lgamma before
+    anything is evaluated.  Its eta bounds the distance of both the
+    evaluated log P and the math.lgamma estimate from the exact value with
+    this p1's rounded logs: every intermediate of either lies within M =
+    lgamma(n + 1) + n (|log p1| + |log(1 - p1)|), and a rounding count puts
+    each within 2^-46 M of it (the mode's rounding adds less), so eta =
+    2^-40 (M + 1) has a factor of 64 to spare.  At p1 = 0 or 1, log P is 0 at
+    one count and -inf elsewhere, so each segment's count nearest the mode
+    gives the sum.  The kept counts are evaluated one maximal run of
+    touching counts at a time, and each run goes to ``_logsumexp_at`` at its
+    position in its subset's count-ordered array, which sums it with that
     array's bits without building the array: memory is O(sqrt(n)), not O(n).
     """
     mode = min(math.floor((n + 1) * p1), n)
-    spread = 2.0 * EXP_UNDERFLOW_CUT * n * p1 * (1.0 - p1)
-    # how far past c a normal log P with this mode falls by the cut, scaled;
-    # from the mode itself that is `reach`, and no starting block is longer
-    reach = int(WINDOW_SCALE * math.sqrt(spread)) + 17
     sizes = [0] * count
-    rows = []  # [block start, block stop, subset, segment start, segment stop, position, step, c]
-    walk = False  # whether some block leaves part of its segment out
+    rows = []  # (start, stop, subset, position) of every count range to evaluate
     for start, stop, i in segments:
-        c = mode if start <= mode < stop else (start if mode < start else stop - 1)
-        if stop - start <= reach:  # evaluated whole
-            rows.append([start, stop, i, start, stop, sizes[i], reach, c])
-        else:
-            d = abs(c - mode)
-            h = int(WINDOW_SCALE * (math.sqrt(d * d + spread) - d)) + 17
-            b0, b1 = max(start, c - h), min(stop, c + h + 1)
-            walk = walk or b0 > start or b1 < stop
-            rows.append([b0, b1, i, start, stop, sizes[i], h, c])
+        rows.append((start, stop, i, sizes[i]))
         sizes[i] += stop - start
-    values = []
-    g = 0  # one evaluation per maximal group of touching blocks
+    if not 0.0 < p1 < 1.0:
+        nearest = [min(max(mode, start), stop - 1) for start, stop, _, _ in rows]
+        rows = [(c, c + 1, i, pos + c - start) for c, (start, _, i, pos) in zip(nearest, rows)]
+    elif max(sizes) > PLAN_NODE:  # else every subset is kept whole, and no estimate is needed
+        lgn, lp1, lp0 = math.lgamma(n + 1.0), math.log(p1), math.log1p(-p1)
+        eta = 2.0**-40 * (lgn + n * (abs(lp1) + abs(lp0)) + 1.0)
+
+        def est(k: int) -> float:
+            return lgn - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0) + k * lp1 + (n - k) * lp0
+
+        planned = []
+        for i in range(count):
+            own = [(start, stop, pos) for start, stop, j, pos in rows if j == i]
+            plan = _pairwise_plan(own, mode, n * p1 * (1.0 - p1), est, eta)
+            planned += [(k0, k1, i, pos) for k0, k1, pos in plan]
+        rows = sorted(planned)
+    chunks: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
+    g = 0  # one evaluation per maximal run of touching counts
     for j in range(1, len(rows) + 1):
         if j == len(rows) or rows[j][0] != rows[j - 1][1]:
             s0 = rows[g][0]
             span = _log_binom_pmf(n, p1, s0, rows[j - 1][1])
-            values += [span[row[0] - s0 : row[1] - s0] for row in rows[g:j]]
+            for k0, k1, i, pos in rows[g:j]:
+                chunks[i].append((pos, span[k0 - s0 : k1 - s0]))
             g = j
-    if walk:
-        peak = [-math.inf] * count
-        for row, v in zip(rows, values):
-            peak[row[2]] = max(peak[row[2]], v[row[7] - row[0]])
-        for j, (row, v) in enumerate(zip(rows, values)):
-            b0, b1, i, start, stop, _, h, _ = row
-            cut, step = peak[i] - EXP_UNDERFLOW_CUT, h
-            while b0 > start and v[0] > cut:  # walk outward, doubling the step
-                v = np.concatenate((_log_binom_pmf(n, p1, max(start, b0 - step), b0), v))
-                b0, step = max(start, b0 - step), 2 * step
-            step = h
-            while b1 < stop and v[-1] > cut:
-                v = np.concatenate((v, _log_binom_pmf(n, p1, b1, min(stop, b1 + step))))
-                b1, step = min(stop, b1 + step), 2 * step
-            row[0], values[j] = b0, v
-    chunks: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(count)]
-    for row, v in zip(rows, values):  # each block at its start's position in its subset
-        chunks[row[2]].append((row[5] + row[0] - row[3], v))
     return [_logsumexp_at(size, own) for size, own in zip(sizes, chunks)]
 
 
@@ -716,6 +867,8 @@ def error_budget(
     it, is ``typical_set(n, delta, resource_spectrum(theta))``."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not delta > 0:  # also nan, which would reach round() in _log_excess_failure
+        raise ValueError(f"delta {delta!r} must be positive")
     if tset is None:
         tset = typical_set(n, delta, resource_spectrum(theta))
     elif (tset.n, tset.delta) != (n, delta):

@@ -320,6 +320,16 @@ def test_error_budget_takes_the_callers_typical_set():
         error_budget(n + 1, delta, theta, tset=tset)
 
 
+def test_error_budget_rejects_a_delta_that_is_not_positive():
+    # a nan delta once reached round() in the excess-failure cutoff, with or
+    # without the caller's typical set, which itself accepts nan (no count is typical)
+    nan_set = typical_set(64, math.nan, resource_spectrum(0.5))
+    assert nan_set.runs == ()
+    for delta, tset in ((math.nan, None), (math.nan, nan_set), (0.0, None), (-0.1, None)):
+        with pytest.raises(ValueError, match="delta .* must be positive"):
+            error_budget(64, delta, 0.5, tset=tset)
+
+
 def test_error_budget_invariants():
     rep = error_budget(64, 0.4, 0.5)
     assert rep.epsilon_n == pytest.approx(2 * math.sqrt(1 - rep.typical_weight), abs=1e-12)

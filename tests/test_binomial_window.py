@@ -66,8 +66,8 @@ WALK_CASES = [
 
 @pytest.mark.parametrize("n, delta, theta", WALK_CASES)
 def test_walk_alone_finds_every_window(monkeypatch, n, delta, theta):
-    # blocks start 17 counts wide, so the walk must reach each cut by itself
-    monkeypatch.setattr(analysis, "WINDOW_SCALE", 0.0)
+    # the plan walks the pairwise tree down to one-pass blocks, so its drops alone decide each window
+    monkeypatch.setattr(analysis, "PLAN_NODE", 0)
     got = dataclasses.asdict(analysis.error_budget(n, delta, theta))
     assert {k: bits(v) for k, v in got.items()} == {k: bits(v) for k, v in oracles.oracle_error_budget(n, delta, theta).items()}
 
