@@ -471,14 +471,16 @@ class BranchTree:
     ``initial_alice_side_entropy`` is the entropy of the initial joint state
     reduced onto all Alice-owned factors; like a leaf's, it is computed on
     first read from ``initial_alice_source``, the entropy or that density.
+    The tree of a path run (``run_exhaustive``'s private ``_path``) holds at
+    most one leaf, and its diagnostics and initial source are None.
     """
 
     leaves: tuple[Leaf, ...]
-    initial_alice_source: float | np.ndarray = field(repr=False, compare=False)
+    initial_alice_source: float | np.ndarray | None = field(repr=False, compare=False)
     pruned_mass: float = 0.0
 
     @functools.cached_property
-    def initial_alice_side_entropy(self) -> float:
+    def initial_alice_side_entropy(self) -> float | None:
         return _entropy_from(self.initial_alice_source)
 
     def total_probability(self) -> float:
@@ -730,7 +732,9 @@ def _detach_bra(kraus: np.ndarray, dims: Sequence[int], i: int) -> np.ndarray | 
     return u[:, 0].conj()
 
 
-def run_exhaustive(program: ProtocolProgram, initial: PureState | None = None) -> BranchTree:
+def run_exhaustive(
+    program: ProtocolProgram, initial: PureState | None = None, *, _path: tuple[str, str] | None = None
+) -> BranchTree:
     """Follow every instrument branch; leaves carry exact post-selected states and diagnostics.
 
     The program is checked once, on its first run, mixture or export, and
@@ -754,8 +758,15 @@ def run_exhaustive(program: ProtocolProgram, initial: PureState | None = None) -
     transcript, in branch order, which the ledger, :func:`trees_equal` and
     per-transcript reports read.  A reduction over the output ensemble
     alone takes :func:`output_mixture` instead.
+
+    ``_path`` = (step name, outcome) walks only toward the first leaf in
+    branch order whose transcript has that outcome at that step, and is
+    private: its one caller is :func:`~loccgate.protocols.build_heralded`,
+    which fits that leaf's state.  The tree then holds that leaf alone, or
+    none when no unpruned branch has the outcome, and no diagnostics
+    (:func:`_walk`).
     """
-    leaves, initial_alice, pruned_mass, _, _ = _walk(program, initial, merge=False)
+    leaves, initial_alice, pruned_mass, _, _ = _walk(program, initial, merge=False, path=_path)
     return BranchTree(leaves, initial_alice, pruned_mass)
 
 
@@ -923,26 +934,40 @@ def _walk_plan(program: ProtocolProgram, initial: PureState | None, merge: bool)
 
 
 def _walk(
-    program: ProtocolProgram, initial: PureState | None, merge: bool
+    program: ProtocolProgram, initial: PureState | None, merge: bool, path: tuple[str, str] | None = None
 ) -> tuple[tuple[Leaf, ...], float | np.ndarray | None, float, int, float]:
     """The full-state walk of :func:`run_exhaustive`, or with ``merge`` that of :func:`output_mixture`.
 
     Returns the leaves, the source of the initial Alice-side entropy
-    (:class:`BranchTree`; None with ``merge``), the pruned mass, the number
-    of nodes merged and the largest merge distance.  The walk follows the
-    plan kept on the program's record (:func:`_walk_plan`) and binds only
-    the steps the program rebound (:meth:`ProtocolProgram.with_instruments`).
+    (:class:`BranchTree`; None with ``merge`` or ``path``), the pruned mass,
+    the number of nodes merged and the largest merge distance.  The walk
+    follows the plan kept on the program's record (:func:`_walk_plan`) and
+    binds only the steps the program rebound (:meth:`ProtocolProgram.with_instruments`).
+
+    ``path`` = (step name, outcome), without ``merge``, is ``run_exhaustive``'s
+    private ``_path``; its one caller is :func:`~loccgate.protocols.build_heralded`.
+    A node on the path does a full walk's work: every branch's kernel call,
+    the pruning and norm-drift checks over the whole node, the same
+    ``divide_by_real``.  At the named step only children with the named
+    outcome go on, and the walk stops at its first leaf, the full tree's
+    first such leaf in branch order, factored as there and with no
+    diagnostics.  The leaf-sum check cannot apply to one path; the node
+    checks on the path stand in for it, and, when no leaf comes back, the
+    caller's ``ValueError`` for a pruned failure branch.  The pruned mass is
+    that of the walked nodes.
     """
     _require_valid(program)
     plan = _walk_plan(program, initial, merge)
     sim_dims, keep_pos, names, live = plan.sim_dims, plan.keep_pos, plan.names, plan.live
+    path_at, path_outcome = (-1, None) if path is None else (names.index(path[0]), path[1])
+    diagnose = not merge and path is None
     core = None if initial is None else initial.vector
     for r in plan.attached:
         vec = program.resources[r].vector
         core = vec if core is None else np.outer(core, vec).reshape(-1)
     if core is None:  # every resource waits for its first use
         core = np.ones(1, dtype=complex)
-    initial_alice = None if merge else _alice_source(core, sim_dims, plan.alice_pos)
+    initial_alice = _alice_source(core, sim_dims, plan.alice_pos) if diagnose else None
     steps = plan.steps
     if program._changed:
         steps = list(steps)
@@ -970,7 +995,7 @@ def _walk(
         transcript = tuple(zip(names, outcomes))
         dims, keep, _ = view(core_pos, keep_pos)
         resources = alice = None
-        if not merge:  # the core is the full state, in layout order
+        if diagnose:  # the core is the full state, in layout order
             resources = tuple(
                 _resource_source(vec, dims, pos, alice_local)
                 for pos, alice_local in zip(plan.res_pos, plan.res_alice_local)
@@ -1000,6 +1025,8 @@ def _walk(
         if step_idx == n_steps:
             for vec, core_pos, prob, outcomes in nodes:
                 finalize(vec, core_pos, prob, outcomes)
+            if path is not None:  # the first leaf on the path is the one asked for
+                break
             continue
         name = names[step_idx]
         getter, _, entries = steps[step_idx]
@@ -1037,6 +1064,8 @@ def _walk(
                 children.append((child, child_pos, prob * p, outcomes + (outcome,)))
             if abs(branch_total - 1.0) > NODE_NORM_TOL:
                 raise EngineError(f"norm drift {branch_total - 1.0:.3e} at step {name!r}")
+        if step_idx == path_at:
+            children = [child for child in children if child[3][-1] == path_outcome]
         if merge:
             children, merged, distance = _merge_level(children, live[step_idx])
             merged_nodes += merged
@@ -1044,9 +1073,10 @@ def _walk(
             stack.append((step_idx + 1, children))
         else:
             stack.extend((step_idx + 1, [child]) for child in reversed(children))
-    total = sum(l.probability for l in leaves)
-    if abs(total - 1.0) > LEAF_SUM_TOL:
-        raise EngineError(f"leaf probabilities sum to {total}")
+    if path is None:
+        total = sum(l.probability for l in leaves)
+        if abs(total - 1.0) > LEAF_SUM_TOL:
+            raise EngineError(f"leaf probabilities sum to {total}")
     return tuple(leaves), initial_alice, pruned_mass, merged_nodes, merge_distance
 
 

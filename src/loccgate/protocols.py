@@ -229,28 +229,24 @@ def build_heralded(theta: float, alpha: float) -> HeraldedProtocol:
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha {alpha} outside (0, pi)")
-    if not 0.0 < theta:
-        raise ValueError(f"theta {theta} must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta {theta!r} must be positive and finite")
     herald = _herald(theta, alpha)
     program = _kept_heralded().with_instruments(
         {_reference()[0]: herald}, (partial_bell_pair(alpha, ("a", "b")),)
     )
 
-    # the full-state walk: its bits fix the fitted angle and, through it, the CLI output
-    tree = run_exhaustive(program, _probe(("A", "B", "RA", "RB")))
-    fitted = None
-    for leaf in tree.leaves:
-        if dict(leaf.transcript)["h_meas_b"] == "failure":
-            angle, residual = fit_zz_rotation(leaf.state)
-            if residual > FIT_RESIDUAL_TOL:
-                raise EngineError(f"failed branch is not a ZZ rotation (residual {residual:.2e})")
-            fitted = angle
-            break
-    if fitted is None:  # the run pruned the failure branch
+    # the full-state walk of the one transcript fitted, the first failed one in
+    # branch order; its bits fix the fitted angle and, through it, the CLI output
+    tree = run_exhaustive(program, _probe(("A", "B", "RA", "RB")), _path=("h_meas_b", "failure"))
+    if not tree.leaves:  # the run pruned the failure branch
         raise ValueError(
             f"theta {theta!r}, alpha {alpha!r}: the failure branch has probability at most "
             f"{PRUNE_PROB:g}, so there is no failure angle to fit"
         )
+    fitted, residual = fit_zz_rotation(tree.leaves[0].state)
+    if residual > FIT_RESIDUAL_TOL:
+        raise EngineError(f"failed branch is not a ZZ rotation (residual {residual:.2e})")
     return HeraldedProtocol(
         program=program,
         success_prob=analysis.success_probability(theta, alpha),
@@ -635,10 +631,15 @@ class BatchPlan:
     dilution_bell_count: int
     correction_bell_count: int
     typical_weight: float
-    typical_count: int
+    typical_set: analysis.TypicalSet
     error_bound: float  # projection error + 2 * excess-failure probability
     omega: PureState | None
     program: ProtocolProgram | None
+
+    @property
+    def typical_count(self) -> int:
+        """The exact number of typical sequences, summed on first read (``TypicalSet.count``)."""
+        return self.typical_set.count
 
 
 def typical_resource(tset: analysis.TypicalSet) -> PureState:
@@ -720,7 +721,7 @@ def build_batch(theta: float, n: int, delta: float) -> BatchPlan:
         dilution_bell_count=dilution_bells,
         correction_bell_count=pool,
         typical_weight=tset.weight,
-        typical_count=tset.count,
+        typical_set=tset,
         error_bound=report.total_error,
         omega=omega,
         program=program,

@@ -262,6 +262,37 @@ def test_zero_probability_branches_pruned():
     assert dict(tree.leaves[0].transcript)["m"] == "zero"
 
 
+def _herald_after_z():
+    """Step m measures Z; step h measures the same qubit, so h = fail is pruned under m = 0 and certain under m = 1."""
+    lay = qubit_layout(("A", ALICE))
+    z = {"0": np.array([1.0, 0]), "1": np.array([0, 1.0])}
+    herald = {"ok": z["0"], "fail": z["1"]}
+    prog = ProtocolProgram(
+        lay,
+        steps=[
+            ProtocolStep("m", ALICE, {(): projective_instrument(ALICE, ("A",), z)}),
+            ProtocolStep("h", ALICE, {(): projective_instrument(ALICE, ("A",), herald)}),
+        ],
+    )
+    return prog, PureState(lay, [0.6, 0.8j])
+
+
+def test_path_run_returns_the_full_trees_first_matching_leaf():
+    prog, st = _herald_after_z()
+    (leaf,) = run_exhaustive(prog, st, _path=("h", "fail")).leaves
+    assert leaf.transcript == (("m", "1"), ("h", "fail"))
+    full = next(l for l in run_exhaustive(prog, st).leaves if dict(l.transcript)["h"] == "fail")
+    assert leaf.transcript == full.transcript
+    assert leaf.probability.hex() == full.probability.hex()
+    assert leaf.state.vector.tobytes() == full.state.vector.tobytes()
+    assert (leaf.resource_sources, leaf.alice_source) == (None, None)
+
+
+def test_path_run_with_no_matching_leaf_returns_none():
+    prog, st = _herald_after_z()
+    assert run_exhaustive(prog, st, _path=("h", "lost")).leaves == ()
+
+
 def test_leaf_probabilities_sum_to_one(rng):
     lay = qubit_layout(("A", ALICE), ("B", BOB))
     steps = [

@@ -110,6 +110,30 @@ def test_heralded_rejects_angle_whose_failure_branch_is_pruned(theta):
         protocols.build_heralded(theta, alpha)
 
 
+@pytest.mark.parametrize("theta", [math.inf, math.nan])
+def test_heralded_rejects_a_non_finite_theta_by_name(theta):
+    with pytest.raises(ValueError, match="theta .* must be positive and finite"):
+        protocols.build_heralded(theta, 0.5)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.5, 1.2, 1.5])
+def test_heralded_probe_walks_only_the_fitted_transcript(monkeypatch, theta):
+    """One build makes 6 kernel calls and 1 leaf factoring.
+
+    A walk of the probe's whole tree made 10 and 4: every transcript of
+    the herald, each leaf factored, for one leaf's state.  The first build
+    in a process also makes the fit's reference states, once; it is made
+    before counting.
+    """
+    protocols.build_heralded(0.3, math.sqrt(0.3))
+    calls = []
+    for name in ("apply_on_factors", "factor_pure_state"):
+        inner = getattr(qmath, name)
+        monkeypatch.setattr(qmath, name, lambda *a, _inner=inner, _name=name: calls.append(_name) or _inner(*a))
+    protocols.build_heralded(theta, math.sqrt(theta))
+    assert (calls.count("apply_on_factors"), calls.count("factor_pure_state")) == (6, 1)
+
+
 def test_heralded_fit_residual_stays_an_engine_error(monkeypatch):
     monkeypatch.setattr(protocols, "fit_zz_rotation", lambda state: (0.0, 1.0))
     with pytest.raises(engine.EngineError, match="not a ZZ rotation"):
@@ -401,6 +425,12 @@ def test_build_batch_reuses_its_typical_set(monkeypatch):
     plan = protocols.build_batch(0.5, 2, 1.2)
     assert plan.omega is not None
     assert len(calls) == 1  # the plan's own, handed on to error_budget
+
+
+def test_build_batch_leaves_the_typical_count_unsummed():
+    # the exact count sums big integers along every typical run: quadratic in n
+    plan = protocols.build_batch(0.3, 2**20, 0.0894)
+    assert "count" not in vars(plan.typical_set)
 
 
 def _step_instruments(program):
